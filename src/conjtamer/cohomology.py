@@ -9,8 +9,6 @@ identities can be checked off-grid without interpolation error.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,7 +25,7 @@ from .errors import (
 )
 from .gridfn import GridFunction
 from .space import Space
-from .words import ABELIAN, Presentation, enumerate_ball, select_shell_radii
+from .words import ABELIAN, Presentation, select_shell_radii
 
 Array = np.ndarray
 
@@ -242,14 +240,7 @@ def nilpotent_average_solution(
     admissible shell radii; the defect bound is decomposed into the
     small-exponent term C*N0*max|c|/k and the large-exponent term M*C*delta
     from the bounded-generation argument."""
-    selection = select_shell_radii(
-        presentation,
-        k_max,
-        growth_constant
-        if growth_constant is not None
-        else select_shell_radii(presentation, k_max, float("inf")).minimal_c
-        * (1.0 + 1e-9),
-    )
+    selection = select_shell_radii(presentation, k_max, growth_constant)
     if not selection.radii:
         raise NoAdmissibleRadius(
             f"no admissible radius up to {k_max}; minimal admissible growth "
@@ -263,19 +254,18 @@ def nilpotent_average_solution(
     k = selection.radii[shell_index]
     space = action.space
     tn = space.track_nodes()
-    ball = enumerate_ball(presentation, k + 1)
-    sizes = np.cumsum(ball.sphere_sizes)
-    n_inner = int(sizes[k])
+    ball = selection.ball.elements[: selection.sizes[k + 1]]  # B(k+1)
+    n_inner = selection.sizes[k]
 
     def ball_average(x: Array) -> Array:
         acc = np.zeros_like(x)
-        for word in ball.elements[:n_inner]:
+        for word in ball[:n_inner]:
             c, _ = action.word_cocycle(word.letters, x)
             acc += c
         return acc / n_inner
 
     max_word_c = 0.0
-    for word in ball.elements:
+    for word in ball:
         c, _ = action.word_cocycle(word.letters, tn)
         max_word_c = max(max_word_c, float(np.max(np.abs(c))))
 
@@ -423,14 +413,6 @@ class PathSample:
     c1_step: Optional[Dict[str, Tuple[float, float]]] = None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CONJ_TAMER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def path_of_conjugates(
     action: Action, n_max: int, steps_per_unit: int
 ) -> List[PathSample]:
@@ -460,7 +442,6 @@ def path_of_conjugates(
         d_fields.append(np.stack(rows))
 
     total_steps = (n_max - 1) * steps_per_unit
-    js = list(range(total_steps + 1))
 
     def build(j: int) -> PathSample:
         n, rem = divmod(j, steps_per_unit)
@@ -488,12 +469,7 @@ def path_of_conjugates(
             gap_per_generator=per_gen,
         )
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(build, js))
-    else:
-        samples = [build(j) for j in js]
+    samples = [build(j) for j in range(total_steps + 1)]
 
     from .diffeo import c1_distance
 

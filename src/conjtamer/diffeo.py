@@ -264,18 +264,6 @@ def build_diffeo(definition, space: Space) -> Diffeo:
     return Diffeo.from_log_deriv(space, definition)
 
 
-def evaluate_and_derivative(f: Diffeo, x):
-    """Returns (f(x), Df(x)); circle inputs/outputs are reduced mod 1."""
-    x = _as_array(x)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    value = f(xs)
-    deriv = f.derivative(xs)
-    if scalar:
-        return float(value[0]), float(deriv[0])
-    return value, deriv
-
-
 def compose(f: Diffeo, g: Diffeo) -> Diffeo:
     """f∘g.  The log-derivative track is log Dg + (log Df)∘g sampled per node."""
     f.space.check_same(g.space)

@@ -12,7 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFinite
 from .space import Space
 
 Array = np.ndarray
@@ -41,10 +40,6 @@ class GridFunction:
     def from_callable(cls, space: Space, fn: Callable) -> "GridFunction":
         return cls(space, fn(space.track_nodes()), fn)
 
-    @classmethod
-    def zero(cls, space: Space) -> "GridFunction":
-        return cls(space, np.zeros(space.track_length), lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x) -> Array:
@@ -68,11 +63,6 @@ class GridFunction:
 
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))
-
-    def check_finite(self, what: str = "grid function") -> "GridFunction":
-        if not np.all(np.isfinite(self.samples)):
-            raise NonFinite(f"{what} has non-finite samples")
-        return self
 
     # -- arithmetic (combines exact evaluators when both sides have them) ----
 

@@ -251,9 +251,6 @@ def _cmd_tame_lipschitz(
 
 
 def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSolution:
-    if spec.group_type == FREE:
-        raise SpecError("tame-c1 needs an abelian or nilpotent group; "
-                        "use detect for free actions")
     if spec.group_type == NILPOTENT:
         return nilpotent_average_solution(
             action,

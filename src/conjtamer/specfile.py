@@ -22,7 +22,9 @@ A spec is UTF-8 text with sections [space], [group], [generators] and
 Generator definitions are expressions in x, conj(h, angle) for h∘R_angle∘h⁻¹,
 pwl(x0:y0, x1:y1, ...) for piecewise-linear interpolation, or @file.json for
 a serialized diffeomorphism.  Nilpotent groups list rewriting rules like
-"b a -> a b c^-1" plus a bounded_generation constant.
+"b a -> a b c^-1" plus a bounded_generation constant; build_action checks
+the rules for confluence by critical pairs, which covers words of every
+length.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .action import Action, validate_relations
 from .diffeo import Diffeo, build_diffeo, conjugated_rotation, pwl_diffeo
-from .errors import ConjTamerError, SpecError, UnknownGenerator
+from .errors import ConjTamerError, SpecError
 from .expressions import compile_expression
 from .space import Space
 from .words import ABELIAN, FREE, NILPOTENT, Presentation
@@ -125,7 +127,10 @@ def _parse_rule(rule: str, names: Sequence[str], line: int):
             letters.extend([(names.index(name), sign)] * abs(e))
         return tuple(letters)
 
-    return side(lhs_text), side(rhs_text)
+    lhs = side(lhs_text)
+    if not lhs:
+        raise SpecError(f"rule needs a non-empty left-hand side: {rule!r}", line=line)
+    return lhs, side(rhs_text)
 
 
 def parse_action_spec(text: str) -> ActionSpec:
@@ -337,20 +342,19 @@ def _build_generator(d: GeneratorDef, space: Space, base_dir: str) -> Diffeo:
         raise SpecError(exc.message, line=d.line, col=col)
 
 
-# Rule sets whose rewriting already passed the exhaustive confluence check
-# this session (the check costs seconds on three-generator presentations).
-_CONFLUENT: set = set()
-
-
 def build_action(
     spec: ActionSpec,
     grid_override: Optional[int] = None,
     base_dir: str = ".",
 ) -> Action:
-    """Builds and validates the action: every generator passes diffeo
-    validation, user-supplied rewriting rules are confluent, and every
-    relation holds within relation_tolerance."""
-    space = Space(spec.space_kind, grid_override or spec.grid_size)
+    """Builds and validates the action: the grid size is a valid one, every
+    generator passes diffeo validation, nilpotent rewriting rules pass the
+    critical-pair confluence check, and every relation holds within
+    relation_tolerance."""
+    try:
+        space = Space(spec.space_kind, grid_override or spec.grid_size)
+    except ValueError as exc:
+        raise SpecError(str(exc))
     presentation = Presentation(
         spec.generator_names,
         spec.rules,
@@ -359,21 +363,14 @@ def build_action(
         metric_generators=spec.metric_generators,
     )
     if spec.group_type == NILPOTENT:
-        key = (presentation.generators, presentation.rules)
-        if key not in _CONFLUENT:
-            try:
-                presentation.check_confluence()
-            except ConjTamerError as exc:
-                raise SpecError(f"group rules: {exc}")
-            _CONFLUENT.add(key)
-    gens = {}
-    for name in spec.generator_names:
         try:
-            gens[name] = _build_generator(spec.generator_defs[name], space, base_dir)
-        except UnknownGenerator:
-            raise
-        except SpecError:
-            raise
+            presentation.check_confluence()
+        except ConjTamerError as exc:
+            raise SpecError(f"group rules: {exc}")
+    gens = {
+        name: _build_generator(spec.generator_defs[name], space, base_dir)
+        for name in spec.generator_names
+    }
     action = Action(space, presentation, gens)
     validate_relations(action, tol=spec.relation_tolerance, raise_on_fail=True)
     return action

@@ -2,14 +2,14 @@
 
 A word is a sequence of (generator index, sign) letters.  A presentation
 carries the generator names, a terminating rewriting system (free cancellation
-is always active), and optional bounded-generation data.  Normal forms use
-deterministic leftmost-first rewriting; a local-confluence check over all
-short words guards against inconsistent rule sets.
+is always active), and optional bounded-generation data.  Normal forms come
+from a stack reducer that only rewrites at the top of an irreducible prefix;
+a Knuth-Bendix critical-pair check proves the rules confluent, so that normal
+form is unique.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -20,6 +20,7 @@ from .errors import ConjTamerError, SizeOverflow, UnknownGenerator
 Letter = Tuple[int, int]  # (generator index, +1 or -1)
 
 DEFAULT_BALL_CAP = 10**7
+_MAX_REWRITES = 100000
 
 ABELIAN = "abelian"
 NILPOTENT = "nilpotent"
@@ -85,11 +86,20 @@ class Presentation:
         if metric_generators is None:
             metric_generators = range(len(self.generators))
         self.metric_generators = tuple(metric_generators)
-        self._nf_cache: Dict[Tuple[Letter, ...], Tuple[Letter, ...]] = {}
         for lhs, rhs in self.rules:
+            if not lhs:
+                raise ConjTamerError("rule with an empty left-hand side")
             for g, s in lhs + rhs:
                 if not (0 <= g < len(self.generators)) or s not in (-1, 1):
                     raise UnknownGenerator(f"rule letter ({g},{s}) out of range")
+        # the declared rules, then the free cancellations x x^-1 -> 1
+        self._rewrites = self.rules + tuple(
+            (((g, s), (g, -s)), ()) for g in range(self.rank) for s in (1, -1)
+        )
+        # lhs as a list and rhs reversed, keyed by the last letter of lhs
+        self._by_last: Dict[Letter, List[Tuple[List[Letter], List[Letter]]]] = {}
+        for lhs, rhs in self._rewrites:
+            self._by_last.setdefault(lhs[-1], []).append((list(lhs), list(rhs[::-1])))
 
     @property
     def rank(self) -> int:
@@ -97,66 +107,62 @@ class Presentation:
 
     # -- rewriting ----------------------------------------------------------
 
-    def _step(self, w: Tuple[Letter, ...]) -> Optional[Tuple[Letter, ...]]:
-        """Applies the leftmost applicable reduction (cancellation first at
-        each position, then declared rules in order); None when irreducible."""
-        n = len(w)
-        for i in range(n):
-            if i + 1 < n and w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1]:
-                return w[:i] + w[i + 2 :]
-            for lhs, rhs in self.rules:
-                m = len(lhs)
-                if i + m <= n and w[i : i + m] == lhs:
-                    return w[:i] + rhs + w[i + m :]
-        return None
+    def normal_form(self, word: Word, prefix: Tuple[Letter, ...] = ()) -> Word:
+        """Normal form of prefix·word, where prefix is already a normal form.
 
-    def normal_form(self, word: Word, max_steps: int = 100000) -> Word:
-        key = word.letters
-        cached = self._nf_cache.get(key)
-        if cached is not None:
-            return Word(cached)
+        Letters are pushed one at a time onto an irreducible stack; a redex
+        can then only end at the top, so only the top is rewritten and the
+        right-hand side goes back onto the input.  Once check_confluence has
+        passed, the result is the unique normal form."""
         if self.kind == ABELIAN:
-            nf = word_from_exponents(word.exponent_vector(self.rank)).letters
-        else:
-            w = key
-            for _ in range(max_steps):
-                nxt = self._step(w)
-                if nxt is None:
+            return word_from_exponents(
+                Word(prefix + word.letters).exponent_vector(self.rank)
+            )
+        out = list(prefix)
+        todo = list(reversed(word.letters))
+        rewrites = 0
+        while todo:
+            out.append(todo.pop())
+            for lhs, rhs in self._by_last.get(out[-1], ()):
+                if out[-len(lhs) :] == lhs:
+                    del out[-len(lhs) :]
+                    todo.extend(rhs)
+                    rewrites += 1
                     break
-                w = nxt
-            else:
+            if rewrites > _MAX_REWRITES:
                 raise ConjTamerError("rewriting did not terminate")
-            nf = w
-        if len(self._nf_cache) < 1_000_000:
-            self._nf_cache[key] = nf
-        return Word(nf)
+        return Word(tuple(out))
 
     def _successors(self, w: Tuple[Letter, ...]) -> List[Tuple[Letter, ...]]:
-        out = []
-        n = len(w)
-        for i in range(n):
-            if i + 1 < n and w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1]:
-                out.append(w[:i] + w[i + 2 :])
-            for lhs, rhs in self.rules:
-                m = len(lhs)
-                if i + m <= n and w[i : i + m] == lhs:
-                    out.append(w[:i] + rhs + w[i + m :])
-        return out
+        return [
+            w[:i] + rhs + w[i + len(lhs) :]
+            for i in range(len(w))
+            for lhs, rhs in self._rewrites
+            if w[i : i + len(lhs)] == lhs
+        ]
 
-    def check_confluence(self, max_len: int = 6) -> None:
-        """Local confluence on all words up to max_len: every one-step
-        successor must reduce to the same normal form."""
-        alphabet = [(g, s) for g in range(self.rank) for s in (1, -1)]
-        for length in range(2, max_len + 1):
-            for combo in itertools.product(alphabet, repeat=length):
-                succ = self._successors(combo)
-                if len(succ) <= 1:
-                    continue
-                forms = {self.normal_form(Word(s)).letters for s in succ}
-                if len(forms) > 1:
-                    raise ConjTamerError(
-                        f"rewriting not confluent at {combo}: {forms}"
-                    )
+    def check_confluence(self) -> None:
+        """Knuth-Bendix critical pairs: for every ordered pair of left-hand
+        sides (free cancellations included) build the words where a suffix
+        of one is a prefix of the other, or one contains the other; all
+        one-step successors of each must share a normal form.  For a
+        terminating system this is confluence on words of every length
+        (Newman's lemma)."""
+        lhss = [lhs for lhs, _ in self._rewrites]
+        overlaps = set()
+        for l1 in lhss:
+            for l2 in lhss:
+                overlaps.update(
+                    l1 + l2[k:]
+                    for k in range(1, min(len(l1), len(l2)))
+                    if l1[-k:] == l2[:k]
+                )
+                if any(l1[i : i + len(l2)] == l2 for i in range(len(l1))):
+                    overlaps.add(l1)
+        for w in sorted(overlaps):
+            forms = {self.normal_form(Word(s)).letters for s in self._successors(w)}
+            if len(forms) > 1:
+                raise ConjTamerError(f"rewriting not confluent at {w}: {forms}")
 
     # -- stock presentations -------------------------------------------------
 
@@ -247,7 +253,8 @@ def enumerate_ball(
 ) -> Ball:
     """The full ball of radius k over the metric generators and their
     inverses, BFS layer by layer with normal-form deduplication;
-    deterministic ordering."""
+    deterministic ordering.  Each frontier word is already a normal form, so
+    it is only extended by one letter, not reduced again."""
     alphabet = [(g, s) for g in presentation.metric_generators for s in (1, -1)]
     seen: Dict[Tuple[Letter, ...], int] = {(): 0}
     elements: List[Word] = [Word()]
@@ -259,7 +266,7 @@ def enumerate_ball(
         for w in frontier:
             parent_idx = seen[w]
             for letter in alphabet:
-                nf = presentation.normal_form(Word(w + (letter,))).letters
+                nf = presentation.normal_form(Word((letter,)), prefix=w).letters
                 if nf not in seen and nf not in layer:
                     layer[nf] = (parent_idx, letter)
         new_words = sorted(layer)
@@ -283,30 +290,33 @@ def enumerate_ball(
 @dataclass(frozen=True)
 class ShellSelection:
     """Radii whose shell growth passes |B(k+1)| - |B(k)| <= C|B(k)|/k, plus
-    the smallest constant that would admit at least one radius."""
+    the smallest constant that would admit at least one radius and the ball
+    B(k_max+1) the sizes come from."""
 
     radii: Tuple[int, ...]
     minimal_c: float
     measured: Tuple[float, ...]
     sizes: Tuple[int, ...]
+    ball: Ball
 
 
 def select_shell_radii(
-    presentation: Presentation, k_max: int, growth_constant: float
+    presentation: Presentation, k_max: int, growth_constant: Optional[float] = None
 ) -> ShellSelection:
+    """Admissible radii up to k_max for growth_constant; None takes the
+    minimal constant, so that the radii attaining it are admitted."""
     ball = enumerate_ball(presentation, k_max + 1)
     sizes = np.cumsum(ball.sphere_sizes)  # |B(0)| .. |B(k_max+1)|
-    measured = []
-    radii = []
-    for k in range(1, k_max + 1):
-        c_k = k * (sizes[k + 1] - sizes[k]) / sizes[k]
-        measured.append(float(c_k))
-        if c_k <= growth_constant:
-            radii.append(k)
-    minimal_c = float(min(measured)) if measured else float("inf")
+    measured = [
+        float(k * (sizes[k + 1] - sizes[k]) / sizes[k]) for k in range(1, k_max + 1)
+    ]
+    minimal_c = min(measured) if measured else float("inf")
+    if growth_constant is None:
+        growth_constant = minimal_c * (1.0 + 1e-9)
     return ShellSelection(
-        radii=tuple(radii),
+        radii=tuple(k for k, c_k in enumerate(measured, 1) if c_k <= growth_constant),
         minimal_c=minimal_c,
         measured=tuple(measured),
         sizes=tuple(int(s) for s in sizes),
+        ball=ball,
     )

@@ -302,6 +302,22 @@ def test_cli_grid_override(tmp_path):
     assert report["space"]["grid_size"] == 64
 
 
+def test_cli_bad_grid_flag_exit_two_with_report(tmp_path):
+    spec = write(tmp_path, "t.spec", TRIVIAL)
+    out = tmp_path / "out"
+    assert main(["report", "--spec", spec, "--grid", "100", "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] == "build"
+
+
+def test_cli_bad_grid_spec_key_exit_two_with_report(tmp_path):
+    spec = write(tmp_path, "t.spec", TRIVIAL.replace("grid_size = 256", "grid_size = 100"))
+    out = tmp_path / "out"
+    assert main(["report", "--spec", spec, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] == "build"
+
+
 def test_cli_detect_summary(tmp_path, capsys):
     spec = write(tmp_path, "pp.spec", PINGPONG_SMALL)
     assert main(["detect", "--spec", spec, "--resilient", "-L", "2", "--out", str(tmp_path / "o")]) == 0

@@ -145,6 +145,15 @@ def test_rule_parsing_heisenberg():
     assert rule == (((1, 1), (0, 1)), ((0, 1), (1, 1), (2, -1)))
 
 
+def test_rule_with_empty_left_side_rejected():
+    text = MINIMAL.replace(
+        "generators = f", 'generators = f\nrules = "f^0 -> f"'
+    )
+    with pytest.raises(SpecError, match="left-hand side") as exc:
+        parse_action_spec(text)
+    assert exc.value.line == 8
+
+
 def test_relation_violation_measured():
     # declaring the ping-pong pair abelian must fail with the deviation
     text = textwrap.dedent(

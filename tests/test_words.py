@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conjtamer import (
     Presentation,
@@ -22,6 +25,42 @@ H3_BALL_SIZES = [1, 5, 17, 53, 135, 299, 593, 1069, 1793]
 
 def W(*letters):
     return Word(tuple(letters))
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: leftmost-first rewriting and brute-force confluence
+
+
+def leftmost_step(p, w):
+    """The leftmost applicable reduction (cancellation first at each
+    position, then declared rules in order); None when irreducible."""
+    n = len(w)
+    for i in range(n):
+        if i + 1 < n and w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1]:
+            return w[:i] + w[i + 2 :]
+        for lhs, rhs in p.rules:
+            m = len(lhs)
+            if i + m <= n and w[i : i + m] == lhs:
+                return w[:i] + rhs + w[i + m :]
+    return None
+
+
+def leftmost_normal_form(p, w):
+    while (nxt := leftmost_step(p, w)) is not None:
+        w = nxt
+    return w
+
+
+def brute_force_confluent(p, max_len):
+    """Every word of length 2..max_len: all one-step successors must reach
+    the same leftmost-first normal form."""
+    alphabet = [(g, s) for g in range(p.rank) for s in (1, -1)]
+    for length in range(2, max_len + 1):
+        for combo in itertools.product(alphabet, repeat=length):
+            forms = {leftmost_normal_form(p, s) for s in p._successors(combo)}
+            if len(forms) > 1:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +107,7 @@ def test_normal_form_idempotent_on_short_words():
 
 
 def test_confluence_check_accepts_heisenberg():
-    Presentation.heisenberg().check_confluence(max_len=4)
+    Presentation.heisenberg().check_confluence()
 
 
 def test_confluence_check_catches_incomplete_rules():
@@ -83,7 +122,51 @@ def test_confluence_check_catches_incomplete_rules():
         kind="nilpotent",
     )
     with pytest.raises(ConjTamerError):
-        p.check_confluence(max_len=3)
+        p.check_confluence()
+
+
+AB_LETTERS = [(0, 1), (0, -1), (1, 1), (1, -1)]
+# terminating by length: two-letter left sides, right sides of 0-1 letters
+short_rules = st.lists(
+    st.tuples(
+        st.tuples(st.sampled_from(AB_LETTERS), st.sampled_from(AB_LETTERS)),
+        st.lists(st.sampled_from(AB_LETTERS), max_size=1).map(tuple),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(short_rules)
+def test_critical_pairs_agree_with_brute_force(rules):
+    # every overlap word of these rules has length <= 3, so words up to
+    # length 4 decide confluence
+    p = Presentation(("a", "b"), rules, kind="nilpotent")
+    try:
+        p.check_confluence()
+        accepted = True
+    except ConjTamerError:
+        accepted = False
+    assert accepted == brute_force_confluent(p, 4)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Presentation.zd(2), Presentation.zd(3), Presentation.heisenberg()],
+    ids=["zd2", "zd3", "heisenberg"],
+)
+def test_normal_form_matches_leftmost_rewriting(p):
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(0, 10))
+        w = tuple(
+            (int(rng.integers(0, p.rank)), int(rng.choice([-1, 1]))) for _ in range(n)
+        )
+        assert p.normal_form(Word(w)).letters == leftmost_normal_form(p, w)
+        # extending a normal form by one letter needs no re-reduction
+        head, tail = p.normal_form(Word(w[:-1])).letters, Word(w[-1:])
+        assert p.normal_form(tail, prefix=head).letters == leftmost_normal_form(p, w)
 
 
 # ---------------------------------------------------------------------------
