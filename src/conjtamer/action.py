@@ -83,9 +83,8 @@ class Action:
         y = np.asarray(x, dtype=float)
         acc = np.zeros_like(y)
         for letter in reversed(tuple(letters)):
-            f = self.letter_diffeo(letter)
-            acc = acc + f.log_deriv(y)
-            y = f.eval_lift(y)
+            y, ld = self.letter_diffeo(letter).jet(y)
+            acc = acc + ld
         return acc, y
 
     # -- transformations ------------------------------------------------------

@@ -9,7 +9,7 @@
 
 Exit codes: 0 success (detect returns 0 whether or not a witness exists),
 2 spec/usage error, 3 certification failure (report.json still written),
-1 any other pipeline error.
+1 any other pipeline error (e.g. a Newton inversion that does not converge).
 """
 
 from __future__ import annotations

@@ -64,8 +64,8 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
             acc = acc + c_cum
             out[n] = acc
             if n < n_max:
-                c_cum = c_cum + g.log_deriv(p)
-                p = g.eval_lift(p)
+                p, ld = g.jet(p)
+                c_cum = c_cum + ld
         return out
     if d == 2:
         g1, g2 = action.gens
@@ -79,11 +79,11 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
             for k1 in range(n_max):
                 rows[k1, k2] = c2_cum + c1_cum
                 if k1 < n_max - 1:
-                    c1_cum = c1_cum + g1.log_deriv(p)
-                    p = g1.eval_lift(p)
+                    p, ld = g1.jet(p)
+                    c1_cum = c1_cum + ld
             if k2 < n_max - 1:
-                c2_cum = c2_cum + g2.log_deriv(q)
-                q = g2.eval_lift(q)
+                q, ld = g2.jet(q)
+                c2_cum = c2_cum + ld
         pref = rows.cumsum(axis=0).cumsum(axis=1)
         for n in range(1, n_max + 1):
             out[n] = pref[n - 1, n - 1]
@@ -179,9 +179,11 @@ def _defect_refined(u: GridFunction, action: Action) -> Dict[str, float]:
     tn = action.space.track_nodes()
     fine = np.sort(np.concatenate([tn, tn + 0.5 * action.space.h]))
     fine = fine[fine <= 1.0]
+    u_fine = u(fine)
     out: Dict[str, float] = {}
     for name, g in zip(action.names, action.gens):
-        d = u(fine) - u(g.eval_lift(fine)) - g.log_deriv(fine)
+        g_fine, g_ld = g.jet(fine)
+        d = u_fine - u(g_fine) - g_ld
         out[name] = float(np.max(np.abs(d)))
     return out
 
@@ -316,8 +318,8 @@ def _measure_exactness_onset(
             acc = np.zeros_like(tn)
             onset = 1
             for n in range(1, n_cap + 1):
-                acc = acc + g.log_deriv(p)
-                p = g.eval_lift(p)
+                p, ld = g.jet(p)
+                acc = acc + ld
                 if float(np.max(np.abs(acc))) / n >= delta:
                     onset = n + 1
             worst = max(worst, onset)
@@ -513,6 +515,6 @@ def invariant_mean_log_derivative(
     y = np.asarray([x], dtype=float)
     acc = 0.0
     for _ in range(int(n)):
-        acc += float(f.log_deriv(y)[0])
-        y = f.eval_lift(y)
+        y, ld = f.jet(y)
+        acc += float(ld[0])
     return acc / float(n)

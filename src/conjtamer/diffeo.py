@@ -5,10 +5,10 @@ lift offset f(0) for circle maps.  Values are reconstructed from the track by
 trapezoidal quadrature with endpoint (interval) or degree-one (circle)
 normalization, and interpolated piecewise-linearly between nodes.
 
-Diffeos built from closed forms additionally carry exact callables for the
-value, the log-derivative and the inverse; every operation below propagates
-them when both operands have them, so chains of compositions evaluate without
-stacking interpolation error.  Serialization keeps only the grid data.
+Diffeos built from closed forms also carry exact evaluators for the value, the
+jet x -> (value, log-derivative) in one pass through a chain, and the inverse;
+every operation below builds them from its operands' ones, so chains evaluate
+without stacking interpolation error.  Serialization keeps only the grid data.
 
 Composition accumulates log-derivatives through the chain rule
 (log D(f∘g) = log Dg + (log Df)∘g); derivatives are never re-differenced
@@ -18,11 +18,11 @@ from values.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateDerivative, NonFinite, NonMonotone
+from .errors import DegenerateDerivative, NonConvergence, NonFinite, NonMonotone
 from .gridfn import GridFunction
 from .space import CIRCLE, Space
 
@@ -33,6 +33,7 @@ DERIVATIVE_FLOOR = 1e-9
 _LOG_FLOOR = math.log(DERIVATIVE_FLOOR)
 # Tolerance for snapping endpoint/degree normalization of value tracks.
 _ENDPOINT_TOL = 1e-9
+_NEWTON_STEPS = 60  # step budget of the safeguarded Newton inversion
 
 
 def _as_array(x):
@@ -45,11 +46,13 @@ class Diffeo:
     values: lift values at all grid_size+1 nodes (interval: values[0] = 0,
     values[-1] = 1; circle: values[0] = offset in [0,1), values[-1] = offset+1).
     log_deriv: GridFunction on the space's per-node track.
-    value_fn / inverse_fn: optional exact lift evaluators (inverse_fn is
-    degree-one equivariant: inverse_fn(y+1) = inverse_fn(y)+1 on the circle).
+    value_fn / jet_fn / inverse_fn: optional exact evaluators; value_fn and
+    jet_fn take x in [0,1], jet_fn returning (lift values, log-derivative).
+    inverse_fn is degree-one equivariant: inverse_fn(y+1) = inverse_fn(y)+1.
     """
 
-    __slots__ = ("space", "log_deriv", "values", "offset", "value_fn", "inverse_fn")
+    __slots__ = ("space", "log_deriv", "values", "offset",
+                 "value_fn", "inverse_fn", "jet_fn")
 
     def __init__(
         self,
@@ -58,13 +61,19 @@ class Diffeo:
         values: Array,
         value_fn: Optional[Callable] = None,
         inverse_fn: Optional[Callable] = None,
+        jet_fn: Optional[Callable] = None,
     ):
+        if jet_fn is None and value_fn is not None and log_deriv.fn is not None:
+            jet_fn = lambda x, _ld=log_deriv.fn: (_as_array(value_fn(x)), _ld(x))
+        elif jet_fn is not None and log_deriv.fn is None:
+            log_deriv = GridFunction(space, log_deriv.samples, lambda x: jet_fn(x)[1])
         self.space = space
         self.log_deriv = log_deriv
         self.values = values
         self.offset = float(values[0])
         self.value_fn = value_fn
         self.inverse_fn = inverse_fn
+        self.jet_fn = jet_fn
         self._validate()
 
     # -- construction --------------------------------------------------------
@@ -101,11 +110,13 @@ class Diffeo:
         value_fn: Callable,
         logderiv_fn: Callable,
         inverse_fn: Optional[Callable] = None,
+        jet_fn: Optional[Callable] = None,
     ) -> "Diffeo":
         """Builds from exact callables; both tracks are sampled from them.
 
-        value_fn maps [0,1] to the lift fundamental branch; on the circle it is
-        shifted so that f(0) lands in [0,1).
+        value_fn maps [0,1] to the lift fundamental branch, shifted on the
+        circle so that f(0) lands in [0,1); jet_fn, when given, computes
+        (value_fn(x), logderiv_fn(x)) in one pass.
         """
         v0 = float(value_fn(np.zeros(1))[0])
         shift = math.floor(v0) if space.is_circle else 0
@@ -115,9 +126,15 @@ class Diffeo:
             if inverse_fn is not None:
                 ibase = inverse_fn
                 inverse_fn = lambda y, _b=ibase, _s=shift: _b(y + _s)
+            if jet_fn is not None:
+                jbase = jet_fn
+
+                def jet_fn(x, _b=jbase, _s=shift):
+                    v, ld = _b(x)
+                    return v - _s, ld
         values = _as_array(value_fn(space.nodes))
         ld = GridFunction.from_callable(space, logderiv_fn)
-        return cls(space, ld, values, value_fn, inverse_fn)
+        return cls(space, ld, values, value_fn, inverse_fn, jet_fn)
 
     def _validate(self):
         values, space = self.values, self.space
@@ -147,7 +164,7 @@ class Diffeo:
 
     @property
     def is_exact(self) -> bool:
-        return self.value_fn is not None and self.log_deriv.fn is not None
+        return self.jet_fn is not None
 
     def _value01(self, x: Array) -> Array:
         """Lift values for x in [0,1]."""
@@ -176,6 +193,17 @@ class Diffeo:
     def derivative(self, x) -> Array:
         return np.exp(self.log_deriv(x))
 
+    def jet(self, x) -> Tuple[Array, Array]:
+        """(eval_lift(x), log_derivative(x)) in one pass through the chain."""
+        x = _as_array(x)
+        if self.jet_fn is None:
+            return self.eval_lift(x), self.log_deriv(x)
+        if not self.space.is_circle:
+            return self.jet_fn(np.clip(x, 0.0, 1.0))
+        k = np.floor(x)
+        v, ld = self.jet_fn(x - k)
+        return v + k, ld
+
     # -- inversion -----------------------------------------------------------
 
     def _invert01(self, y: Array) -> Array:
@@ -183,23 +211,24 @@ class Diffeo:
         vals, nodes = self.values, self.space.nodes
         idx = np.clip(np.searchsorted(vals, y) - 1, 0, self.space.grid_size - 1)
         x = nodes[idx] + (y - vals[idx]) / (vals[idx + 1] - vals[idx]) * self.space.h
-        if self.value_fn is None:
+        if self.jet_fn is None:
             # piecewise-linear values invert in closed form
             return np.clip(x, 0.0, 1.0)
         lo, hi = nodes[idx].copy(), nodes[idx + 1].copy()
         x = np.clip(x, lo, hi)
-        for _ in range(60):
-            fx = self._value01(x) - y
+        for _ in range(_NEWTON_STEPS):
+            v, ld = self.jet_fn(x)
+            fx = v - y
             lo = np.where(fx <= 0, x, lo)
             hi = np.where(fx >= 0, x, hi)
-            xn = x - fx * np.exp(-self.log_deriv(x))
+            xn = x - fx * np.exp(-ld)
             bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
             xn = np.where(bad, 0.5 * (lo + hi), xn)
             if np.max(np.abs(xn - x)) < 1e-14:
-                x = xn
-                break
+                return xn
             x = xn
-        return x
+        residual = float(np.max(np.abs(self._value01(x) - y)))
+        raise NonConvergence("Newton inversion did not converge", residual)
 
     def invert_lift(self, y) -> Array:
         """Lift of the inverse at arbitrary reals."""
@@ -275,13 +304,18 @@ def compose(f: Diffeo, g: Diffeo) -> Diffeo:
         values = values - shift
     ld_samples = g.log_deriv.samples + f.log_deriv(gv_nodes[: space.track_length])
 
-    value_fn = inverse_fn = ld_fn = None
+    value_fn = inverse_fn = jet_fn = None
     if f.is_exact and g.is_exact:
         value_fn = lambda x: f.eval_lift(g.eval_lift(x)) - shift
-        ld_fn = lambda x: g.log_deriv(x) + f.log_deriv(g.eval_lift(x))
         inverse_fn = lambda y: g.invert_lift(f.invert_lift(y + shift))
+
+        def jet_fn(x):
+            gv, g_ld = g.jet(x)
+            fv, f_ld = f.jet(gv)
+            return fv - shift, g_ld + f_ld
+
     return Diffeo(
-        space, GridFunction(space, ld_samples, ld_fn), values, value_fn, inverse_fn
+        space, GridFunction(space, ld_samples), values, value_fn, inverse_fn, jet_fn
     )
 
 
@@ -293,13 +327,17 @@ def invert(f: Diffeo) -> Diffeo:
     values = inv_nodes - shift
     ld_samples = -f.log_deriv(inv_nodes[: space.track_length])
 
-    value_fn = inverse_fn = ld_fn = None
+    value_fn = inverse_fn = jet_fn = None
     if f.is_exact:
         value_fn = lambda x: f.invert_lift(x) - shift
-        ld_fn = lambda x: -f.log_deriv(f.invert_lift(x))
         inverse_fn = lambda y: f.eval_lift(y + shift)
+
+        def jet_fn(x):
+            y = f.invert_lift(x)
+            return y - shift, -f.log_derivative(y)
+
     return Diffeo(
-        space, GridFunction(space, ld_samples, ld_fn), values, value_fn, inverse_fn
+        space, GridFunction(space, ld_samples), values, value_fn, inverse_fn, jet_fn
     )
 
 
@@ -323,39 +361,31 @@ def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
     inversion of phi covers both the value and log-derivative tracks."""
     space = f.space
     space.check_same(phi.space)
-    nodes = space.nodes
-    y_nodes = phi.invert_lift(nodes)
-    fy_nodes = f.eval_lift(y_nodes)
-    values = phi.eval_lift(fy_nodes)
+    t = space.track_length
+    y_nodes = phi.invert_lift(space.nodes)
+    fy_nodes, f_ld = f.jet(y_nodes)
+    values, phi_ld = phi.jet(fy_nodes)
     shift = math.floor(values[0]) if space.is_circle else 0
     if shift:
         values = values - shift
-    t = space.track_length
-    ld_samples = (
-        phi.log_deriv(fy_nodes[:t])
-        + f.log_deriv(y_nodes[:t])
-        - phi.log_deriv(y_nodes[:t])
-    )
+    ld_samples = phi_ld[:t] + f_ld[:t] - phi.log_derivative(y_nodes[:t])
 
     def value_fn(x):
         y = phi.invert_lift(np.asarray(x, dtype=float))
         return phi.eval_lift(f.eval_lift(y)) - shift
 
-    def logderiv_fn(x):
+    def jet_fn(x):
         y = phi.invert_lift(np.asarray(x, dtype=float))
-        fy = f.eval_lift(y)
-        return phi.log_deriv(fy) + f.log_deriv(y) - phi.log_deriv(y)
+        fy, f_ld = f.jet(y)
+        v, phi_ld = phi.jet(fy)
+        return v - shift, phi_ld + f_ld - phi.log_derivative(y)
 
     def inverse_fn(z):
         y = phi.invert_lift(np.asarray(z, dtype=float) + shift)
         return phi.eval_lift(f.invert_lift(y))
 
     return Diffeo(
-        space,
-        GridFunction(space, ld_samples, logderiv_fn),
-        values,
-        value_fn,
-        inverse_fn,
+        space, GridFunction(space, ld_samples), values, value_fn, inverse_fn, jet_fn
     )
 
 

@@ -27,6 +27,14 @@ class NonFinite(ConjTamerError):
     """A NaN or infinity appeared where a finite quantity is required."""
 
 
+class NonConvergence(ConjTamerError):
+    """A Newton iteration ran out of steps; carries the max residual |f(x) - y|."""
+
+    def __init__(self, message: str, residual: float):
+        self.residual = float(residual)
+        super().__init__(f"{message} (max residual {self.residual:.3e})")
+
+
 class SizeOverflow(ConjTamerError):
     """A ball/tree enumeration would exceed the configured element cap."""
 

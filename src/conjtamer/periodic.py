@@ -17,8 +17,7 @@ import numpy as np
 
 from .action import Action
 from .diffeo import Diffeo
-from .errors import InfiniteHyperbolicSet, NotCircle
-from .gridfn import GridFunction
+from .errors import InfiniteHyperbolicSet, NonConvergence, NotCircle
 from .space import Space
 from .words import FREE, Letter, Word
 
@@ -27,6 +26,7 @@ Array = np.ndarray
 PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
 _SNAP_TOL = 1e-8  # distance for snapping images of flagged points
+_NEWTON_STEPS = 60  # step budget of the safeguarded bridge inversion
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,8 @@ def orbit_multiplier(f: Diffeo, x: float, period: int) -> float:
     lm = 0.0
     y = np.asarray([x], dtype=float)
     for _ in range(period):
-        lm += float(f.log_deriv(y)[0])
-        y = f.eval_lift(y)
+        y, ld = f.jet(y)
+        lm += float(ld[0])
     return math.exp(lm)
 
 
@@ -215,7 +215,7 @@ class _Bridge:
         lo = np.full_like(y, self.a)
         hi = np.full_like(y, self.b)
         x = np.clip(y, self.a, self.b)
-        for _ in range(60):
+        for _ in range(_NEWTON_STEPS):
             fx = self.value(x) - y
             lo = np.where(fx <= 0, x, lo)
             hi = np.where(fx >= 0, x, hi)
@@ -225,7 +225,8 @@ class _Bridge:
             if np.max(np.abs(xn - x)) < 1e-15:
                 return xn
             x = xn
-        return x
+        residual = float(np.max(np.abs(self.value(x) - y)))
+        raise NonConvergence("bridge inversion did not converge", residual)
 
 
 _LEFT_GERM, _RIGHT_GERM, _BRIDGE = 0, 1, 2
@@ -438,8 +439,8 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 table[j] = k
         return table
 
-    def kernel(move: Callable, move_ld: Callable, targets: Array):
-        """(value mod frame, logderiv) of psi∘move∘psi^{-1} on [0,1]."""
+    def kernel(move: Callable, targets: Array):
+        """Jet (value mod frame, logderiv) of psi∘move∘psi^{-1} on [0,1]."""
 
         def both(x0: Array) -> Tuple[Array, Array]:
             seg = psi._segment(x0)
@@ -452,11 +453,9 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 xs = x0[sel]
                 if kind == _BRIDGE:
                     y = pay.invert(xs)
-                    w = move(y)
+                    w, move_ld = move(y)
                     val[sel] = psi.eval_lift(w)
-                    ld[sel] = (
-                        psi.log_deriv(w) + move_ld(y) - np.log(pay.deriv(y))
-                    )
+                    ld[sel] = psi.log_deriv(w) + move_ld - np.log(pay.deriv(y))
                     continue
                 c = float(pay)
                 sgn = 1.0 if kind == _RIGHT_GERM else -1.0
@@ -465,19 +464,17 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 y = c + sgn * z_y
                 j = int(np.argmin(np.abs(flagged - (c % 1.0 if space.is_circle else c))))
                 tgt = int(targets[j])
+                w, move_ld = move(y)
                 if tgt < 0:
-                    w = move(y)
                     val[sel] = psi.eval_lift(w)
                     with np.errstate(divide="ignore"):
                         germ_ld = math.log(q) + (q - 1.0) * (
                             np.log(z_y) - math.log(r)
                         )
-                    ld[sel] = psi.log_deriv(w) + move_ld(y) - germ_ld
+                    ld[sel] = psi.log_deriv(w) + move_ld - germ_ld
                     continue
-                base = float(move(np.asarray([c]))[0])
+                base, lm = (float(a[0]) for a in move(np.asarray([c])))
                 ck = base  # snapped frame origin: exact flagged value + lift
-                lm = float(move_ld(np.asarray([c]))[0])
-                w = move(y)
                 z_gy = np.maximum((w - base) * sgn, 0.0)
                 lin = z_y < _GERM_LIN
                 m_q = math.exp(q * lm)
@@ -486,7 +483,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 inside = z_gy <= r
                 with np.errstate(divide="ignore", invalid="ignore"):
                     v_in = ck + sgn * psi._germ(z_gy)
-                    ld_in = move_ld(y) + (q - 1.0) * (
+                    ld_in = move_ld + (q - 1.0) * (
                         np.log(np.maximum(z_gy, 1e-300))
                         - np.log(np.maximum(z_y, 1e-300))
                     )
@@ -495,7 +492,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                     germ_ld = math.log(q) + (q - 1.0) * (
                         np.log(np.maximum(z_y, 1e-300)) - math.log(r)
                     )
-                    ld_out = psi.log_deriv(w_out) + move_ld(y) - germ_ld
+                    ld_out = psi.log_deriv(w_out) + move_ld - germ_ld
                 val[sel] = np.where(lin, v_lin, np.where(inside, v_in, v_out))
                 ld[sel] = np.where(lin, ld_lin, np.where(inside, ld_in, ld_out))
             return val, ld
@@ -507,45 +504,35 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
     for j, t in enumerate(fwd_snap):
         if t >= 0:
             bwd_snap[t] = j
-    fwd = kernel(g.eval_lift, g.log_deriv, fwd_snap)
-    bwd = kernel(g.invert_lift, lambda y: -g.log_deriv(g.invert_lift(y)), bwd_snap)
+
+    def inverse_move(y: Array) -> Tuple[Array, Array]:
+        x = g.invert_lift(y)
+        return x, -g.log_derivative(x)
+
+    fwd = kernel(g.jet, fwd_snap)
+    bwd = kernel(inverse_move, bwd_snap)
 
     def lifted(pair: Callable, raw_move: Callable):
-        def value_fn(x):
+        def jet(x):
             x = np.asarray(x, dtype=float)
             k = np.floor(x) if space.is_circle else np.zeros_like(x)
             x0 = np.clip(x - k, 0.0, 1.0)
-            v, _ = pair(x0)
+            v, l = pair(x0)
             if space.is_circle:
                 raw = psi.eval_lift(raw_move(psi.invert_lift(x0)))
                 v = v + np.round(raw - v)
-            return v + k
+            return v + k, l
 
-        def ld_fn(x):
-            x = np.asarray(x, dtype=float)
-            k = np.floor(x) if space.is_circle else np.zeros_like(x)
-            _, l = pair(np.clip(x - k, 0.0, 1.0))
-            return l
+        return jet
 
-        return value_fn, ld_fn
-
-    fwd_value, fwd_ld = lifted(fwd, g.eval_lift)
-    bwd_value, _ = lifted(bwd, g.invert_lift)
-
-    values = fwd_value(space.nodes)
-    shift = math.floor(values[0]) if space.is_circle else 0
-    if shift:
-        values = values - shift
-    ld_samples = fwd_ld(space.track_nodes())
-
-    value_fn = (lambda x: fwd_value(x) - shift) if shift else fwd_value
-    inverse_fn = (lambda y: bwd_value(np.asarray(y, dtype=float) + shift)) if shift else bwd_value
-    return Diffeo(
+    fwd_jet = lifted(fwd, g.eval_lift)
+    bwd_jet = lifted(bwd, g.invert_lift)
+    return Diffeo.from_callables(
         space,
-        GridFunction(space, ld_samples, fwd_ld),
-        values,
-        value_fn,
-        inverse_fn,
+        lambda x: fwd_jet(x)[0],
+        lambda x: fwd_jet(x)[1],
+        lambda y: bwd_jet(y)[0],
+        jet_fn=fwd_jet,
     )
 
 

@@ -97,39 +97,38 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
     weights = lam ** layers.astype(float)
     mass = float(np.sum(weights))  # each w_*(Leb) has unit mass
 
-    def raw(x) -> Array:
+    def walk(x, density: bool = False):
         """Unnormalized CDF: sum of weights * (w^{-1}(x) - w^{-1}(0)), on
-        lifts.  Orbit arrays extend along the ball tree one letter at a time
+        lifts, and with density the log of sum of weights * D(w^{-1})(x).
+        Orbit arrays extend along the ball tree one letter at a time
         (w·l maps to l^{-1} applied to the w orbit)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         pts: List[Array] = [np.concatenate([x, [0.0]])]
+        lds: List[Array] = [np.zeros_like(pts[0])]
         acc = weights[0] * pts[0]
+        dens = weights[0] * np.ones_like(pts[0])
         for i in range(1, len(ball.elements)):
             parent, (g, s) = ball.tree[i]
             inv_letter = action.letter_diffeo((g, -s))
-            y = inv_letter.eval_lift(pts[parent])
+            if density:
+                y, ld = inv_letter.jet(pts[parent])
+                lds.append(lds[parent] + ld)
+                dens = dens + weights[i] * np.exp(lds[-1])
+            else:
+                y = inv_letter.eval_lift(pts[parent])
             pts.append(y)
             acc = acc + weights[i] * y
-        return (acc[:-1] - acc[-1])
+        raw = acc[:-1] - acc[-1]
+        return (raw, np.log(dens[:-1])) if density else raw
 
-    def raw_log_density(x) -> Array:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pts: List[Array] = [x]
-        lds: List[Array] = [np.zeros_like(x)]
-        dens = weights[0] * np.ones_like(x)
-        for i in range(1, len(ball.elements)):
-            parent, (g, s) = ball.tree[i]
-            inv_letter = action.letter_diffeo((g, -s))
-            ld = lds[parent] + inv_letter.log_deriv(pts[parent])
-            y = inv_letter.eval_lift(pts[parent])
-            pts.append(y)
-            lds.append(ld)
-            dens = dens + weights[i] * np.exp(ld)
-        return np.log(dens)
+    def jet_fn(x):
+        raw, log_dens = walk(x, density=True)
+        return raw / mass, log_dens - np.log(mass)
 
-    cdf_fn = lambda x: raw(x) / mass
-    logd_fn = lambda x: raw_log_density(x) - np.log(mass)
-    conjugator = Diffeo.from_callables(space, cdf_fn, logd_fn)
+    cdf_fn = lambda x: walk(x) / mass
+    conjugator = Diffeo.from_callables(
+        space, cdf_fn, lambda x: jet_fn(x)[1], jet_fn=jet_fn
+    )
     cdf = GridFunction(space, conjugator.values[: space.track_length], cdf_fn)
     return DeroinMeasure(
         lam=lam,
@@ -139,7 +138,7 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         mass=mass,
         tail_bound=_tail_bound(lam, ball.sphere_sizes),
         sphere_sizes=ball.sphere_sizes,
-        cdf_raw=raw,
+        cdf_raw=walk,
     )
 
 

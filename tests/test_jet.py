@@ -1,0 +1,250 @@
+"""The jet evaluator x -> (lift value, log-derivative) of exact diffeos, the
+orbit loops that use it, and Newton's non-convergence report."""
+
+import json
+import textwrap
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import conjtamer.diffeo as diffeo_mod
+from conjtamer import (
+    Action,
+    Diffeo,
+    GridFunction,
+    NonConvergence,
+    Presentation,
+    birkhoff_field,
+    build_diffeo,
+    compose,
+    conjugacy_from_log_density,
+    conjugate_action,
+    conjugated_rotation,
+    deroin_cdf,
+    flatten_hyperbolic,
+    invert,
+    pwl_diffeo,
+    rotation,
+)
+from conjtamer.cli import main
+from conjtamer.space import circle, interval
+
+from helpers import (
+    GOLDEN,
+    PINGPONG_F,
+    SILVER,
+    conj_rotation_z2,
+    mobius_action,
+    pingpong_action,
+    wobble,
+)
+
+BRONZE = 0.302776
+
+
+# ---------------------------------------------------------------------------
+# Every exact construction, on a small grid.
+
+
+@lru_cache(maxsize=None)
+def constructions():
+    sc, si = circle(256), interval(256)
+    h = wobble(256)
+    g = conjugated_rotation(sc, h, GOLDEN)
+    mob = build_diffeo("mobius(1, 0, -1, 2)", si)
+    ramp = pwl_diffeo(si, ((0.0, 0.0), (0.3, 0.5), (1.0, 1.0)))
+    t = sc.track_nodes()
+    phi = conjugacy_from_log_density(GridFunction(sc, 0.3 * np.sin(2 * np.pi * t)))
+    flat, _, _ = flatten_hyperbolic(mobius_action(256), delta=0.1)
+    return {
+        "expression-circle": h,
+        "expression-interval": mob,
+        "pwl-circle": pwl_diffeo(sc, PINGPONG_F),
+        "pwl-interval": ramp,
+        "rotation": rotation(sc, 0.3),
+        "conjugated-rotation": g,
+        "compose-circle": compose(g, h),
+        "compose-interval": compose(mob, ramp),
+        "invert-circle": invert(g),
+        "invert-interval": invert(mob),
+        "conjugate-action-circle": conjugate_action(g, phi),
+        "conjugate-action-interval": conjugate_action(mob, ramp),
+        "deroin-conjugator": deroin_cdf(mobius_action(256), 0.8, 4).conjugator,
+        "flattened": flat.gens[0],
+        "log-density-conjugacy": phi,
+    }
+
+
+lifts = st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),
+        st.just(1.0),
+        st.floats(-3.0, 0.0, allow_nan=False),
+        st.floats(1.0, 4.0, allow_nan=False),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=6,
+).map(np.array)
+
+
+@pytest.mark.parametrize("name", sorted(constructions()))
+@settings(deadline=None, max_examples=30)
+@given(x=lifts)
+def test_jet_equals_value_and_log_derivative(name, x):
+    f = constructions()[name]
+    assert f.is_exact
+    v, ld = f.jet(x)
+    assert np.array_equal(v, f.eval_lift(x))
+    assert np.array_equal(ld, f.log_derivative(x))
+
+
+# ---------------------------------------------------------------------------
+# Orbit loops against the two-call versions they replaced.
+
+
+def two_call_word_cocycle(action, letters, x):
+    y = np.asarray(x, dtype=float)
+    acc = np.zeros_like(y)
+    for letter in reversed(tuple(letters)):
+        f = action.letter_diffeo(letter)
+        acc = acc + f.log_deriv(y)
+        y = f.eval_lift(y)
+    return acc, y
+
+
+def two_call_birkhoff_field(action, n_max, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d, m = action.rank, x.size
+    out = np.zeros((n_max + 1, m))
+    if d == 1:
+        g = action.gens[0]
+        c_cum, p, acc = np.zeros(m), x, np.zeros(m)
+        for n in range(1, n_max + 1):
+            acc = acc + c_cum
+            out[n] = acc
+            if n < n_max:
+                c_cum = c_cum + g.log_deriv(p)
+                p = g.eval_lift(p)
+        return out
+    if d == 2:
+        g1, g2 = action.gens
+        q, c2_cum = x, np.zeros(m)
+        rows = np.empty((n_max, n_max, m))
+        for k2 in range(n_max):
+            c1_cum, p = np.zeros(m), q
+            for k1 in range(n_max):
+                rows[k1, k2] = c2_cum + c1_cum
+                if k1 < n_max - 1:
+                    c1_cum = c1_cum + g1.log_deriv(p)
+                    p = g1.eval_lift(p)
+            if k2 < n_max - 1:
+                c2_cum = c2_cum + g2.log_deriv(q)
+                q = g2.eval_lift(q)
+        pref = rows.cumsum(axis=0).cumsum(axis=1)
+        for n in range(1, n_max + 1):
+            out[n] = pref[n - 1, n - 1]
+        return out
+    from conjtamer import enumerate_positive_ball
+
+    ball = enumerate_positive_ball(d, n_max)
+    buckets = np.zeros((n_max, m))
+    for row, word in zip(ball.exponents, ball.elements):
+        c, _ = two_call_word_cocycle(action, word.letters, x)
+        buckets[int(np.max(row))] += c
+    np.cumsum(buckets, axis=0, out=buckets)
+    out[1:] = buckets
+    return out
+
+
+@lru_cache(maxsize=None)
+def rotations_z(d: int) -> Action:
+    sp = circle(256)
+    h = wobble(256)
+    names = ("g1", "g2", "g3")[:d]
+    gens = [conjugated_rotation(sp, h, a) for a in (GOLDEN, SILVER, BRONZE)[:d]]
+    return Action(sp, Presentation.zd(d, names), gens)
+
+
+@pytest.mark.parametrize("d, n", [(1, 9), (2, 6), (3, 3)])
+def test_birkhoff_field_matches_two_call_loop(d, n):
+    action = rotations_z(d)
+    x = np.concatenate([action.space.track_nodes()[::7], [-0.25, 1.0, 2.5]])
+    assert np.array_equal(
+        birkhoff_field(action, n, x), two_call_birkhoff_field(action, n, x)
+    )
+
+
+@pytest.mark.parametrize("make", [pingpong_action, conj_rotation_z2])
+def test_word_cocycle_matches_two_call_loop(make):
+    action = make(256)
+    x = np.linspace(-0.5, 1.5, 41)
+    words = [(), ((0, 1),), ((1, -1), (0, 1)), ((0, -1), (1, 1), (0, -1), (1, -1))]
+    for letters in words:
+        c, y = action.word_cocycle(letters, x)
+        c_old, y_old = two_call_word_cocycle(action, letters, x)
+        assert np.array_equal(c, c_old)
+        assert np.array_equal(y, y_old)
+
+
+def test_birkhoff_field_inverts_once_per_orbit_step(monkeypatch):
+    action = conj_rotation_z2(256)
+    calls = []
+    inner = Diffeo._invert01
+
+    def counted(self, y):
+        calls.append(y.size)
+        return inner(self, y)
+
+    monkeypatch.setattr(Diffeo, "_invert01", counted)
+    n = 5
+    birkhoff_field(action, n, action.space.track_nodes())
+    assert len(calls) == n * n - 1
+
+
+# ---------------------------------------------------------------------------
+# Newton non-convergence.
+
+
+def test_newton_raises_when_log_derivative_disagrees_with_value():
+    # log D = 10 against the value x^2: every Newton step is e^-10 too short,
+    # stays inside the bracket and crawls, so 60 steps cannot converge
+    f = Diffeo.from_callables(
+        interval(64),
+        lambda x: np.asarray(x, dtype=float) ** 2,
+        lambda x: np.full_like(np.asarray(x, dtype=float), 10.0),
+    )
+    with pytest.raises(NonConvergence) as info:
+        f.invert_lift(np.array([0.3, 0.7]))
+    assert info.value.residual > 1e-8
+
+
+def test_cli_non_convergence_exits_one_with_failed_stage(tmp_path, monkeypatch):
+    spec = tmp_path / "m.spec"
+    spec.write_text(
+        textwrap.dedent(
+            """\
+            [space]
+            kind = interval
+            grid_size = 256
+
+            [group]
+            type = abelian
+            generators = f
+
+            [generators]
+            f = mobius(1, 0, -1, 2)
+
+            [pipeline]
+            lambda = 0.9
+            radius = 4
+            """
+        )
+    )
+    monkeypatch.setattr(diffeo_mod, "_NEWTON_STEPS", 1)
+    out = tmp_path / "out"
+    assert main(["tame-lipschitz", "--spec", str(spec), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] == "build"
