@@ -3,6 +3,9 @@
 Realization of words is by composition (left letter outermost, so a word acts
 as w(x) = l1(l2(...(x)))), which makes word_realize a homomorphism for the
 compose operation and accumulates log-derivatives through the chain rule.
+
+A generator's inverse is built on first use and cached (`Action.inverse`), so
+an action that never applies one, such as a conjugated action, never inverts.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class Action:
         for g in gens:
             space.check_same(g.space)
         self.gens: Tuple[Diffeo, ...] = tuple(gens)
-        self.inverses: Tuple[Diffeo, ...] = tuple(invert(g) for g in gens)
+        self._inverses: List[Optional[Diffeo]] = [None] * len(gens)
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -52,6 +55,16 @@ class Action:
     @property
     def rank(self) -> int:
         return self.presentation.rank
+
+    def inverse(self, i: int) -> Diffeo:
+        """g_i^{-1}, built on first use and cached."""
+        if self._inverses[i] is None:
+            self._inverses[i] = invert(self.gens[i])
+        return self._inverses[i]
+
+    @property
+    def inverses(self) -> Tuple[Diffeo, ...]:
+        return tuple(self.inverse(i) for i in range(self.rank))
 
     def generator(self, key) -> Diffeo:
         if isinstance(key, str):
@@ -67,7 +80,7 @@ class Action:
         g, s = letter
         if not (0 <= g < self.rank):
             raise UnknownGenerator(f"letter index {g} out of range")
-        return self.gens[g] if s > 0 else self.inverses[g]
+        return self.gens[g] if s > 0 else self.inverse(g)
 
     # -- word evaluation without building composite diffeos ------------------
 

@@ -3,14 +3,17 @@ group balls, defect measurement, and conversion of solutions into
 conjugating diffeomorphisms (including interpolated paths of conjugates).
 
 Ball averages carry an exact re-evaluator so that defects and telescoping
-identities can be checked off-grid without interpolation error.
+identities can be checked off-grid without interpolation error.  A solve
+measures u and its defects in one ball pass over its distinct points (nodes,
+midpoints, their generator images: 4096-point blocks); ball sums stream rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,10 +33,76 @@ from .words import ABELIAN, Presentation, select_shell_radii
 Array = np.ndarray
 
 _FIELD_CAP = 4 * 10**7  # max (n^d) * points entries in a vectorized ball sum
+# points per ball pass of a solve: bigger blocks made glibc malloc grow and trim
+# the heap for each temporary (full-size a3_z2 solve: 11.3 s in one block, 8.9 s)
+_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
 # Ball sums.
+
+
+def _check_ball_sum(action: Action, n_max: int, m: int) -> None:
+    """A ball sum over m points: a Z^d action, n_max >= 1, and the size cap."""
+    if action.presentation.kind != ABELIAN:
+        raise ConjTamerError("positive-ball averaging needs a Z^d presentation")
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    if (n_max**action.rank) * m > _FIELD_CAP:
+        raise SizeOverflow(f"ball sum of size {n_max}^{action.rank} x {m} exceeds cap")
+
+
+def _ball_rows(action: Action, n_max: int, x: Array) -> Iterator[Array]:
+    """Rows n = 1..n_max of birkhoff_field, one at a time, holding
+    O(n_max * x.size) floats."""
+    d, m = action.rank, x.size
+    if d == 0:
+        yield from (np.zeros(m) for _ in range(n_max))
+    elif d == 1:
+        g = action.gens[0]
+        c_cum = np.zeros(m)  # log D(g^k)(x)
+        p = x
+        acc = np.zeros(m)
+        for n in range(1, n_max + 1):
+            acc = acc + c_cum
+            yield acc
+            if n < n_max:
+                p, ld = g.jet(p)
+                c_cum = c_cum + ld
+    elif d == 2:
+        # column k2 walks the g1-orbit of g2^k2(x); pref[k1] adds column prefix
+        # sums as rows.cumsum(0).cumsum(1) did, and is row k1 + 1 after column k1
+        g1, g2 = action.gens
+        q = x
+        c2_cum = np.zeros(m)
+        pref: List[Optional[Array]] = [None] * n_max
+        for k2 in range(n_max):
+            c1_cum = np.zeros(m)
+            p = q
+            for k1 in range(n_max):
+                cell = c2_cum + c1_cum
+                col = cell if k1 == 0 else col + cell
+                if k1 >= k2:
+                    pref[k1] = col if k2 == 0 else pref[k1] + col
+                if k1 < n_max - 1:
+                    p, ld = g1.jet(p)
+                    c1_cum = c1_cum + ld
+            yield pref[k2]
+            pref[k2] = None
+            if k2 < n_max - 1:
+                q, ld = g2.jet(q)
+                c2_cum = c2_cum + ld
+    else:
+        # generic d: walk every exponent vector, bucket by max exponent
+        from .words import enumerate_positive_ball
+
+        ball = enumerate_positive_ball(d, n_max)
+        buckets = np.zeros((n_max, m))
+        for row, word in zip(ball.exponents, ball.elements):
+            c, _ = action.word_cocycle(word.letters, x)
+            buckets[int(np.max(row))] += c
+        np.cumsum(buckets, axis=0, out=buckets)
+        yield from buckets
 
 
 def birkhoff_field(action: Action, n_max: int, x) -> Array:
@@ -43,62 +112,9 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
     Words f = g1^{k1}...gd^{kd} act with the last generator applied first;
     log-derivatives accumulate along orbits through the cocycle identity.
     """
-    if action.presentation.kind != ABELIAN:
-        raise ConjTamerError("positive-ball averaging needs a Z^d presentation")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = action.rank
-    m = x.size
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    if (n_max**d) * m > _FIELD_CAP:
-        raise SizeOverflow(f"ball sum of size {n_max}^{d} x {m} exceeds cap")
-    out = np.zeros((n_max + 1, m))
-    if d == 0:
-        return out
-    if d == 1:
-        g = action.gens[0]
-        c_cum = np.zeros(m)  # log D(g^k)(x)
-        p = x
-        acc = np.zeros(m)
-        for n in range(1, n_max + 1):
-            acc = acc + c_cum
-            out[n] = acc
-            if n < n_max:
-                p, ld = g.jet(p)
-                c_cum = c_cum + ld
-        return out
-    if d == 2:
-        g1, g2 = action.gens
-        # inner orbit under g2
-        q = x
-        c2_cum = np.zeros(m)
-        rows = np.empty((n_max, n_max, m))
-        for k2 in range(n_max):
-            c1_cum = np.zeros(m)
-            p = q
-            for k1 in range(n_max):
-                rows[k1, k2] = c2_cum + c1_cum
-                if k1 < n_max - 1:
-                    p, ld = g1.jet(p)
-                    c1_cum = c1_cum + ld
-            if k2 < n_max - 1:
-                q, ld = g2.jet(q)
-                c2_cum = c2_cum + ld
-        pref = rows.cumsum(axis=0).cumsum(axis=1)
-        for n in range(1, n_max + 1):
-            out[n] = pref[n - 1, n - 1]
-        return out
-    # generic d: walk every exponent vector, bucket by max exponent
-    from .words import enumerate_positive_ball
-
-    ball = enumerate_positive_ball(d, n_max)
-    buckets = np.zeros((n_max, m))
-    for row, word in zip(ball.exponents, ball.elements):
-        c, _ = action.word_cocycle(word.letters, x)
-        buckets[int(np.max(row))] += c
-    np.cumsum(buckets, axis=0, out=buckets)
-    out[1:] = buckets
-    return out
+    _check_ball_sum(action, n_max, x.size)
+    return np.vstack([np.zeros(x.size), *_ball_rows(action, n_max, x)])
 
 
 def empirical_measure_integral(action: Action, i: int, n: int, x):
@@ -163,29 +179,38 @@ def cocycle_defect(
     """Exact grid suprema of |u - u∘f - log Df| per generator, with argmax
     locations.  u is evaluated through its exact backing when present."""
     tn = action.space.track_nodes()
-    u_t = u.samples
+    return _grid_suprema(
+        action, tn, [u(g.eval_lift(tn)) for g in action.gens], u.samples
+    )
+
+
+def _grid_suprema(
+    action: Action, tn: Array, u_images: List[Array], u_nodes: Array
+) -> Tuple[Dict[str, float], Dict[str, float]]:
     defects: Dict[str, float] = {}
     locations: Dict[str, float] = {}
-    for name, g in zip(action.names, action.gens):
-        d = u_t - u(g.eval_lift(tn)) - g.log_deriv.samples
+    for name, g, u_g in zip(action.names, action.gens, u_images):
+        d = u_nodes - u_g - g.log_deriv.samples
         k = int(np.argmax(np.abs(d)))
         defects[name] = float(np.abs(d[k]))
         locations[name] = float(tn[k])
     return defects, locations
 
 
-def _defect_refined(u: GridFunction, action: Action) -> Dict[str, float]:
-    """Defect suprema re-measured with midpoints added to the grid."""
-    tn = action.space.track_nodes()
-    fine = np.sort(np.concatenate([tn, tn + 0.5 * action.space.h]))
-    fine = fine[fine <= 1.0]
-    u_fine = u(fine)
-    out: Dict[str, float] = {}
-    for name, g in zip(action.names, action.gens):
-        g_fine, g_ld = g.jet(fine)
-        d = u_fine - u(g_fine) - g_ld
-        out[name] = float(np.max(np.abs(d)))
-    return out
+def _defect_refined(
+    action: Action, u_nodes: Array, u_mid: Array, u_images: List[Array], jets: list
+) -> Dict[str, float]:
+    """Defect suprema with the midpoints added to the grid, from u at the
+    nodes, at the midpoints and at their images under every generator (nodes
+    first), with log-derivatives from the generators' jets there."""
+    d = action.rank
+    return {
+        name: float(np.max(np.abs(np.concatenate([
+            u_nodes - u_images[i] - jets[i][1],
+            u_mid - u_images[d + i] - jets[d + i][1],
+        ]))))
+        for i, name in enumerate(action.names)
+    }
 
 
 def _exp_cell_integrals(samples_full: Array, h: float) -> Array:
@@ -208,26 +233,43 @@ def log_density_normalizer(space: Space, samples: Array) -> float:
     return -float(np.log(np.sum(_exp_cell_integrals(full, space.h))))
 
 
-def _normalized(space: Space, u: GridFunction) -> GridFunction:
-    return u + log_density_normalizer(space, u.samples)
-
-
-def birkhoff_solution(action: Action, n: int) -> CohomSolution:
-    """u_n = average of log Df over the positive ball B+(n), normalized."""
+def _measured_solution(
+    action: Action, field: Callable, construction: str, extras: Optional[dict] = None
+) -> CohomSolution:
+    """u = field + C, with C normalizing exp(u), and its defects, from one
+    pass of `field` (on points reduced into the space, in _BLOCK-point blocks)
+    over the nodes, the midpoints and their images under every generator."""
     space = action.space
     tn = space.track_nodes()
-    scale = float(n**action.rank)
-    samples = birkhoff_field(action, n, tn)[n] / scale
-    u_fn = lambda y: birkhoff_field(action, n, y)[n] / scale
-    u = _normalized(space, GridFunction(space, samples, u_fn))
-    defects, locations = cocycle_defect(u, action)
+    mid = tn + 0.5 * space.h
+    mid = mid[mid <= 1.0]
+    jets = [g.jet(p) for p in (tn, mid) for g in action.gens]
+    points = [tn, mid] + [v for v, _ in jets]
+    x = space.reduce(np.concatenate(points))
+    blocks = np.array_split(x, math.ceil(x.size / _BLOCK))
+    values = np.concatenate([field(b) for b in blocks])
+    c = log_density_normalizer(space, values[: tn.size])
+    u = GridFunction(space, values[: tn.size], field) + c
+    bounds = np.cumsum([p.size for p in points[:-1]])
+    u_nodes, u_mid, *u_images = np.split(values + c, bounds)
+    defects, locations = _grid_suprema(action, tn, u_images[: action.rank], u_nodes)
     return CohomSolution(
         u=u,
         defect_per_generator=defects,
         defect_locations=locations,
-        defect_refined=_defect_refined(u, action),
-        construction=f"birkhoff-positive-ball(n={n})",
+        defect_refined=_defect_refined(action, u_nodes, u_mid, u_images, jets),
+        construction=construction,
+        extras=extras or {},
     )
+
+
+def birkhoff_solution(action: Action, n: int) -> CohomSolution:
+    """u_n = average of log Df over the positive ball B+(n), normalized."""
+    # size limit of a ball sum over the nodes and the midpoints
+    _check_ball_sum(action, n, action.space.refine().track_length)
+    scale = float(n**action.rank)
+    u_fn = lambda y: deque(_ball_rows(action, n, np.atleast_1d(y)), maxlen=1)[0] / scale
+    return _measured_solution(action, u_fn, f"birkhoff-positive-ball(n={n})")
 
 
 def nilpotent_average_solution(
@@ -254,8 +296,7 @@ def nilpotent_average_solution(
             f"admissible radii"
         )
     k = selection.radii[shell_index]
-    space = action.space
-    tn = space.track_nodes()
+    tn = action.space.track_nodes()
     ball = selection.ball.elements[: selection.sizes[k + 1]]  # B(k+1)
     n_inner = selection.sizes[k]
 
@@ -270,9 +311,6 @@ def nilpotent_average_solution(
     for word in ball:
         c, _ = action.word_cocycle(word.letters, tn)
         max_word_c = max(max_word_c, float(np.max(np.abs(c))))
-
-    u = _normalized(space, GridFunction(space, ball_average(tn), ball_average))
-    defects, locations = cocycle_defect(u, action)
 
     # measured constants of the error decomposition
     c_used = selection.measured[k - 1]
@@ -295,13 +333,8 @@ def nilpotent_average_solution(
         "defect_bound": small_term + large_term,
         "normal_form_alphabet": list(presentation.generators),
     }
-    return CohomSolution(
-        u=u,
-        defect_per_generator=defects,
-        defect_locations=locations,
-        defect_refined=_defect_refined(u, action),
-        construction=f"nilpotent-shell(k={k})",
-        extras=extras,
+    return _measured_solution(
+        action, ball_average, f"nilpotent-shell(k={k})", extras
     )
 
 
@@ -313,7 +346,7 @@ def _measure_exactness_onset(
     tn = action.space.track_nodes()
     worst = 1
     for j in presentation.metric_generators:
-        for g in (action.gens[j], action.inverses[j]):
+        for g in (action.gens[j], action.inverse(j)):
             p = tn
             acc = np.zeros_like(tn)
             onset = 1
@@ -425,23 +458,17 @@ def path_of_conjugates(
         raise ValueError("need n_max >= 1 and steps_per_unit >= 1")
     space = action.space
     tn = space.track_nodes()
-    scale = lambda n: float(n**action.rank)
+    _check_ball_sum(action, n_max, tn.size)
+    points = np.concatenate([tn] + [g.eval_lift(tn) for g in action.gens])
+    log_derivs = np.stack([g.log_deriv.samples for g in action.gens])
 
-    fields = {"x": birkhoff_field(action, n_max, tn)}
-    for name, g in zip(action.names, action.gens):
-        fields[name] = birkhoff_field(action, n_max, g.eval_lift(tn))
-
-    u_samp = [None] + [fields["x"][n] / scale(n) for n in range(1, n_max + 1)]
+    # one ball pass over the nodes and their images: row n gives u_n at both
+    u_samp: List[Optional[Array]] = [None]
     d_fields: List[Optional[Array]] = [None]
-    for n in range(1, n_max + 1):
-        rows = []
-        for name, g in zip(action.names, action.gens):
-            rows.append(
-                u_samp[n]
-                - fields[name][n] / scale(n)
-                - g.log_deriv.samples
-            )
-        d_fields.append(np.stack(rows))
+    for n, row in enumerate(_ball_rows(action, n_max, points), 1):
+        u_n, *u_images = np.split(row / float(n**action.rank), action.rank + 1)
+        u_samp.append(u_n)
+        d_fields.append(u_n - np.stack(u_images) - log_derivs)
 
     total_steps = (n_max - 1) * steps_per_unit
 

@@ -44,8 +44,7 @@ class GridFunction:
 
     def __call__(self, x) -> Array:
         """Values at x reduced into the space: mod 1 or clipped to [0,1]."""
-        x = np.asarray(x, dtype=float)
-        x = np.mod(x, 1.0) if self.space.is_circle else np.clip(x, 0.0, 1.0)
+        x = self.space.reduce(x)
         if self.fn is not None:
             return self.fn(x)
         return self.interp(x)

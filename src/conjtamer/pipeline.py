@@ -250,6 +250,27 @@ def _cmd_tame_lipschitz(
         )
 
 
+def _periodic_flatten(
+    action: Action, report: dict, delta: Optional[float],
+    alpha: Optional[float], period_cap: int,
+) -> Action:
+    """The periodic and flatten stages: inventories the periodic orbits up
+    to period_cap and flattens the action when one of them is hyperbolic."""
+    with _stage(report, "periodic"):
+        report["periodic"] = _periodic_inventory(action, period_cap)
+
+    with _stage(report, "flatten"):
+        if all(o["parabolic"] for orbits in report["periodic"].values()
+               for o in orbits):
+            report["flatten"] = {"skipped": True, "alpha": 1.0, "flagged": []}
+            return action
+        flattened, _, flat_report = flatten_hyperbolic(
+            action, delta=delta, alpha=alpha, n_max=period_cap
+        )
+        report["flatten"] = dict(flat_report.to_dict(), skipped=False)
+    return flattened
+
+
 def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSolution:
     if spec.group_type == NILPOTENT:
         return nilpotent_average_solution(
@@ -291,27 +312,7 @@ def _cmd_tame_c1(
     eps = _need(params.epsilon, "epsilon", "tame-c1")
     delta = params.delta if params.delta is not None else eps
 
-    with _stage(report, "periodic"):
-        inventory = {
-            name: find_periodic_points(g, _PERIOD_CAP)
-            for name, g in zip(action.names, action.gens)
-        }
-        report["periodic"] = {
-            name: _orbit_dicts(orbits) for name, orbits in inventory.items()
-        }
-
-    with _stage(report, "flatten"):
-        hyper = any(
-            not o.parabolic for orbits in inventory.values() for o in orbits
-        )
-        if hyper:
-            flattened, psi, flat_report = flatten_hyperbolic(
-                action, delta=delta, alpha=params.alpha
-            )
-            report["flatten"] = dict(flat_report.to_dict(), skipped=False)
-        else:
-            flattened, psi = action, None
-            report["flatten"] = {"skipped": True, "alpha": 1.0, "flagged": []}
+    flattened = _periodic_flatten(action, report, delta, params.alpha, _PERIOD_CAP)
 
     with _stage(report, "solve"):
         sol = _solve(flattened, spec, params)
@@ -323,7 +324,7 @@ def _cmd_tame_c1(
         report["conjugate"] = {
             "sup_log_deriv": _sup_log_deriv(final),
             "conjugacy": "phi_w.json"
-            + ("" if psi is None else " composed with the flattening map"),
+            + ("" if flattened is action else " composed with the flattening map"),
         }
 
     with _stage(report, "certify"):
@@ -441,23 +442,7 @@ def _cmd_flatten(
     if delta is None and params.alpha is None:
         delta = params.epsilon if params.epsilon is not None else 0.1
     period_cap = params.nmax if params.nmax is not None else _PERIOD_CAP
-
-    with _stage(report, "periodic"):
-        inventory = _periodic_inventory(action, period_cap)
-        report["periodic"] = inventory
-
-    with _stage(report, "flatten"):
-        hyper = any(
-            not o["parabolic"] for orbits in inventory.values() for o in orbits
-        )
-        if hyper:
-            flattened, psi, flat_report = flatten_hyperbolic(
-                action, delta=delta, alpha=params.alpha, n_max=period_cap
-            )
-            report["flatten"] = dict(flat_report.to_dict(), skipped=False)
-        else:
-            flattened = action
-            report["flatten"] = {"skipped": True, "alpha": 1.0, "flagged": []}
+    flattened = _periodic_flatten(action, report, delta, params.alpha, period_cap)
 
     with _stage(report, "export"):
         gen_files = _export_action(out_dir, "flat", spec, flattened)

@@ -60,6 +60,11 @@ class Space:
         """The nodes at which a per-node track is sampled."""
         return self.nodes[: self.track_length]
 
+    def reduce(self, x) -> np.ndarray:
+        """x reduced into the space: mod 1 on the circle, clipped to [0,1]."""
+        x = np.asarray(x, dtype=float)
+        return np.mod(x, 1.0) if self.is_circle else np.clip(x, 0.0, 1.0)
+
     def refine(self) -> "Space":
         return Space(self.kind, self.grid_size * 2)
 

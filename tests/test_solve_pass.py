@@ -1,0 +1,191 @@
+"""The C^1 solves measure u and its defects in one ball pass over their
+distinct points; these tests hold them to the six-pass measurement they
+replaced, count their orbit steps, pin the ball-size limits, and check that
+Action builds its inverses on first use."""
+
+import numpy as np
+import pytest
+
+import conjtamer.action as action_mod
+import conjtamer.cohomology as cohomology
+from conjtamer import (
+    Action,
+    Diffeo,
+    GridFunction,
+    Presentation,
+    SizeOverflow,
+    birkhoff_solution,
+    build_diffeo,
+    cocycle_defect,
+    flatten_hyperbolic,
+    log_density_normalizer,
+    nilpotent_average_solution,
+    path_of_conjugates,
+    tame_lipschitz,
+)
+from conjtamer.space import circle, interval
+from conjtamer.words import select_shell_radii
+
+from helpers import (
+    conj_rotation_z2,
+    mobius_action,
+    mobius_gen,
+    rigid_rotations,
+)
+from test_jet import rotations_z, two_call_birkhoff_field, two_call_word_cocycle
+
+
+# ---------------------------------------------------------------------------
+# The six-pass measurement, kept as the oracle.
+
+
+def six_pass_measurement(action, fn):
+    """u = fn + C from fn at the nodes; the grid defects from fn at every
+    g(nodes); the refined defects from fn on the sorted node-and-midpoint
+    grid and at its image under every generator: one evaluation each."""
+    space = action.space
+    tn = space.track_nodes()
+    u = GridFunction(space, fn(tn), fn)
+    u = u + log_density_normalizer(space, u.samples)
+    defects, locations = {}, {}
+    for name, g in zip(action.names, action.gens):
+        d = u.samples - u(g.eval_lift(tn)) - g.log_deriv.samples
+        k = int(np.argmax(np.abs(d)))
+        defects[name] = float(np.abs(d[k]))
+        locations[name] = float(tn[k])
+    fine = np.sort(np.concatenate([tn, tn + 0.5 * space.h]))
+    fine = fine[fine <= 1.0]
+    u_fine = u(fine)
+    refined = {}
+    for name, g in zip(action.names, action.gens):
+        g_fine, g_ld = g.jet(fine)
+        refined[name] = float(np.max(np.abs(u_fine - u(g_fine) - g_ld)))
+    return u, defects, locations, refined
+
+
+def assert_same_measurement(sol, action, oracle):
+    u, defects, locations, refined = oracle
+    assert np.array_equal(sol.u.samples, u.samples)
+    assert sol.defect_per_generator == defects
+    assert sol.defect_locations == locations
+    assert sol.defect_refined == refined
+    assert cocycle_defect(sol.u, action) == (defects, locations)
+
+
+def flattened_mobius():
+    flat, _, _ = flatten_hyperbolic(mobius_action(512), delta=0.1)
+    return flat
+
+
+@pytest.mark.parametrize(
+    "make, n, block",
+    [(flattened_mobius, 8, None), (lambda: conj_rotation_z2(256), 6, None),
+     (lambda: conj_rotation_z2(256), 6, 700), (lambda: rotations_z(3), 3, None)],
+    ids=["z-flattened-mobius", "z2", "z2-in-three-blocks", "z3"],
+)
+def test_birkhoff_solution_matches_six_pass_measurement(make, n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cohomology, "_BLOCK", block)
+    action = make()
+    scale = float(n**action.rank)
+
+    def fn(y):
+        return two_call_birkhoff_field(action, n, np.atleast_1d(y))[n] / scale
+
+    sol = birkhoff_solution(action, n)
+    assert_same_measurement(sol, action, six_pass_measurement(action, fn))
+
+
+def test_nilpotent_solution_matches_six_pass_measurement():
+    sp = circle(256)
+    g1, g2 = conj_rotation_z2(256).gens
+    p = Presentation.heisenberg()
+    action = Action(sp, p, {"a": g1, "b": g2, "c": build_diffeo("x", sp)})
+    sol = nilpotent_average_solution(action, p, shell_index=0, k_max=4)
+    k = sol.extras["shell_radius"]
+    selection = select_shell_radii(p, 4)
+    words = selection.ball.elements[: selection.sizes[k]]
+
+    def fn(x):
+        acc = np.zeros_like(x)
+        for word in words:
+            c, _ = two_call_word_cocycle(action, word.letters, x)
+            acc += c
+        return acc / len(words)
+
+    assert_same_measurement(sol, action, six_pass_measurement(action, fn))
+
+
+def test_birkhoff_solution_steps_the_ball_once(monkeypatch):
+    action = conj_rotation_z2(256)
+    sizes = []
+    inner = Diffeo.jet
+
+    def counted(self, x):
+        if any(self is g for g in action.gens):
+            sizes.append(np.size(x))
+        return inner(self, x)
+
+    monkeypatch.setattr(Diffeo, "jet", counted)
+    n, d, nodes = 5, action.rank, 256
+    birkhoff_solution(action, n)
+    # 2d jets at the nodes and the midpoints, then n^2 - 1 orbit steps over
+    # nodes, midpoints and their d images at once, in one block of at most
+    # 4096 points (the six-pass measurement made 6(n^2 - 1) + d)
+    batch = (d + 1) * 2 * nodes
+    assert sorted(sizes) == [nodes] * (2 * d) + [batch] * (n * n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Ball-size limits: n^d times the largest point set that the six-pass
+# measurement evaluated at once, not times the size of the one-pass batch.
+
+
+@pytest.mark.parametrize(
+    "make, fine",
+    [(lambda: rigid_rotations(16), 32), (lambda: mobius_action(16), 33)],
+    ids=["z2-circle", "z-interval"],
+)
+def test_solve_size_limit_is_nodes_and_midpoints(make, fine, monkeypatch):
+    action = make()
+    n = 3
+    monkeypatch.setattr(cohomology, "_FIELD_CAP", n**action.rank * fine)
+    birkhoff_solution(action, n)
+    with pytest.raises(SizeOverflow):
+        birkhoff_solution(action, n + 1)
+
+
+@pytest.mark.parametrize(
+    "make, nodes",
+    [(lambda: rigid_rotations(16), 16), (lambda: mobius_action(16), 17)],
+    ids=["z2-circle", "z-interval"],
+)
+def test_path_size_limit_is_nodes(make, nodes, monkeypatch):
+    action = make()
+    n = 3
+    monkeypatch.setattr(cohomology, "_FIELD_CAP", n**action.rank * nodes)
+    assert len(path_of_conjugates(action, n, 1)) == n
+    with pytest.raises(SizeOverflow):
+        path_of_conjugates(action, n + 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Lazy inverses.
+
+
+def test_action_inverts_a_generator_on_first_use(monkeypatch):
+    calls = []
+    inner = action_mod.invert
+
+    def counted(g):
+        calls.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(action_mod, "invert", counted)
+    action = Action(interval(256), Presentation.zd(1, ("f",)), {"f": mobius_gen(256)})
+    assert calls == []
+    # the Deroin walk inverts f once; the tamed action never inverts
+    tame_lipschitz(action, 0.9, 4)
+    assert len(calls) == 1
+    assert action.inverses[0] is action.letter_diffeo((0, -1))
+    assert len(calls) == 1
