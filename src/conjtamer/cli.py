@@ -8,7 +8,8 @@
     conjtamer report         --spec a3.spec
 
 Exit codes: 0 success (detect returns 0 whether or not a witness exists),
-2 spec/usage error, 3 certification failure (report.json still written),
+2 spec/usage error or out-of-range parameter (report.json still written once
+the spec parses), 3 certification failure (report.json still written),
 1 any other pipeline error (e.g. a Newton inversion that does not converge).
 """
 

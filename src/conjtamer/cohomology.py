@@ -379,14 +379,14 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
     total = cum[-1]
     values = cum / total
     values[-1] = 1.0
-    c_norm = -math.log(total)
+    ld = GridFunction(space, samples - math.log(total))
     nodes = space.nodes
     h = space.h
     grid_size = space.grid_size
     slopes = (full[1:] - full[:-1]) / h
     small = np.abs(full[1:] - full[:-1]) < 1e-12
 
-    def value_fn(x):
+    def jet_fn(x):
         x = np.asarray(x, dtype=float)
         k = np.floor(x) if space.is_circle else 0.0
         x0 = np.clip(x - k, 0.0, 1.0)
@@ -399,7 +399,7 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
             small[idx], 1.0, s
         )
         part = np.where(small[idx], lin, gen)
-        return (cum[idx] + part) / total + k
+        return (cum[idx] + part) / total + k, ld.interp(x)
 
     def inverse_fn(y):
         y = np.asarray(y, dtype=float)
@@ -415,15 +415,7 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
         t = np.where(small[idx], t_lin, t_gen)
         return nodes[idx] + np.clip(t, 0.0, h) + k
 
-    ld = GridFunction(space, samples + c_norm)
-    logd_fn = lambda x: ld.interp(x)
-    return Diffeo(
-        space,
-        GridFunction(space, ld.samples, logd_fn),
-        values,
-        value_fn,
-        inverse_fn,
-    )
+    return Diffeo(space, ld, values, inverse_fn, jet_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ lift offset f(0) for circle maps.  Values are reconstructed from the track by
 trapezoidal quadrature with endpoint (interval) or degree-one (circle)
 normalization, and interpolated piecewise-linearly between nodes.
 
-Diffeos built from closed forms also carry exact evaluators for the value, the
-jet x -> (value, log-derivative) in one pass through a chain, and the inverse;
-every operation below builds them from its operands' ones, so chains evaluate
-without stacking interpolation error.  Serialization keeps only the grid data.
+Diffeos built from closed forms also carry two exact evaluators: the jet
+x -> (value, log-derivative), computed in one pass through a chain, and the
+inverse.  Values, log-derivatives and Newton steps all come from the jet.
+Every operation below builds both evaluators from its operands' ones, so
+chains evaluate without stacking interpolation error.  Serialization keeps
+only the grid data.
 
 Composition accumulates log-derivatives through the chain rule
 (log D(f∘g) = log Dg + (log Df)∘g); derivatives are never re-differenced
@@ -46,32 +48,28 @@ class Diffeo:
     values: lift values at all grid_size+1 nodes (interval: values[0] = 0,
     values[-1] = 1; circle: values[0] = offset in [0,1), values[-1] = offset+1).
     log_deriv: GridFunction on the space's per-node track.
-    value_fn / jet_fn / inverse_fn: optional exact evaluators; value_fn and
-    jet_fn take x in [0,1], jet_fn returning (lift values, log-derivative).
-    inverse_fn is degree-one equivariant: inverse_fn(y+1) = inverse_fn(y)+1.
+    jet_fn / inverse_fn: optional exact evaluators.  jet_fn takes x in [0,1]
+    and returns (lift values, log-derivative); the exact log_deriv.fn is its
+    second component.  inverse_fn is degree-one equivariant:
+    inverse_fn(y+1) = inverse_fn(y)+1.
     """
 
-    __slots__ = ("space", "log_deriv", "values", "offset",
-                 "value_fn", "inverse_fn", "jet_fn")
+    __slots__ = ("space", "log_deriv", "values", "offset", "inverse_fn", "jet_fn")
 
     def __init__(
         self,
         space: Space,
         log_deriv: GridFunction,
         values: Array,
-        value_fn: Optional[Callable] = None,
         inverse_fn: Optional[Callable] = None,
         jet_fn: Optional[Callable] = None,
     ):
-        if jet_fn is None and value_fn is not None and log_deriv.fn is not None:
-            jet_fn = lambda x, _ld=log_deriv.fn: (_as_array(value_fn(x)), _ld(x))
-        elif jet_fn is not None and log_deriv.fn is None:
+        if jet_fn is not None:
             log_deriv = GridFunction(space, log_deriv.samples, lambda x: jet_fn(x)[1])
         self.space = space
         self.log_deriv = log_deriv
         self.values = values
         self.offset = float(values[0])
-        self.value_fn = value_fn
         self.inverse_fn = inverse_fn
         self.jet_fn = jet_fn
         self._validate()
@@ -107,34 +105,32 @@ class Diffeo:
     def from_callables(
         cls,
         space: Space,
-        value_fn: Callable,
-        logderiv_fn: Callable,
+        jet_fn: Callable,
         inverse_fn: Optional[Callable] = None,
-        jet_fn: Optional[Callable] = None,
     ) -> "Diffeo":
-        """Builds from exact callables; both tracks are sampled from them.
+        """Builds from exact callables; both tracks are sampled from the jet.
 
-        value_fn maps [0,1] to the lift fundamental branch, shifted on the
-        circle so that f(0) lands in [0,1); jet_fn, when given, computes
-        (value_fn(x), logderiv_fn(x)) in one pass.
+        jet_fn maps x in [0,1] to (lift value, log-derivative), the value on
+        the lift fundamental branch, shifted on the circle so that f(0) lands
+        in [0,1).
         """
-        v0 = float(value_fn(np.zeros(1))[0])
+        v0 = float(jet_fn(np.zeros(1))[0][0])
         shift = math.floor(v0) if space.is_circle else 0
         if shift:
-            base = value_fn
-            value_fn = lambda x, _b=base, _s=shift: _b(x) - _s
+            jbase = jet_fn
+
+            def jet_fn(x, _b=jbase, _s=shift):
+                v, ld = _b(x)
+                return v - _s, ld
+
             if inverse_fn is not None:
                 ibase = inverse_fn
                 inverse_fn = lambda y, _b=ibase, _s=shift: _b(y + _s)
-            if jet_fn is not None:
-                jbase = jet_fn
-
-                def jet_fn(x, _b=jbase, _s=shift):
-                    v, ld = _b(x)
-                    return v - _s, ld
-        values = _as_array(value_fn(space.nodes))
-        ld = GridFunction.from_callable(space, logderiv_fn)
-        return cls(space, ld, values, value_fn, inverse_fn, jet_fn)
+        # one jet call per track: a Newton-based jet depends in the last bits
+        # on the batch it is given, so each track keeps its own node set
+        values = _as_array(jet_fn(space.nodes)[0])
+        ld = GridFunction(space, jet_fn(space.track_nodes())[1])
+        return cls(space, ld, values, inverse_fn, jet_fn)
 
     def _validate(self):
         values, space = self.values, self.space
@@ -168,8 +164,8 @@ class Diffeo:
 
     def _value01(self, x: Array) -> Array:
         """Lift values for x in [0,1]."""
-        if self.value_fn is not None:
-            return _as_array(self.value_fn(x))
+        if self.jet_fn is not None:
+            return _as_array(self.jet_fn(x)[0])
         return np.interp(x, self.space.nodes, self.values)
 
     def eval_lift(self, x) -> Array:
@@ -281,15 +277,14 @@ def build_diffeo(definition, space: Space) -> Diffeo:
         definition = compile_expression(definition)
     if isinstance(definition, Expression):
         expr = definition
-        value_fn = lambda x: expr.value(x)
 
-        def logderiv_fn(x):
-            d = expr.derivative(np.asarray(x, dtype=float))
+        def jet_fn(x):
+            v, d = expr.jet(x)
             if np.any(~np.isfinite(d)) or np.any(d <= 0):
                 raise NonMonotone(f"{expr.text!r} has non-positive derivative")
-            return np.log(d)
+            return _as_array(v), np.log(d)
 
-        return Diffeo.from_callables(space, value_fn, logderiv_fn)
+        return Diffeo.from_callables(space, jet_fn)
     return Diffeo.from_log_deriv(space, definition)
 
 
@@ -304,9 +299,8 @@ def compose(f: Diffeo, g: Diffeo) -> Diffeo:
         values = values - shift
     ld_samples = g.log_deriv.samples + f.log_deriv(gv_nodes[: space.track_length])
 
-    value_fn = inverse_fn = jet_fn = None
+    inverse_fn = jet_fn = None
     if f.is_exact and g.is_exact:
-        value_fn = lambda x: f.eval_lift(g.eval_lift(x)) - shift
         inverse_fn = lambda y: g.invert_lift(f.invert_lift(y + shift))
 
         def jet_fn(x):
@@ -314,9 +308,7 @@ def compose(f: Diffeo, g: Diffeo) -> Diffeo:
             fv, f_ld = f.jet(gv)
             return fv - shift, g_ld + f_ld
 
-    return Diffeo(
-        space, GridFunction(space, ld_samples), values, value_fn, inverse_fn, jet_fn
-    )
+    return Diffeo(space, GridFunction(space, ld_samples), values, inverse_fn, jet_fn)
 
 
 def invert(f: Diffeo) -> Diffeo:
@@ -327,18 +319,15 @@ def invert(f: Diffeo) -> Diffeo:
     values = inv_nodes - shift
     ld_samples = -f.log_deriv(inv_nodes[: space.track_length])
 
-    value_fn = inverse_fn = jet_fn = None
+    inverse_fn = jet_fn = None
     if f.is_exact:
-        value_fn = lambda x: f.invert_lift(x) - shift
         inverse_fn = lambda y: f.eval_lift(y + shift)
 
         def jet_fn(x):
             y = f.invert_lift(x)
             return y - shift, -f.log_derivative(y)
 
-    return Diffeo(
-        space, GridFunction(space, ld_samples), values, value_fn, inverse_fn, jet_fn
-    )
+    return Diffeo(space, GridFunction(space, ld_samples), values, inverse_fn, jet_fn)
 
 
 def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
@@ -370,10 +359,6 @@ def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
         values = values - shift
     ld_samples = phi_ld[:t] + f_ld[:t] - phi.log_derivative(y_nodes[:t])
 
-    def value_fn(x):
-        y = phi.invert_lift(np.asarray(x, dtype=float))
-        return phi.eval_lift(f.eval_lift(y)) - shift
-
     def jet_fn(x):
         y = phi.invert_lift(np.asarray(x, dtype=float))
         fy, f_ld = f.jet(y)
@@ -384,9 +369,7 @@ def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
         y = phi.invert_lift(np.asarray(z, dtype=float) + shift)
         return phi.eval_lift(f.invert_lift(y))
 
-    return Diffeo(
-        space, GridFunction(space, ld_samples), values, value_fn, inverse_fn, jet_fn
-    )
+    return Diffeo(space, GridFunction(space, ld_samples), values, inverse_fn, jet_fn)
 
 
 def log_deriv_sup(f: Diffeo) -> float:
@@ -401,8 +384,7 @@ def log_deriv_sup(f: Diffeo) -> float:
 def identity(space: Space) -> Diffeo:
     return Diffeo.from_callables(
         space,
-        lambda x: np.array(x, dtype=float, copy=True),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x: (np.array(x, dtype=float, copy=True), np.zeros_like(_as_array(x))),
         inverse_fn=lambda y: np.array(y, dtype=float, copy=True),
     )
 
@@ -416,8 +398,7 @@ def rotation(space: Space, angle: float) -> Diffeo:
     a = float(angle)
     return Diffeo.from_callables(
         space,
-        lambda x: np.asarray(x, dtype=float) + a,
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x: (_as_array(x) + a, np.zeros_like(_as_array(x))),
         inverse_fn=lambda y: np.asarray(y, dtype=float) - a,
     )
 
@@ -430,6 +411,8 @@ def pwl_diffeo(space: Space, points: Sequence[tuple[float, float]]) -> Diffeo:
     by = np.array([p[1] for p in pts])
     if bx[0] != 0.0 or bx[-1] != 1.0:
         raise NonMonotone("breakpoints must span [0,1]")
+    if not np.all(np.diff(bx) > 0.0):
+        raise NonMonotone("breakpoint abscissae must be strictly increasing")
     if not space.is_circle and (by[0] != 0.0 or by[-1] != 1.0):
         raise NonMonotone("interval breakpoints must fix the endpoints")
     if space.is_circle and abs((by[-1] - by[0]) - 1.0) > 0:
@@ -438,24 +421,19 @@ def pwl_diffeo(space: Space, points: Sequence[tuple[float, float]]) -> Diffeo:
     if np.any(slopes < DERIVATIVE_FLOOR):
         raise DegenerateDerivative("piecewise-linear slope below the floor")
 
-    def value_fn(x):
+    def jet_fn(x):
         x = _as_array(x)
         k = np.floor(x) if space.is_circle else 0.0
-        return np.interp(x - k, bx, by) + k
-
-    def logderiv_fn(x):
-        x = _as_array(x)
-        if space.is_circle:
-            x = np.mod(x, 1.0)
-        idx = np.clip(np.searchsorted(bx, x, side="right") - 1, 0, len(slopes) - 1)
-        return np.log(slopes[idx])
+        x0 = np.mod(x, 1.0) if space.is_circle else x
+        idx = np.clip(np.searchsorted(bx, x0, side="right") - 1, 0, len(slopes) - 1)
+        return np.interp(x - k, bx, by) + k, np.log(slopes[idx])
 
     def inverse_fn(y):
         y = _as_array(y)
         k = np.floor(y - by[0]) if space.is_circle else 0.0
         return np.interp(y - k, by, bx) + k
 
-    return Diffeo.from_callables(space, value_fn, logderiv_fn, inverse_fn)
+    return Diffeo.from_callables(space, jet_fn, inverse_fn)
 
 
 def conjugated_rotation(space: Space, h, angle: float) -> Diffeo:

@@ -12,14 +12,15 @@ Functions: sin, cos, exp, log, sqrt (one argument) and mobius(a,b,c,d), the
 fractional-linear map x -> (a*x+b)/(c*x+d) with constant coefficients.
 Exponents are numeric literals, not sub-expressions.
 
-Every parsed expression evaluates both itself and its derivative analytically,
-so maps defined this way carry exact derivative data.
+Every parsed expression has one evaluator, its jet x -> (value, derivative),
+computed analytically in one walk of the tree, so maps defined this way carry
+exact derivative data.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -66,16 +67,15 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# AST nodes: each evaluates value and derivative on numpy arrays.
+# AST nodes: each evaluates its jet x -> (value, derivative) on numpy arrays in
+# one walk of its subtree.  Constants stay arrays: numpy scalars and arrays may
+# round a power differently in the last bit.
 
 
 class _Node:
     has_x = False
 
-    def value(self, x: Array) -> Array:
-        raise NotImplementedError
-
-    def deriv(self, x: Array) -> Array:
+    def jet(self, x: Array) -> Tuple[Array, Array]:
         raise NotImplementedError
 
 
@@ -83,21 +83,15 @@ class _Num(_Node):
     def __init__(self, v: float):
         self.v = float(v)
 
-    def value(self, x):
-        return np.full_like(x, self.v)
-
-    def deriv(self, x):
-        return np.zeros_like(x)
+    def jet(self, x):
+        return np.full_like(x, self.v), np.zeros_like(x)
 
 
 class _X(_Node):
     has_x = True
 
-    def value(self, x):
-        return np.array(x, dtype=float, copy=True)
-
-    def deriv(self, x):
-        return np.ones_like(x)
+    def jet(self, x):
+        return np.array(x, dtype=float, copy=True), np.ones_like(x)
 
 
 class _Neg(_Node):
@@ -105,11 +99,9 @@ class _Neg(_Node):
         self.a = a
         self.has_x = a.has_x
 
-    def value(self, x):
-        return -self.a.value(x)
-
-    def deriv(self, x):
-        return -self.a.deriv(x)
+    def jet(self, x):
+        a, da = self.a.jet(x)
+        return -a, -da
 
 
 class _BinOp(_Node):
@@ -119,26 +111,15 @@ class _BinOp(_Node):
         self.b = b
         self.has_x = a.has_x or b.has_x
 
-    def value(self, x):
-        a, b = self.a.value(x), self.b.value(x)
+    def jet(self, x):
+        (a, da), (b, db) = self.a.jet(x), self.b.jet(x)
         if self.op == "+":
-            return a + b
+            return a + b, da + db
         if self.op == "-":
-            return a - b
+            return a - b, da - db
         if self.op == "*":
-            return a * b
-        return a / b
-
-    def deriv(self, x):
-        da, db = self.a.deriv(x), self.b.deriv(x)
-        if self.op == "+":
-            return da + db
-        if self.op == "-":
-            return da - db
-        a, b = self.a.value(x), self.b.value(x)
-        if self.op == "*":
-            return da * b + a * db
-        return (da * b - a * db) / (b * b)
+            return a * b, da * b + a * db
+        return a / b, (da * b - a * db) / (b * b)
 
 
 class _Pow(_Node):
@@ -147,11 +128,9 @@ class _Pow(_Node):
         self.p = float(p)
         self.has_x = a.has_x
 
-    def value(self, x):
-        return self.a.value(x) ** self.p
-
-    def deriv(self, x):
-        return self.p * self.a.value(x) ** (self.p - 1.0) * self.a.deriv(x)
+    def jet(self, x):
+        a, da = self.a.jet(x)
+        return a ** self.p, self.p * a ** (self.p - 1.0) * da
 
 
 class _Fun(_Node):
@@ -160,23 +139,19 @@ class _Fun(_Node):
         self.a = a
         self.has_x = a.has_x
 
-    def value(self, x):
-        a = self.a.value(x)
-        return getattr(np, self.name)(a)
-
-    def deriv(self, x):
-        a = self.a.value(x)
-        da = self.a.deriv(x)
+    def jet(self, x):
+        a, da = self.a.jet(x)
+        v = getattr(np, self.name)(a)
         if self.name == "sin":
-            return np.cos(a) * da
+            return v, np.cos(a) * da
         if self.name == "cos":
-            return -np.sin(a) * da
+            return v, -np.sin(a) * da
         if self.name == "exp":
-            return np.exp(a) * da
+            return v, v * da
         if self.name == "log":
-            return da / a
+            return v, da / a
         # sqrt
-        return 0.5 * da / np.sqrt(a)
+        return v, 0.5 * da / v
 
 
 class _Mobius(_Node):
@@ -185,12 +160,11 @@ class _Mobius(_Node):
     def __init__(self, a: float, b: float, c: float, d: float):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    def value(self, x):
-        return (self.a * x + self.b) / (self.c * x + self.d)
-
-    def deriv(self, x):
+    def jet(self, x):
         den = self.c * x + self.d
-        return (self.a * self.d - self.b * self.c) / (den * den)
+        return (self.a * x + self.b) / den, (self.a * self.d - self.b * self.c) / (
+            den * den
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +272,7 @@ class _Parser:
             if any(a.has_x for a in args):
                 raise SpecError("mobius coefficients must be constants", col=col)
             probe = np.zeros(1)
-            a, b, c, d = (float(arg.value(probe)[0]) for arg in args)
+            a, b, c, d = (float(arg.jet(probe)[0][0]) for arg in args)
             return _Mobius(a, b, c, d)
         if len(args) != 1:
             raise SpecError(f"{name} takes exactly 1 argument", col=col)
@@ -313,11 +287,15 @@ class Expression:
         self._ast = ast
         self.has_x = ast.has_x
 
+    def jet(self, x) -> Tuple[Array, Array]:
+        """(value, derivative) at x in one walk of the tree."""
+        return self._ast.jet(np.asarray(x, dtype=float))
+
     def value(self, x) -> Array:
-        return self._ast.value(np.asarray(x, dtype=float))
+        return self.jet(x)[0]
 
     def derivative(self, x) -> Array:
-        return self._ast.deriv(np.asarray(x, dtype=float))
+        return self.jet(x)[1]
 
     def __repr__(self):
         return f"Expression({self.text!r})"

@@ -34,12 +34,6 @@ class GridFunction:
         self.samples = samples
         self.fn = fn
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, space: Space, fn: Callable) -> "GridFunction":
-        return cls(space, fn(space.track_nodes()), fn)
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x) -> Array:
@@ -63,46 +57,15 @@ class GridFunction:
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
-    # -- arithmetic (combines exact evaluators when both sides have them) ----
+    # -- arithmetic ----------------------------------------------------------
 
-    def _combine(self, other: "GridFunction", op) -> "GridFunction":
-        self.space.check_same(other.space)
-        fn = None
-        if self.fn is not None and other.fn is not None:
-            f, g = self.fn, other.fn
-            fn = lambda x: op(f(x), g(x))
-        return GridFunction(self.space, op(self.samples, other.samples), fn)
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            return self._combine(other, np.add)
-        c = float(other)
+    def __add__(self, c: float) -> "GridFunction":
+        """Shift by a constant (e.g. a log-density normalizer)."""
+        c = float(c)
         f = self.fn
         return GridFunction(
             self.space, self.samples + c, None if f is None else (lambda x: f(x) + c)
         )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            return self._combine(other, np.subtract)
-        return self + (-float(other))
-
-    def __neg__(self):
-        f = self.fn
-        return GridFunction(
-            self.space, -self.samples, None if f is None else (lambda x: -f(x))
-        )
-
-    def __mul__(self, other):
-        c = float(other)
-        f = self.fn
-        return GridFunction(
-            self.space, self.samples * c, None if f is None else (lambda x: f(x) * c)
-        )
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         tag = "exact" if self.fn is not None else "interp"

@@ -527,13 +527,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
 
     fwd_jet = lifted(fwd, g.eval_lift)
     bwd_jet = lifted(bwd, g.invert_lift)
-    return Diffeo.from_callables(
-        space,
-        lambda x: fwd_jet(x)[0],
-        lambda x: fwd_jet(x)[1],
-        lambda y: bwd_jet(y)[0],
-        jet_fn=fwd_jet,
-    )
+    return Diffeo.from_callables(space, fwd_jet, lambda y: bwd_jet(y)[0])
 
 
 @dataclass

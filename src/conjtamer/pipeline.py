@@ -55,24 +55,24 @@ _PERIOD_CAP = 3  # default least-period bound for orbit inventories
 # Deterministic serialization.
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_default(obj):
+    """numpy arrays and scalars as their Python counterparts (float64 is a
+    float subclass and never reaches this hook)."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), default=_numpy_default
+    )
 
 
 def _write_json(path: str, obj) -> None:
@@ -298,7 +298,7 @@ def _solution_dict(sol: CohomSolution) -> dict:
         "defect_refined": {
             k: float(v) for k, v in sol.defect_refined.items()
         },
-        "extras": _jsonable(sol.extras),
+        "extras": dict(sol.extras),
     }
 
 
@@ -507,6 +507,7 @@ def run_pipeline(
 
     try:
         with _stage(report, "build"):
+            params.check()
             action = build_action(spec, base_dir=base_dir)
         _DISPATCH[command](spec, action, params, out_dir, report)
     except CertificationFailure:

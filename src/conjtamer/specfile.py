@@ -30,6 +30,7 @@ length.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,6 +51,27 @@ class GeneratorDef:
     text: str
     line: int
     col: int = 1  # 1-based column of the definition text within its spec line
+
+
+def _positive(v) -> bool:
+    return 0.0 < v < math.inf
+
+
+# [pipeline] key -> (PipelineParams attribute, cast, range check, range text)
+_PIPELINE_KEYS = {
+    "lambda": ("lam", float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "radius": ("radius", int, lambda v: v >= 0, ">= 0"),
+    "epsilon": ("epsilon", float, _positive, "finite and > 0"),
+    "delta": ("delta", float, _positive, "finite and > 0"),
+    "alpha": ("alpha", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
+    "nmax": ("nmax", int, lambda v: v >= 1, ">= 1"),
+    "steps": ("steps", int, lambda v: v >= 1, ">= 1"),
+    "max_word_len": ("max_word_len", int, lambda v: v >= 1, ">= 1"),
+    "resolution": ("resolution", float, _positive, "finite and > 0"),
+    "growth_constant": ("growth_constant", float, _positive, "finite and > 0"),
+    "k_max": ("k_max", int, lambda v: v >= 1, ">= 1"),
+    "shell_index": ("shell_index", int, lambda v: v >= 0, ">= 0"),
+}
 
 
 @dataclass
@@ -73,6 +95,14 @@ class PipelineParams:
             if v is not None:
                 setattr(out, k, v)
         return out
+
+    def check(self) -> None:
+        """Raises SpecError for a set value outside its range; spec values
+        and CLI overrides both pass through here once merged."""
+        for key, (attr, _, ok, text) in _PIPELINE_KEYS.items():
+            v = getattr(self, attr)
+            if v is not None and not ok(v):
+                raise SpecError(f"{key} must be {text}, got {v!r}")
 
 
 @dataclass
@@ -244,24 +274,10 @@ def parse_action_spec(text: str) -> ActionSpec:
             raise SpecError(f"bad relation_tolerance {v!r}", line=ln)
 
     params = PipelineParams()
-    casts = {
-        "lambda": ("lam", float),
-        "radius": ("radius", int),
-        "epsilon": ("epsilon", float),
-        "delta": ("delta", float),
-        "alpha": ("alpha", float),
-        "nmax": ("nmax", int),
-        "steps": ("steps", int),
-        "max_word_len": ("max_word_len", int),
-        "resolution": ("resolution", float),
-        "growth_constant": ("growth_constant", float),
-        "k_max": ("k_max", int),
-        "shell_index": ("shell_index", int),
-    }
     for key, (value, ln) in pipe_kv.items():
-        if key not in casts:
+        if key not in _PIPELINE_KEYS:
             raise SpecError(f"unknown pipeline parameter {key!r}", line=ln)
-        attr, cast = casts[key]
+        attr, cast, _, _ = _PIPELINE_KEYS[key]
         try:
             setattr(params, attr, cast(value))
         except ValueError:

@@ -97,9 +97,9 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
     weights = lam ** layers.astype(float)
     mass = float(np.sum(weights))  # each w_*(Leb) has unit mass
 
-    def walk(x, density: bool = False):
-        """Unnormalized CDF: sum of weights * (w^{-1}(x) - w^{-1}(0)), on
-        lifts, and with density the log of sum of weights * D(w^{-1})(x).
+    def walk(x):
+        """Unnormalized CDF sum of weights * (w^{-1}(x) - w^{-1}(0)), on
+        lifts, and the log of its density sum of weights * D(w^{-1})(x).
         Orbit arrays extend along the ball tree one letter at a time
         (w·l maps to l^{-1} applied to the w orbit)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -109,27 +109,22 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         dens = weights[0] * np.ones_like(pts[0])
         for i in range(1, len(ball.elements)):
             parent, (g, s) = ball.tree[i]
-            inv_letter = action.letter_diffeo((g, -s))
-            if density:
-                y, ld = inv_letter.jet(pts[parent])
-                lds.append(lds[parent] + ld)
-                dens = dens + weights[i] * np.exp(lds[-1])
-            else:
-                y = inv_letter.eval_lift(pts[parent])
+            y, ld = action.letter_diffeo((g, -s)).jet(pts[parent])
+            lds.append(lds[parent] + ld)
+            dens = dens + weights[i] * np.exp(lds[-1])
             pts.append(y)
             acc = acc + weights[i] * y
         raw = acc[:-1] - acc[-1]
-        return (raw, np.log(dens[:-1])) if density else raw
+        return raw, np.log(dens[:-1])
 
     def jet_fn(x):
-        raw, log_dens = walk(x, density=True)
+        raw, log_dens = walk(x)
         return raw / mass, log_dens - np.log(mass)
 
-    cdf_fn = lambda x: walk(x) / mass
-    conjugator = Diffeo.from_callables(
-        space, cdf_fn, lambda x: jet_fn(x)[1], jet_fn=jet_fn
+    conjugator = Diffeo.from_callables(space, jet_fn)
+    cdf = GridFunction(
+        space, conjugator.values[: space.track_length], lambda x: jet_fn(x)[0]
     )
-    cdf = GridFunction(space, conjugator.values[: space.track_length], cdf_fn)
     return DeroinMeasure(
         lam=lam,
         radius=radius,
@@ -138,7 +133,7 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         mass=mass,
         tail_bound=_tail_bound(lam, ball.sphere_sizes),
         sphere_sizes=ball.sphere_sizes,
-        cdf_raw=walk,
+        cdf_raw=lambda x: walk(x)[0],
     )
 
 

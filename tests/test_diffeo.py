@@ -201,6 +201,20 @@ def test_pwl_rejects_decreasing_values():
         pwl_diffeo(sp, ((0.0, 0.0), (0.4, 0.6), (0.6, 0.5), (1.0, 1.0)))
 
 
+@pytest.mark.parametrize(
+    "space, points",
+    [
+        (interval(256), ((0.0, 0.0), (0.5, 0.5), (0.5, 0.7), (1.0, 1.0))),
+        (interval(256), ((0.0, 0.0), (0.0, 0.2), (1.0, 1.0))),
+        (circle(256), ((0.0, 0.1), (0.3, 0.4), (0.3, 0.6), (1.0, 1.1))),
+    ],
+)
+def test_pwl_rejects_repeated_abscissae(space, points):
+    # a repeated x is a jump of the map, not a steep slope
+    with pytest.raises(NonMonotone):
+        pwl_diffeo(space, points)
+
+
 def test_pwl_circle_needs_degree_one():
     with pytest.raises(NonMonotone):
         pwl_diffeo(circle(256), ((0.0, 0.1), (1.0, 0.9)))

@@ -246,8 +246,10 @@ def test_newton_raises_when_log_derivative_disagrees_with_value():
     # stays inside the bracket and crawls, so 60 steps cannot converge
     f = Diffeo.from_callables(
         interval(64),
-        lambda x: np.asarray(x, dtype=float) ** 2,
-        lambda x: np.full_like(np.asarray(x, dtype=float), 10.0),
+        lambda x: (
+            np.asarray(x, dtype=float) ** 2,
+            np.full_like(np.asarray(x, dtype=float), 10.0),
+        ),
     )
     with pytest.raises(NonConvergence) as info:
         f.invert_lift(np.array([0.3, 0.7]))

@@ -323,3 +323,57 @@ def test_cli_detect_summary(tmp_path, capsys):
     assert main(["detect", "--spec", spec, "--resilient", "-L", "2", "--out", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out
     assert "witness" in out.lower()
+
+
+def test_cli_pwl_with_a_jump_is_rejected(tmp_path):
+    jump = "f = pwl(0:0, 0.5:0.5, 0.5:0.7, 1:1)"
+    spec = write(tmp_path, "j.spec", TRIVIAL.replace("f = x", jump))
+    out = tmp_path / "out"
+    assert main(["report", "--spec", spec, "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["failed_stage"] == "build"
+
+
+SPECS = {"A3": A3_SMALL, "A4": A4_SMALL, "PINGPONG": PINGPONG_SMALL}
+
+
+@pytest.mark.parametrize(
+    "command, spec_name, edit, args",
+    [
+        pytest.param("path", "A3", None, ["--nmax", "0"], id="path-nmax-0"),
+        pytest.param("path", "A3", None, ["--steps", "0"], id="path-steps-0"),
+        pytest.param("path", "A3", ("steps = 2", "steps = -1"), [], id="path-spec-steps--1"),
+        pytest.param("tame-c1", "A3", None, ["--nmax", "0"], id="tame-c1-nmax-0"),
+        pytest.param("tame-c1", "A4", None, ["--alpha", "0.5"], id="tame-c1-alpha-0.5"),
+        pytest.param("tame-c1", "A4", None, ["--alpha", "inf"], id="tame-c1-alpha-inf"),
+        pytest.param("tame-c1", "A4", ("delta = 0.1", "delta = 0"), [], id="tame-c1-spec-delta-0"),
+        pytest.param("tame-c1", "A4", None, ["--delta", "-1"], id="tame-c1-delta--1"),
+        pytest.param("tame-c1", "A4", None, ["--epsilon", "-1"], id="tame-c1-epsilon--1"),
+        pytest.param("tame-c1", "A4", None, ["--epsilon", "nan"], id="tame-c1-epsilon-nan"),
+        pytest.param("flatten", "A4", None, ["--nmax", "0"], id="flatten-nmax-0"),
+        pytest.param("tame-lipschitz", "A4", None, ["--lambda", "1.5"], id="lipschitz-lambda-1.5"),
+        pytest.param("tame-lipschitz", "A4", None, ["--radius", "-1"], id="lipschitz-radius--1"),
+        pytest.param("detect", "PINGPONG", None, ["--resolution", "-1"], id="detect-resolution--1"),
+        pytest.param("detect", "PINGPONG", None, ["--resolution", "nan"], id="detect-resolution-nan"),
+        pytest.param("detect", "PINGPONG", None, ["-L", "0"], id="detect-L-0"),
+        pytest.param(
+            "detect", "PINGPONG", ("max_word_len = 2", "max_word_len = 0"), [],
+            id="detect-spec-max_word_len-0",
+        ),
+    ],
+)
+def test_cli_out_of_range_parameter_exit_two_with_report(
+    tmp_path, command, spec_name, edit, args
+):
+    text = SPECS[spec_name]
+    spec = write(tmp_path, "p.spec", text.replace(*edit) if edit else text)
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--out", str(out)] + args) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] == "build"
+
+
+def test_cli_flag_overrides_an_out_of_range_spec_value(tmp_path):
+    # the range check runs once on the merged parameters
+    spec = write(tmp_path, "p.spec", A3_SMALL.replace("steps = 2", "steps = 0"))
+    out = tmp_path / "out"
+    assert main(["path", "--spec", spec, "--out", str(out), "--nmax", "2", "--steps", "1"]) == 0
