@@ -36,6 +36,10 @@ _LOG_FLOOR = math.log(DERIVATIVE_FLOOR)
 # Tolerance for snapping endpoint/degree normalization of value tracks.
 _ENDPOINT_TOL = 1e-9
 _NEWTON_STEPS = 60  # step budget of the safeguarded Newton inversion
+# Largest residual |f(x) - y| accepted once the step budget is spent: where
+# Df < 1, a residual of one ulp moves x by more than the stopping step, so a
+# converged point can keep stepping back and forth until the budget runs out.
+_NEWTON_TOL = 1e-12
 
 
 def _as_array(x):
@@ -224,6 +228,8 @@ class Diffeo:
                 return xn
             x = xn
         residual = float(np.max(np.abs(self._value01(x) - y)))
+        if residual <= _NEWTON_TOL:
+            return x
         raise NonConvergence("Newton inversion did not converge", residual)
 
     def invert_lift(self, y) -> Array:

@@ -9,6 +9,7 @@ infinite derivative at the flagged points and is kept in its own class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -27,6 +28,7 @@ PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
 _SNAP_TOL = 1e-8  # distance for snapping images of flagged points
 _NEWTON_STEPS = 60  # step budget of the safeguarded bridge inversion
+_NEWTON_TOL = 1e-12  # residual accepted once the budget is spent (see diffeo)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,8 @@ class _Bridge:
                 return xn
             x = xn
         residual = float(np.max(np.abs(self.value(x) - y)))
+        if residual <= _NEWTON_TOL:
+            return x
         raise NonConvergence("bridge inversion did not converge", residual)
 
 
@@ -669,39 +673,106 @@ class ResilientWitness:
         }
 
 
-def _reduced_words(n_gens: int, max_len: int) -> List[Tuple[Tuple[int, int], ...]]:
-    letters = []
-    for idx in range(n_gens):
-        letters.append((idx, 1))
-        letters.append((idx, -1))
-    out: List[Tuple[Tuple[int, int], ...]] = []
-    frontier: List[Tuple[Tuple[int, int], ...]] = [()]
-    for _ in range(max_len):
-        nxt = []
-        for seq in frontier:
-            for let in letters:
-                if seq and seq[-1] == (let[0], -let[1]):
-                    continue
-                nxt.append(seq + (let,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
-    """Reduced words up to max_len, keeping the first spelling of each group
+    """Freely reduced words up to max_len, by length, then in the letter order
+    g0, g0^-1, g1, ...; in a non-free group only the first spelling of each
     element (rewriting collapses e.g. the 12 spellings of g1 g2 in Z^2)."""
-    words = _reduced_words(len(action.gens), max_len)
-    if action.presentation.kind == FREE:
-        return words
-    seen = set()
-    kept = []
-    for seq in words:
-        key = action.presentation.normal_form(Word(seq)).letters
-        if key not in seen:
-            seen.add(key)
-            kept.append(seq)
-    return kept
+    pres = action.presentation
+    letters = [(idx, e) for idx in range(len(action.gens)) for e in (1, -1)]
+    first: Dict[Tuple[Letter, ...], Tuple[Letter, ...]] = {}
+    for n in range(1, max_len + 1):
+        for seq in itertools.product(letters, repeat=n):
+            if all(b != (a[0], -a[1]) for a, b in zip(seq, seq[1:])):
+                key = seq if pres.kind == FREE else pres.normal_form(Word(seq)).letters
+                first.setdefault(key, seq)
+    return list(first.values())
+
+
+def _word_images(action: Action) -> Callable[[Tuple], Array]:
+    """seq -> lift of the nodes under the word: its first letter applied to its
+    suffix's cached image, the same eval_lift calls as a letter-by-letter walk."""
+    lifts: Dict[Tuple, Array] = {(): action.space.nodes}
+
+    def lift(seq) -> Array:
+        if seq not in lifts:
+            lifts[seq] = action.letter_diffeo(seq[0]).eval_lift(lift(seq[1:]))
+        return lifts[seq]
+
+    return lift
+
+
+def _least_above(v: Array, r: float) -> Array:
+    """Smallest floats t with t - v > r, elementwise.  The rounded sum v + r
+    is never above that edge, since the float below it minus v is below r
+    before rounding; at most two steps up reach it."""
+    t = v + r
+    while (up := ~(t - v > r)).any():
+        t[up] = np.nextafter(t[up], np.inf)
+    return t
+
+
+_ROW_BLOCK = 64  # most g rows swept at once: bounds the (rows, points) arrays
+
+
+def _first_chain(
+    xs: Array, count: int, values: Callable[[int], Array], r: float
+) -> Optional[Tuple[int, int, int, int]]:
+    """First (f, g, i, j) in row-major order with xs[i] < f[i] < f[j] <
+    g[i] < g[j] < xs[j], every difference above r >= 0, over the images
+    values(0..count-1) of the points xs, fetched lazily.  Each image must
+    reduce a non-decreasing lift (see detect_resilient).  No f pairs with
+    itself: f[j] - f[i] and f[i] - f[j] cannot both exceed r."""
+    m = len(xs)
+    idx = np.arange(m, dtype=np.int32)
+    blocks: Dict[int, List[Array]] = {}
+
+    def pieces(v: Array) -> List[Tuple[int, int]]:
+        cuts = (np.flatnonzero(np.diff(v) < 0) + 1).tolist()
+        return list(zip([0] + cuts, cuts + [m]))
+
+    def row(v: Array) -> Tuple[Array, ...]:
+        """(v, end of i's piece, first j > i in it with v[j] - v[i] > r, next
+        j with xs[j] - v[j] > r, least t with t - v[i] > r)."""
+        up = _least_above(v, r)
+        end, first = np.empty(m, dtype=np.int32), np.empty(m, dtype=np.int32)
+        for a, b in pieces(v):
+            end[a:b] = b
+            first[a:b] = a + np.searchsorted(v[a:b], up[a:b])
+        nxt = np.full(m + 1, m, dtype=np.int32)
+        nxt[:m] = np.minimum.accumulate(np.where(xs - v > r, idx, m)[::-1])[::-1]
+        return v, end, first, nxt, up
+
+    spans, a, size = [], 0, 1
+    while a < count:
+        spans.append((a, min(a + size, count)))
+        a, size = a + size, min(2 * size, _ROW_BLOCK)
+    for fk in range(count):
+        fv = values(fk)
+        x_ok = fv - xs > r
+        if not x_ok.any():
+            continue
+        _, _, f_first, _, f_up = row(fv)
+        f_pieces = pieces(fv)
+        for n, (a, b) in enumerate(spans):
+            if n not in blocks:
+                tables = zip(*(row(values(k))[:4] for k in range(a, b)))
+                blocks[n] = [np.stack(t) for t in tables]
+            gv, g_end, g_first, g_nxt = blocks[n]
+            cand = x_ok & (gv - fv > 2.0 * r)
+            keep = np.flatnonzero(cand.any(axis=1) & (g_nxt[:, 0] < m))
+            if keep.size == 0:
+                continue
+            hi = g_end[keep]  # g[i] - f[j] > r iff f_up[j] <= g[i]: a prefix
+            for s, e in f_pieces:
+                cut = np.searchsorted(f_up[s:e], gv[keep, s:e], side="right")
+                hi[:, s:e] = np.minimum(hi[:, s:e], s + cut)
+            lo = np.maximum(f_first, g_first[keep])
+            j = np.take_along_axis(g_nxt[keep], lo, axis=1)
+            ok = cand[keep] & (j < hi)
+            if ok.any():
+                rk, i = divmod(int(np.argmax(ok)), m)  # row-major: first (g, i)
+                return fk, a + int(keep[rk]), i, int(j[rk, i])
+    return None
 
 
 def detect_resilient(
@@ -711,107 +782,36 @@ def detect_resilient(
     of a resilient chain over grid points, or None.  Circle actions compare
     the mod-1 values, so a chain must fit inside one fundamental domain;
     their scan runs on a subgrid with a few nodes per resolution length,
-    which is where chains this wide are separated anyway."""
+    which is where chains this wide are separated anyway.
+
+    Each pair of word images is swept, not tabled over (x, y).  A mod-1
+    image of a non-decreasing lift wraps at most once and no chain crosses
+    a wrap of f or g, so the wraps cut the points into at most three
+    non-decreasing segments (one on the interval).  There each condition on
+    y holds on a suffix or a prefix, found by a searchsorted at a threshold
+    moved to the exact float edge of its predicate.  Only the g(x) - f(y)
+    edge depends on the pair: one O(m log m) search over the m scanned
+    points, batched over blocks of g.  Images are built on first use."""
     space = action.space
+    stride = max(1, int(space.grid_size * resolution / 4.0)) if space.is_circle else 1
     nodes = space.nodes
-    n = len(nodes)
+    sub = np.arange(0, len(nodes), stride)
     words = _distinct_words(action, max_len)
-    cache: Dict[Tuple, Array] = {}
+    lift = _word_images(action)
 
     def values_of(seq) -> Array:
-        if seq not in cache:
-            pts = nodes.copy()
-            for letter in reversed(seq):
-                pts = action.letter_diffeo(letter).eval_lift(pts)
-            cache[seq] = pts % 1.0 if space.is_circle else pts
-        return cache[seq]
+        return lift(seq) % 1.0 if space.is_circle else lift(seq)
 
-    if space.is_circle:
-        stride = max(1, int(space.grid_size * resolution / 4.0))
-        sub = np.arange(0, n, stride)
-        xs = nodes[sub]
-        for sf in words:
-            fs = values_of(sf)[sub]
-            x_ok = fs - xs > resolution
-            if not x_ok.any():
-                continue
-            for sg in words:
-                if sg == sf:
-                    continue
-                gs = values_of(sg)[sub]
-                cand_i = np.nonzero(x_ok & (gs - fs > 2.0 * resolution))[0]
-                cand_j = np.nonzero(xs - gs > resolution)[0]
-                if cand_i.size == 0 or cand_j.size == 0:
-                    continue
-                ok = (
-                    (cand_i[:, None] < cand_j[None, :])
-                    & (fs[cand_j][None, :] - fs[cand_i][:, None] > resolution)
-                    & (gs[cand_i][:, None] - fs[cand_j][None, :] > resolution)
-                    & (gs[cand_j][None, :] - gs[cand_i][:, None] > resolution)
-                )
-                if ok.any():
-                    flat = int(np.argmax(ok))  # row-major: first (i, j)
-                    ii, jj = divmod(flat, ok.shape[1])
-                    i = int(sub[cand_i[ii]])
-                    j = int(sub[cand_j[jj]])
-                    return _witness(action, sf, sg, values_of, i, j, resolution)
-        return None
-
-    idx_arr = np.arange(n)
-    for sf in words:
-        fv = values_of(sf)
-        x_ok = fv - nodes > resolution
-        if not x_ok.any():
-            continue
-        for sg in words:
-            if sg == sf:
-                continue
-            gv = values_of(sg)
-            y_ok = nodes - gv > resolution
-            if not y_ok.any():
-                continue
-            nxt = np.full(n + 1, n, dtype=int)
-            nxt[:n] = np.minimum.accumulate(
-                np.where(y_ok, idx_arr, n)[::-1]
-            )[::-1]
-            cand = np.nonzero(x_ok & (gv - fv > resolution))[0]
-            for i in cand:
-                lo = int(
-                    max(
-                        np.searchsorted(fv, fv[i] + resolution, side="right"),
-                        np.searchsorted(gv, gv[i] + resolution, side="right"),
-                        i + 1,
-                    )
-                )
-                hi = int(np.searchsorted(fv, gv[i] - resolution, side="left"))
-                if lo >= hi:
-                    continue
-                j = int(nxt[lo])
-                if j < hi:
-                    return _witness(action, sf, sg, values_of, i, j, resolution)
-    return None
-
-
-def _witness(action, sf, sg, values_of, i, j, resolution) -> ResilientWitness:
-    nodes = action.space.nodes
-    fv, gv = values_of(sf), values_of(sg)
-    chain = (
-        float(nodes[i]),
-        float(fv[i]),
-        float(fv[j]),
-        float(gv[i]),
-        float(gv[j]),
-        float(nodes[j]),
+    hit = _first_chain(
+        nodes[sub], len(words), lambda k: values_of(words[k])[sub], resolution
     )
-    wf, wg = Word(sf), Word(sg)
+    if hit is None:
+        return None
+    wf, wg = Word(words[hit[0]]), Word(words[hit[1]])
+    i, j = int(sub[hit[2]]), int(sub[hit[3]])
+    fv, gv = values_of(wf.letters), values_of(wg.letters)
+    chain = tuple(float(v) for v in (nodes[i], fv[i], fv[j], gv[i], gv[j], nodes[j]))
     return ResilientWitness(
-        word_f=wf,
-        word_g=wg,
-        display_f=wf.display(action.names),
-        display_g=wg.display(action.names),
-        x=float(nodes[i]),
-        y=float(nodes[j]),
-        chain=chain,
-        margin=float(np.min(np.diff(chain))),
-        resolution=resolution,
+        wf, wg, wf.display(action.names), wg.display(action.names),
+        chain[0], chain[-1], chain, float(np.min(np.diff(chain))), resolution,
     )

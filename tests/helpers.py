@@ -13,11 +13,16 @@ objects.  The maps:
 * pingpong_action -- two piecewise-linear maps pushing (0.05, 0.95) into
                      (0.1, 0.3) and (0.5, 0.7) respectively; generates a
                      free semigroup with crossed-interval witnesses.
+* interval_pingpong_action -- the same pair acting on [0, 1].
+
+dense_first_chain is the reference scan for resilient-pair detection.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from conjtamer import (
     Action,
@@ -91,3 +96,41 @@ def pingpong_action(grid: int = 4096) -> Action:
 def trivial_action(grid: int = 256) -> Action:
     sp = interval(grid)
     return Action(sp, Presentation.zd(1, ("f",)), {"f": build_diffeo("x", sp)})
+
+
+@lru_cache(maxsize=None)
+def interval_pingpong_action(grid: int = 1024) -> Action:
+    """The ping-pong pair on [0, 1]: both maps fix the endpoints, so the
+    crossed pattern of the circle pair appears on the interval too."""
+    sp = interval(grid)
+    f = pwl_diffeo(sp, PINGPONG_F)
+    g = pwl_diffeo(sp, PINGPONG_G)
+    return Action(sp, Presentation.free(("f", "g")), {"f": f, "g": g})
+
+
+def dense_first_chain(xs, images, r):
+    """Reference for periodic._first_chain: the dense scan that
+    detect_resilient ran before the sweep.  For each ordered pair of
+    distinct images it tables every (i, j) among the candidate x and y
+    points and takes the first True in row-major order."""
+    for fk, fs in enumerate(images):
+        x_ok = fs - xs > r
+        if not x_ok.any():
+            continue
+        for gk, gs in enumerate(images):
+            if gk == fk:
+                continue
+            cand_i = np.nonzero(x_ok & (gs - fs > 2.0 * r))[0]
+            cand_j = np.nonzero(xs - gs > r)[0]
+            if cand_i.size == 0 or cand_j.size == 0:
+                continue
+            ok = (
+                (cand_i[:, None] < cand_j[None, :])
+                & (fs[cand_j][None, :] - fs[cand_i][:, None] > r)
+                & (gs[cand_i][:, None] - fs[cand_j][None, :] > r)
+                & (gs[cand_j][None, :] - gs[cand_i][:, None] > r)
+            )
+            if ok.any():
+                ii, jj = divmod(int(np.argmax(ok)), ok.shape[1])
+                return fk, gk, int(cand_i[ii]), int(cand_j[jj])
+    return None

@@ -283,3 +283,12 @@ def test_cli_non_convergence_exits_one_with_failed_stage(tmp_path, monkeypatch):
     assert main(["tame-lipschitz", "--spec", str(spec), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["failed_stage"] == "tame"
+
+
+def test_cli_a4_with_small_delta_exits_zero(tmp_path, pytestconfig):
+    # at delta 0.05 the flattening bridges have slope below 1 where their
+    # inversion lands, so a one-ulp residual keeps Newton stepping past its
+    # stopping size until the budget is spent; such points are converged
+    spec = pytestconfig.rootpath / "specs" / "a4.spec"
+    argv = ["tame-c1", "--spec", str(spec), "--delta", "0.05", "--nmax", "48"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0

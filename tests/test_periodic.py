@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conjtamer import (
     InfiniteHyperbolicSet,
@@ -15,12 +18,21 @@ from conjtamer import (
     rotation_number,
 )
 from conjtamer import Action, Presentation
-from conjtamer.periodic import FlatteningMap, flatten_conjugate
+from conjtamer.periodic import (
+    FlatteningMap,
+    _distinct_words,
+    _first_chain,
+    _word_images,
+    flatten_conjugate,
+)
 from conjtamer.space import circle, interval
 
 from helpers import (
     GOLDEN,
     conj_rotation_action,
+    conj_rotation_z2,
+    dense_first_chain,
+    interval_pingpong_action,
     mobius_action,
     pingpong_action,
     rigid_rotations,
@@ -193,6 +205,123 @@ def test_witness_is_deterministic():
     a = detect_resilient(pingpong_action(2048), 2, 0.01)
     b = detect_resilient(pingpong_action(2048), 2, 0.01)
     assert a.to_dict() == b.to_dict()
+
+
+def test_interval_pingpong_witness_found():
+    w = detect_resilient(interval_pingpong_action(512), 2, 0.01)
+    assert (w.display_f, w.display_g) == ("f", "g")
+    # the interval scans every node: x and y are nodes 12 and 325 of 512
+    assert (w.x, w.y) == (12 / 512, 325 / 512)
+    assert list(w.chain) == sorted(w.chain) and w.margin > 0.01
+
+
+def test_word_images_match_letter_by_letter_walk():
+    # conjugated rotations invert through Newton, whose last bits depend on
+    # the batch: a shared suffix image must be the very array a walk makes
+    act = conj_rotation_z2(256)
+    lift = _word_images(act)
+    for seq in _distinct_words(act, 3):
+        pts = act.space.nodes.copy()
+        for letter in reversed(seq):
+            pts = act.letter_diffeo(letter).eval_lift(pts)
+        assert np.array_equal(lift(seq), pts)
+
+
+@pytest.mark.parametrize(
+    "build, max_len",
+    [(pingpong_action, 2), (conj_rotation_z2, 3), (interval_pingpong_action, 2)],
+)
+def test_sweep_matches_dense_scan_on_word_images(build, max_len):
+    # every node, x = 1 included, as detect_resilient scans a 256 grid; r > 0,
+    # since at r = 0 the dense table also pairs x = 0 with x = 1 (one circle
+    # point) whenever rounding lifts F(1) above F(0) + 1
+    act = build(256)
+    lift = _word_images(act)
+    images = [
+        lift(seq) % 1.0 if act.space.is_circle else lift(seq)
+        for seq in _distinct_words(act, max_len)
+    ]
+    xs = act.space.nodes
+    for r in (1.0 / 256, 0.01, 0.05):
+        hit = _first_chain(xs, len(images), lambda k: images[k], r)
+        assert hit == dense_first_chain(xs, images, r)
+
+
+def _synthetic_image(rng, xs, on_circle, shape, q):
+    """A piecewise-linear lift sampled at xs: random knots, or a north-south
+    map squeezing an arc [a, b] into a width 10^-k arc inside it.  Circle
+    lifts get a random integer frame and are reduced mod 1; q > 0 rounds
+    the values to multiples of 1/q, which makes ties."""
+    if shape == "north-south":
+        a, b = np.sort(rng.uniform(0.02, 0.98, 2))
+        w = 10.0 ** -rng.integers(1, 8)
+        c = rng.uniform(a, max(a, b - w))
+        kx, ky = np.array([a, b]), np.array([c, c + w])
+        f0 = rng.uniform(0.0, a) if on_circle else 0.0
+    else:
+        k = rng.integers(1, 5)
+        kx = np.sort(rng.uniform(0.0, 1.0, k))
+        f0 = rng.uniform(-0.5, 0.5) if on_circle else 0.0
+        gap = 10.0 ** rng.uniform(-9, -0.3) if on_circle else 0.0
+        ky = f0 + np.sort(rng.uniform(0.0, 1.0 - gap, k))
+    lift = np.interp(xs, np.r_[0.0, kx, 1.0], np.r_[f0, ky, f0 + 1.0])
+    lift = lift + rng.integers(-2, 3) if on_circle else lift
+    if q:
+        lift = np.round(lift * q) / q
+    return lift % 1.0 if on_circle else lift
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    on_circle=st.booleans(),
+    closed=st.booleans(),
+    m=st.integers(2, 64),
+    count=st.integers(2, 6),
+    shape=st.sampled_from(["random", "north-south"]),
+    q=st.sampled_from([0, 64, 128, 256]),
+    res=st.sampled_from(["zero", "cell", "0.01"]),
+)
+def test_sweep_matches_dense_scan(seed, on_circle, closed, m, count, shape, q, res):
+    rng = np.random.default_rng(seed)
+    r = {"zero": 0.0, "cell": 1.0 / m, "0.01": 0.01}[res]
+    # a closed circle grid scans x = 0 and x = 1, one point: see above
+    assume(not (on_circle and closed and r == 0.0))
+    xs = np.arange(m + closed) / m if on_circle else np.linspace(0.0, 1.0, m)
+    images = [_synthetic_image(rng, xs, on_circle, shape, q) for _ in range(count)]
+    hit = _first_chain(xs, count, lambda k: images[k], r)
+    assert hit == dense_first_chain(xs, images, r)
+    if hit is not None:
+        fk, gk, i, j = hit
+        f, g = images[fk], images[gk]
+        assert np.min(np.diff([xs[i], f[i], f[j], g[i], g[j], xs[j]])) > r
+
+
+def _least_above_brute(v, r):
+    t = v + r
+    while not t - v > r:
+        t = math.nextafter(t, math.inf)
+    while math.nextafter(t, -math.inf) - v > r:
+        t = math.nextafter(t, -math.inf)
+    return t
+
+
+@pytest.mark.parametrize("r", [0.0, 0.01, 0.1, 0.15])
+@pytest.mark.parametrize("x0", [0.0, 1e-9, 0.1])
+def test_sweep_edges_are_exact_floats(x0, r):
+    # every margin of this chain is the least float above r, so lowering any
+    # link by one float breaks it: each searchsorted edge must be exact
+    c = [x0]
+    for _ in range(5):
+        c.append(_least_above_brute(c[-1], r))
+    for k in range(6):
+        d = list(c)
+        if k:
+            d[k] = math.nextafter(d[k], -math.inf)
+        xs, images = np.array([d[0], d[5]]), [np.array(d[1:3]), np.array(d[3:5])]
+        hit = _first_chain(xs, 2, images.__getitem__, r)
+        assert hit == dense_first_chain(xs, images, r)
+        assert hit == ((0, 1, 0, 1) if k == 0 else None)
 
 
 def test_hyperbolic_point_orbit_stays_finite_on_nilpotent_rotations():

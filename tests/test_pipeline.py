@@ -175,6 +175,18 @@ def test_detect_finds_pingpong_witness(tmp_path):
     assert w["word_f"] == "f"
 
 
+def test_detect_finds_interval_witness(tmp_path):
+    spec = parse_action_spec(PINGPONG_SMALL.replace("kind = circle", "kind = interval"))
+    out = tmp_path / "out"
+    report = run_pipeline("detect", spec, str(out))
+    assert report["detect"]["found"] is True
+    w = json.loads((out / "detect.json").read_text())
+    assert (w["word_f"], w["word_g"]) == ("f", "g")
+    # the interval scans every node of the 512 grid
+    assert (w["x"], w["y"]) == (12 / 512, 325 / 512)
+    assert w["chain"] == sorted(w["chain"]) and w["margin"] > 0.01
+
+
 def test_detect_null_on_commuting_rotations(tmp_path):
     text = A3_SMALL.replace("conj(x + 0.1*sin(2*pi*x), ", "x + ").replace(")\n", "\n")
     spec = parse_action_spec(
