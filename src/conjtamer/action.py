@@ -3,6 +3,8 @@
 Realization of words is by composition (left letter outermost, so a word acts
 as w(x) = l1(l2(...(x)))), which makes word_realize a homomorphism for the
 compose operation and accumulates log-derivatives through the chain rule.
+Word evaluation walks the letters' plans (diffeo.WalkState), so a conjugator
+shared by consecutive letters is inverted once, not once per letter.
 
 A generator's inverse is built on first use and cached (`Action.inverse`), so
 an action that never applies one, such as a conjugated action, never inverts.
@@ -14,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diffeo import Diffeo, compose, conjugate_action, identity, invert
+from .diffeo import Diffeo, WalkState, compose, conjugate_action, identity, invert
 from .errors import RelationViolation, UnknownGenerator
 from .space import Space
 from .words import Letter, Presentation, Word
@@ -84,20 +86,13 @@ class Action:
 
     # -- word evaluation without building composite diffeos ------------------
 
-    def apply_word(self, letters: Iterable[Letter], x) -> Array:
-        """Lift values of the word at x (letters applied right to left)."""
-        y = np.asarray(x, dtype=float)
-        for letter in reversed(tuple(letters)):
-            y = self.letter_diffeo(letter).eval_lift(y)
-        return y
-
     def word_cocycle(self, letters: Iterable[Letter], x) -> Tuple[Array, Array]:
-        """(log D(w)(x), w(x)) accumulated through the chain rule."""
-        y = np.asarray(x, dtype=float)
-        acc = np.zeros_like(y)
-        for letter in reversed(tuple(letters)):
-            y, ld = self.letter_diffeo(letter).jet(y)
-            acc = acc + ld
+        """(log D(w)(x), w(x)) along one walk of the letters' plans."""
+        plans = [self.letter_diffeo(lt).as_plan() for lt in reversed(tuple(letters))]
+        walk = WalkState.start(x, plans[:1])
+        for plan in plans:
+            walk = walk.step(plan)
+        y, acc = walk.point()
         return acc, y
 
     # -- transformations ------------------------------------------------------
@@ -128,9 +123,7 @@ def validate_relations(
     deviations: Dict[str, float] = {}
     names = action.names
     for lhs, rhs in action.presentation.rules:
-        lv = action.apply_word(lhs, nodes)
-        rv = action.apply_word(rhs, nodes)
-        d = lv - rv
+        d = action.word_cocycle(lhs, nodes)[1] - action.word_cocycle(rhs, nodes)[1]
         if action.space.is_circle:
             d = d - round(float(np.mean(d)))
         dev = float(np.max(np.abs(d)))

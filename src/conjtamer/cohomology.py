@@ -5,20 +5,20 @@ conjugating diffeomorphisms (including interpolated paths of conjugates).
 Ball averages carry an exact re-evaluator so that defects and telescoping
 identities can be checked off-grid without interpolation error.  A solve
 measures u and its defects in one ball pass over its distinct points (nodes,
-midpoints, their generator images: 4096-point blocks); ball sums stream rows.
+midpoints, their generator images: 4096-point blocks); a ball sum walks the
+ball once, in plan coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo
+from .diffeo import Diffeo, Primitive, WalkState, c1_distance
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
@@ -52,57 +52,25 @@ def _check_ball_sum(action: Action, n_max: int, m: int) -> None:
         raise SizeOverflow(f"ball sum of size {n_max}^{action.rank} x {m} exceeds cap")
 
 
-def _ball_rows(action: Action, n_max: int, x: Array) -> Iterator[Array]:
-    """Rows n = 1..n_max of birkhoff_field, one at a time, holding
-    O(n_max * x.size) floats."""
-    d, m = action.rank, x.size
-    if d == 0:
-        yield from (np.zeros(m) for _ in range(n_max))
-    elif d == 1:
-        g = action.gens[0]
-        c_cum = np.zeros(m)  # log D(g^k)(x)
-        p = x
-        acc = np.zeros(m)
-        for n in range(1, n_max + 1):
-            acc = acc + c_cum
-            yield acc
-            if n < n_max:
-                p, ld = g.jet(p)
-                c_cum = c_cum + ld
-    elif d == 2:
-        # column k2 walks the g1-orbit of g2^k2(x); pref[k1] adds column prefix
-        # sums as rows.cumsum(0).cumsum(1) did, and is row k1 + 1 after column k1
-        g1, g2 = action.gens
-        q = x
-        c2_cum = np.zeros(m)
-        pref: List[Optional[Array]] = [None] * n_max
-        for k2 in range(n_max):
-            c1_cum = np.zeros(m)
-            p = q
-            for k1 in range(n_max):
-                cell = c2_cum + c1_cum
-                col = cell if k1 == 0 else col + cell
-                if k1 >= k2:
-                    pref[k1] = col if k2 == 0 else pref[k1] + col
-                if k1 < n_max - 1:
-                    p, ld = g1.jet(p)
-                    c1_cum = c1_cum + ld
-            yield pref[k2]
-            pref[k2] = None
-            if k2 < n_max - 1:
-                q, ld = g2.jet(q)
-                c2_cum = c2_cum + ld
-    else:
-        # generic d: walk every exponent vector, bucket by max exponent
-        from .words import enumerate_positive_ball
+def _ball_rows(action: Action, n_max: int, x: Array, rows: bool = True) -> Array:
+    """Rows n = 1..n_max of birkhoff_field (rows=False: row n_max alone, in
+    one row of memory) from one walk of the ball in plan coordinates
+    (g_i = h∘R_i∘h⁻¹: one inverse of h, then one jet of h per element);
+    g1^k1...gd^kd (gd first) is bucketed by its largest exponent."""
+    plans = [g.as_plan() for g in action.gens]
+    buckets = np.zeros((n_max if rows else 1, x.size))
 
-        ball = enumerate_positive_ball(d, n_max)
-        buckets = np.zeros((n_max, m))
-        for row, word in zip(ball.exponents, ball.elements):
-            c, _ = action.word_cocycle(word.letters, x)
-            buckets[int(np.max(row))] += c
-        np.cumsum(buckets, axis=0, out=buckets)
-        yield from buckets
+    def walk_from(j: int, walk: WalkState, top: int) -> None:
+        if j < 0:
+            buckets[top if rows else 0] += walk.point()[1]
+            return
+        for k in range(n_max):
+            walk_from(j - 1, walk, max(top, k))
+            if k < n_max - 1:
+                walk = walk.step(plans[j])
+
+    walk_from(action.rank - 1, WalkState.start(x, plans), 0)
+    return np.cumsum(buckets, axis=0, out=buckets)
 
 
 def birkhoff_field(action: Action, n_max: int, x) -> Array:
@@ -114,7 +82,7 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_ball_sum(action, n_max, x.size)
-    return np.vstack([np.zeros(x.size), *_ball_rows(action, n_max, x)])
+    return np.vstack([np.zeros(x.size), _ball_rows(action, n_max, x)])
 
 
 def empirical_measure_integral(action: Action, i: int, n: int, x):
@@ -213,16 +181,13 @@ def _defect_refined(
     }
 
 
-def _exp_cell_integrals(samples_full: Array, h: float) -> Array:
-    """Exact cell integrals of exp(piecewise-linear samples)."""
-    a = samples_full[:-1]
-    b = samples_full[1:]
-    db = b - a
+def _exp_integrals(a: Array, db: Array, width) -> Array:
+    """Exact integrals of exp over intervals of the given widths on which its
+    argument rises linearly from a by db."""
     small = np.abs(db) < 1e-12
     safe = np.where(small, 1.0, db)
-    out = h * np.exp(a) * np.expm1(safe) / safe
-    out_small = h * np.exp(a) * (1.0 + 0.5 * db)
-    return np.where(small, out_small, out)
+    e = width * np.exp(a)
+    return np.where(small, e * (1.0 + 0.5 * db), e * np.expm1(safe) / safe)
 
 
 def log_density_normalizer(space: Space, samples: Array) -> float:
@@ -230,7 +195,7 @@ def log_density_normalizer(space: Space, samples: Array) -> float:
     full = (
         np.concatenate([samples, samples[:1]]) if space.is_circle else samples
     )
-    return -float(np.log(np.sum(_exp_cell_integrals(full, space.h))))
+    return -float(np.log(np.sum(_exp_integrals(full[:-1], np.diff(full), space.h))))
 
 
 def _measured_solution(
@@ -268,7 +233,7 @@ def birkhoff_solution(action: Action, n: int) -> CohomSolution:
     # size limit of a ball sum over the nodes and the midpoints
     _check_ball_sum(action, n, action.space.refine().track_length)
     scale = float(n**action.rank)
-    u_fn = lambda y: deque(_ball_rows(action, n, np.atleast_1d(y)), maxlen=1)[0] / scale
+    u_fn = lambda y: _ball_rows(action, n, np.atleast_1d(y), rows=False)[0] / scale
     return _measured_solution(action, u_fn, f"birkhoff-positive-ball(n={n})")
 
 
@@ -347,13 +312,10 @@ def _measure_exactness_onset(
     worst = 1
     for j in presentation.metric_generators:
         for g in (action.gens[j], action.inverse(j)):
-            p = tn
-            acc = np.zeros_like(tn)
-            onset = 1
+            walk, onset = WalkState.start(tn, [g.as_plan()]), 1
             for n in range(1, n_cap + 1):
-                p, ld = g.jet(p)
-                acc = acc + ld
-                if float(np.max(np.abs(acc))) / n >= delta:
+                walk = walk.step(g.as_plan())
+                if float(np.max(np.abs(walk.point()[1]))) / n >= delta:
                     onset = n + 1
             worst = max(worst, onset)
     return worst
@@ -374,38 +336,24 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
     full = (
         np.concatenate([samples, samples[:1]]) if space.is_circle else samples
     )
-    cells = _exp_cell_integrals(full, space.h)
+    cells = _exp_integrals(full[:-1], np.diff(full), space.h)
     cum = np.concatenate([[0.0], np.cumsum(cells)])
     total = cum[-1]
     values = cum / total
     values[-1] = 1.0
     ld = GridFunction(space, samples - math.log(total))
-    nodes = space.nodes
-    h = space.h
-    grid_size = space.grid_size
+    nodes, h, grid_size = space.nodes, space.h, space.grid_size
     slopes = (full[1:] - full[:-1]) / h
     small = np.abs(full[1:] - full[:-1]) < 1e-12
 
     def jet_fn(x):
-        x = np.asarray(x, dtype=float)
-        k = np.floor(x) if space.is_circle else 0.0
-        x0 = np.clip(x - k, 0.0, 1.0)
-        idx = np.clip((x0 * grid_size).astype(int), 0, grid_size - 1)
-        t = x0 - nodes[idx]
-        a = full[idx]
-        s = slopes[idx]
-        lin = np.exp(a) * t * (1.0 + 0.5 * s * t)
-        gen = np.exp(a) * np.expm1(np.where(small[idx], 1.0, s) * t) / np.where(
-            small[idx], 1.0, s
-        )
-        part = np.where(small[idx], lin, gen)
-        return (cum[idx] + part) / total + k, ld.interp(x)
+        idx = np.clip((x * grid_size).astype(int), 0, grid_size - 1)
+        t = x - nodes[idx]
+        part = _exp_integrals(full[idx], slopes[idx] * t, t)
+        return (cum[idx] + part) / total, ld.interp(x)
 
-    def inverse_fn(y):
-        y = np.asarray(y, dtype=float)
-        k = np.floor(y) if space.is_circle else 0.0
-        y0 = np.clip(y - k, 0.0, 1.0)
-        target = y0 * total
+    def inverse_jet(y):
+        target = y * total
         idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, grid_size - 1)
         rem = target - cum[idx]
         a = full[idx]
@@ -413,9 +361,11 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
         t_gen = np.log1p(s * rem * np.exp(-a)) / s
         t_lin = rem * np.exp(-a)
         t = np.where(small[idx], t_lin, t_gen)
-        return nodes[idx] + np.clip(t, 0.0, h) + k
+        x = nodes[idx] + np.clip(t, 0.0, h)
+        return x, -ld.interp(x)
 
-    return Diffeo(space, ld, values, inverse_fn, jet_fn)
+    prim = Primitive(space.is_circle, jet_fn, inverse_jet)
+    return Diffeo(space, ld, values, ((prim, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +441,6 @@ def path_of_conjugates(
         )
 
     samples = [build(j) for j in range(total_steps + 1)]
-
-    from .diffeo import c1_distance
-
     for prev, cur in zip(samples, samples[1:]):
         cur.c1_step = {
             name: c1_distance(pg, cg)

@@ -5,12 +5,18 @@ lift offset f(0) for circle maps.  Values are reconstructed from the track by
 trapezoidal quadrature with endpoint (interval) or degree-one (circle)
 normalization, and interpolated piecewise-linearly between nodes.
 
-Diffeos built from closed forms also carry two exact evaluators: the jet
-x -> (value, log-derivative), computed in one pass through a chain, and the
-inverse.  Values, log-derivatives and Newton steps all come from the jet.
-Every operation below builds both evaluators from its operands' ones, so
-chains evaluate without stacking interpolation error.  Serialization keeps
-only the grid data.
+A diffeo built from closed forms is also exact: it carries a plan, a freely
+reduced word of entries (primitive, ±1) read as a composition, so the last
+entry acts first.  A primitive is an exact map with a jet x -> (value,
+log-derivative) and an inverse jet.  The inverse is in closed form for
+rotations, piecewise-linear and Möbius maps, log-density conjugacies and
+flattening conjugates; otherwise it is a Newton solve on the forward jet that
+returns the log-derivative of its last jet.  compose, invert and
+conjugate_action concatenate, reverse and reduce plans: P·P⁻¹ cancels and
+adjacent rotations merge.  Chains therefore evaluate without stacking
+interpolation error, and an orbit walk (WalkState) stays in a conjugator's
+coordinates: g = h∘R_α∘h⁻¹ iterates as z -> z + α, with p = h(z).
+Serialization keeps only the grid data.
 
 Composition accumulates log-derivatives through the chain rule
 (log D(f∘g) = log Dg + (log Df)∘g); derivatives are never re-differenced
@@ -20,13 +26,13 @@ from values.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateDerivative, NonConvergence, NonFinite, NonMonotone
 from .gridfn import GridFunction
-from .space import CIRCLE, Space
+from .space import Space
 
 Array = np.ndarray
 
@@ -36,6 +42,7 @@ _LOG_FLOOR = math.log(DERIVATIVE_FLOOR)
 # Tolerance for snapping endpoint/degree normalization of value tracks.
 _ENDPOINT_TOL = 1e-9
 _NEWTON_STEPS = 60  # step budget of the safeguarded Newton inversion
+_NEWTON_STEP = 1e-14  # a point stops once its Newton step is below this
 # Largest residual |f(x) - y| accepted once the step budget is spent: where
 # Df < 1, a residual of one ulp moves x by more than the stopping step, so a
 # converged point can keep stepping back and forth until the budget runs out.
@@ -46,36 +53,184 @@ def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _newton(jet: Callable, y, lo, hi, x) -> Tuple[Array, Array]:
+    """(x, log Dv at each point's last jet) with v(x) = y in [lo, hi], where
+    jet(x) = (v, log Dv) and v increases: safeguarded Newton-bisection
+    (rtsafe) from x.  Each point stops on its own, once its step is below
+    _NEWTON_STEP, so no result depends on the batch.  Raises NonConvergence
+    when, the budget spent, a residual is above _NEWTON_TOL."""
+    shape = np.shape(y)
+    y, lo, hi = (np.broadcast_to(_as_array(a), shape).ravel() for a in (y, lo, hi))
+    x = np.clip(np.ravel(x), lo, hi)
+    out_x, out_ld = np.empty_like(y), np.empty_like(y)
+    live = np.arange(y.size)
+    for _ in range(_NEWTON_STEPS):
+        v, ld = jet(x)
+        fx = v - y
+        lo = np.where(fx <= 0, x, lo)
+        hi = np.where(fx >= 0, x, hi)
+        xn = x - fx * np.exp(-ld)
+        bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
+        xn = np.where(bad, 0.5 * (lo + hi), xn)
+        done = np.abs(xn - x) < _NEWTON_STEP
+        out_x[live[done]], out_ld[live[done]] = xn[done], ld[done]
+        if done.all():
+            return out_x.reshape(shape), out_ld.reshape(shape)
+        go = ~done
+        live, x, y, lo, hi = live[go], xn[go], y[go], lo[go], hi[go]
+    v, ld = jet(x)
+    residual = float(np.max(np.abs(v - y)))
+    if residual > _NEWTON_TOL:
+        raise NonConvergence("Newton inversion did not converge", residual)
+    out_x[live], out_ld[live] = x, ld
+    return out_x.reshape(shape), out_ld.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# Primitives and plans.
+
+
+class Primitive:
+    """An exact map given on one fundamental domain by its jet, x in [0,1] ->
+    (value, log-derivative), and its inverse jet, y in [base, base + 1] ->
+    (value, log-derivative of the inverse), base being the value at 0.
+    `apply` extends both to every lift: by degree one on the circle, by
+    clipping to [0,1] on the interval.  A rotation is only its angle."""
+
+    __slots__ = ("circle", "fwd", "bwd", "base", "angle")
+
+    def __init__(self, circle: bool, fwd=None, bwd=None, angle=None):
+        self.circle, self.fwd, self.bwd, self.angle = circle, fwd, bwd, angle
+        self.base = 0.0 if fwd is None else float(fwd(np.zeros(1))[0][0])
+
+    def apply(self, x: Array, sign: int):
+        """Jet (sign 1) or inverse jet (sign -1) at lifts x; a rotation gives
+        None for its zero log-derivative."""
+        if self.angle is not None:
+            return x + sign * self.angle, None
+        fn, base = (self.fwd, 0.0) if sign > 0 else (self.bwd, self.base)
+        if not self.circle:
+            return fn(np.clip(x, 0.0, 1.0))
+        y, k = _branch(x, base)
+        v, ld = fn(y)
+        return v + k, ld
+
+
+def _branch(x: Array, base: float = 0.0) -> Tuple[Array, Array]:
+    """(y, k) with x = y + k, k an integer and y in [base, base + 1)."""
+    k = np.floor(x - base)
+    y = x - k
+    wrap = y - base >= 1.0  # x - k rounded up onto the next branch
+    if wrap.any():
+        y, k = np.where(wrap, y - 1.0, y), k + wrap
+    return y, k
+
+
+def _walk(plan, x: Array) -> Tuple[Array, Array]:
+    """(value, log-derivative) of a plan at lifts x."""
+    ld = None
+    for p, s in reversed(plan):
+        x, d = p.apply(x, s)
+        if d is not None:
+            ld = d if ld is None else ld + d
+    return x, np.zeros_like(x) if ld is None else ld
+
+
+def _reduce(plan) -> tuple:
+    """Free reduction: P·P⁻¹ of one primitive object cancels and adjacent
+    rotations merge (a zero angle drops)."""
+    out = []
+    for p, s in plan:
+        if out and p.angle is not None and out[-1][0].angle is not None:
+            q, t = out.pop()
+            angle = t * q.angle + s * p.angle
+            out += [(Primitive(True, angle=angle), 1)] if angle else []
+        elif out and out[-1] == (p, -s):
+            out.pop()
+        else:
+            out.append((p, s))
+    return tuple(out)
+
+
+def _shifted(plan, k: int) -> tuple:
+    """The plan (or None) followed by x -> x + k, k an integer: k joins the
+    first rotation, as integer shifts commute with every circle primitive."""
+    if not k or plan is None:
+        return plan
+    i = next((i for i, (p, _) in enumerate(plan) if p.angle is not None), 0)
+    return _reduce(plan[:i] + ((Primitive(True, angle=float(k)), 1),) + plan[i:])
+
+
+class WalkState:
+    """Points p = head(z) that a word reaches from points x, kept in the
+    coordinates z of the head, the outermost entry of the last plan walked:
+    a next plan that starts with head⁻¹ resumes from z, so g = h∘R_α∘h⁻¹
+    walks as z -> z + α.  acc is log D(word)(x) less log D(head)(z)."""
+
+    __slots__ = ("z", "acc", "head", "_point")
+
+    def __init__(self, z: Array, acc: Array, head=None, point=None):
+        self.z, self.acc, self.head, self._point = z, acc, head, point
+
+    @classmethod
+    def start(cls, x, plans=()) -> "WalkState":
+        """The empty word at x, in P's coordinates when every plan starts
+        with the same P⁻¹ (P no rotation): one inverse of P for the points."""
+        x = _as_array(x)
+        firsts = {plan[-1] if plan else None for plan in plans}
+        p, s = firsts.pop() if firsts != {None} and len(firsts) == 1 else (None, 1)
+        if s > 0 or p.angle is not None:
+            return cls(x, np.zeros_like(x))
+        z, ld = p.apply(x, s)
+        return cls(z, ld, (p, 1), (x, np.zeros_like(x)))
+
+    def point(self) -> Tuple[Array, Array]:
+        """(p, log D(word)(x)): one jet of the head, kept for the next step."""
+        if self._point is None:
+            p, s = self.head or (None, 0)
+            v, ld = (self.z, None) if p is None else p.apply(self.z, s)
+            self._point = (v, self.acc if ld is None else self.acc + ld)
+        return self._point
+
+    def step(self, plan) -> "WalkState":
+        """The walk after one more letter, given by its plan."""
+        p, s = self.head or (None, 0)
+        if plan and plan[-1] == (p, -s):
+            z, acc, plan = self.z, self.acc, plan[:-1]
+        else:
+            z, acc = self.point()
+        for q, t in reversed(plan[1:]):
+            z, ld = q.apply(z, t)
+            acc = acc if ld is None else acc + ld
+        return WalkState(z, acc, plan[0] if plan else None)
+
+
+# ---------------------------------------------------------------------------
+# Diffeomorphisms.
+
+
 class Diffeo:
     """An orientation-preserving diffeomorphism with a log-derivative track.
 
     values: lift values at all grid_size+1 nodes (interval: values[0] = 0,
     values[-1] = 1; circle: values[0] = offset in [0,1), values[-1] = offset+1).
     log_deriv: GridFunction on the space's per-node track.
-    jet_fn / inverse_fn: optional exact evaluators.  jet_fn takes x in [0,1]
-    and returns (lift values, log-derivative); the exact log_deriv.fn is its
-    second component.  inverse_fn is degree-one equivariant:
-    inverse_fn(y+1) = inverse_fn(y)+1.
+    plan: the exact map as a reduced word of primitives, or None for a map
+    known only by its tracks; the exact log_deriv.fn walks it.  A map
+    without a plan is the one primitive of its own walks (see apply).
     """
 
-    __slots__ = ("space", "log_deriv", "values", "offset", "inverse_fn", "jet_fn")
+    __slots__ = ("space", "log_deriv", "values", "offset", "plan")
+    angle = None  # walks read .angle of their primitives
 
-    def __init__(
-        self,
-        space: Space,
-        log_deriv: GridFunction,
-        values: Array,
-        inverse_fn: Optional[Callable] = None,
-        jet_fn: Optional[Callable] = None,
-    ):
-        if jet_fn is not None:
-            log_deriv = GridFunction(space, log_deriv.samples, lambda x: jet_fn(x)[1])
+    def __init__(self, space: Space, log_deriv: GridFunction, values: Array, plan=None):
+        if plan is not None:
+            log_deriv = GridFunction(space, log_deriv.samples, lambda x: self.jet(x)[1])
         self.space = space
         self.log_deriv = log_deriv
         self.values = values
         self.offset = float(values[0])
-        self.inverse_fn = inverse_fn
-        self.jet_fn = jet_fn
+        self.plan = plan
         self._validate()
 
     # -- construction --------------------------------------------------------
@@ -106,35 +261,29 @@ class Diffeo:
         return cls(space, GridFunction(space, samples), values)
 
     @classmethod
-    def from_callables(
-        cls,
-        space: Space,
-        jet_fn: Callable,
-        inverse_fn: Optional[Callable] = None,
-    ) -> "Diffeo":
-        """Builds from exact callables; both tracks are sampled from the jet.
+    def from_callables(cls, space: Space, jet_fn, inverse_jet=None) -> "Diffeo":
+        """The one-primitive plan of jet_fn and inverse_jet (see Primitive).
+        Without inverse_jet, Newton on the jet inverts, seeded by the track."""
+        prim = Primitive(space.is_circle, jet_fn, inverse_jet)
+        f = cls.from_plan(space, ((prim, 1),))
+        if inverse_jet is None:
+            shift = round(prim.base - f.offset)  # the integer from_plan took off
+            prim.bwd = lambda y: f._invert01(y - shift)
+        return f
 
-        jet_fn maps x in [0,1] to (lift value, log-derivative), the value on
-        the lift fundamental branch, shifted on the circle so that f(0) lands
-        in [0,1).
-        """
-        v0 = float(jet_fn(np.zeros(1))[0][0])
-        shift = math.floor(v0) if space.is_circle else 0
-        if shift:
-            jbase = jet_fn
+    @classmethod
+    def from_plan(cls, space: Space, plan) -> "Diffeo":
+        """The exact map of a plan, reduced, with tracks from its jet."""
+        plan = _reduce(plan)
+        return cls._sampled(space, *_walk(plan, space.nodes), plan)
 
-            def jet_fn(x, _b=jbase, _s=shift):
-                v, ld = _b(x)
-                return v - _s, ld
-
-            if inverse_fn is not None:
-                ibase = inverse_fn
-                inverse_fn = lambda y, _b=ibase, _s=shift: _b(y + _s)
-        # one jet call per track: a Newton-based jet depends in the last bits
-        # on the batch it is given, so each track keeps its own node set
-        values = _as_array(jet_fn(space.nodes)[0])
-        ld = GridFunction(space, jet_fn(space.track_nodes())[1])
-        return cls(space, ld, values, inverse_fn, jet_fn)
+    @classmethod
+    def _sampled(cls, space: Space, values: Array, ld: Array, plan=None) -> "Diffeo":
+        """A map from its jet at the nodes, shifted on the circle (plan too)
+        so that f(0) lies in [0,1)."""
+        shift = math.floor(values[0]) if space.is_circle else 0
+        track = GridFunction(space, ld[: space.track_length])
+        return cls(space, track, values - shift, _shifted(plan, -shift))
 
     def _validate(self):
         values, space = self.values, self.space
@@ -164,28 +313,46 @@ class Diffeo:
 
     @property
     def is_exact(self) -> bool:
-        return self.jet_fn is not None
+        return self.plan is not None
 
-    def _value01(self, x: Array) -> Array:
-        """Lift values for x in [0,1]."""
-        if self.jet_fn is not None:
-            return _as_array(self.jet_fn(x)[0])
-        return np.interp(x, self.space.nodes, self.values)
+    def apply(self, x, sign: int = 1) -> Tuple[Array, Array]:
+        """Jet (sign 1) or inverse jet (sign -1) at arbitrary reals (interval:
+        [0,1]), through the plan or its reverse, else from the tracks.  A map
+        without a plan is thus the one primitive of its own walks."""
+        x, k = _as_array(x), 0.0
+        if self.space.is_circle:
+            x, k = _branch(x, 0.0 if sign > 0 else self.offset)
+        else:
+            x = np.clip(x, 0.0, 1.0)
+        if self.plan is not None:
+            v, ld = _walk(self.as_plan(sign), x)
+        elif sign > 0:
+            v = np.interp(x, self.space.nodes, self.values)
+            ld = self.log_deriv.interp(x)
+        else:
+            v, ld = self._invert01(x)
+        return v + k, ld
+
+    def jet(self, x) -> Tuple[Array, Array]:
+        """(eval_lift(x), log_derivative(x)) in one pass through the plan."""
+        return self.apply(x, 1)
+
+    def inverse_jet(self, y) -> Tuple[Array, Array]:
+        """(invert_lift(y), log D(f^{-1})(y)) in one pass."""
+        return self.apply(y, -1)
 
     def eval_lift(self, x) -> Array:
         """Evaluates the degree-one lift at arbitrary reals (interval: [0,1])."""
-        x = _as_array(x)
-        if not self.space.is_circle:
-            return self._value01(np.clip(x, 0.0, 1.0))
-        k = np.floor(x)
-        return self._value01(x - k) + k
+        return self.apply(x, 1)[0]
+
+    def invert_lift(self, y) -> Array:
+        """Lift of the inverse at arbitrary reals."""
+        return self.apply(y, -1)[0]
 
     def __call__(self, x) -> Array:
         """Values in the space itself (circle values reduced mod 1)."""
-        x = _as_array(x)
-        if self.space.is_circle:
-            return np.mod(self._value01(np.mod(x, 1.0)), 1.0)
-        return self._value01(np.clip(x, 0.0, 1.0))
+        y = self.eval_lift(self.space.reduce(x))
+        return np.mod(y, 1.0) if self.space.is_circle else y
 
     def log_derivative(self, x) -> Array:
         return self.log_deriv(x)
@@ -193,54 +360,24 @@ class Diffeo:
     def derivative(self, x) -> Array:
         return np.exp(self.log_deriv(x))
 
-    def jet(self, x) -> Tuple[Array, Array]:
-        """(eval_lift(x), log_derivative(x)) in one pass through the chain."""
-        x = _as_array(x)
-        if self.jet_fn is None:
-            return self.eval_lift(x), self.log_deriv(x)
-        if not self.space.is_circle:
-            return self.jet_fn(np.clip(x, 0.0, 1.0))
-        k = np.floor(x)
-        v, ld = self.jet_fn(x - k)
-        return v + k, ld
+    def as_plan(self, sign: int = 1) -> tuple:
+        """The plan of the map (sign 1) or of its inverse (sign -1); a map
+        without a plan is its own one primitive."""
+        plan = self.plan if self.plan is not None else ((self, 1),)
+        return plan if sign > 0 else tuple((p, -s) for p, s in reversed(plan))
 
-    # -- inversion -----------------------------------------------------------
-
-    def _invert01(self, y: Array) -> Array:
-        """Solves f(x) = y for y in the fundamental branch, x in [0,1]."""
+    def _invert01(self, y: Array) -> Tuple[Array, Array]:
+        """(f^{-1}(y), log D(f^{-1})(y)) for y in the fundamental branch.  The
+        value track inverts in closed form; that seeds Newton on the jet of
+        an exact map and is the answer for a grid map."""
         vals, nodes = self.values, self.space.nodes
         idx = np.clip(np.searchsorted(vals, y) - 1, 0, self.space.grid_size - 1)
         x = nodes[idx] + (y - vals[idx]) / (vals[idx + 1] - vals[idx]) * self.space.h
-        if self.jet_fn is None:
-            # piecewise-linear values invert in closed form
-            return np.clip(x, 0.0, 1.0)
-        lo, hi = nodes[idx].copy(), nodes[idx + 1].copy()
-        x = np.clip(x, lo, hi)
-        for _ in range(_NEWTON_STEPS):
-            v, ld = self.jet_fn(x)
-            fx = v - y
-            lo = np.where(fx <= 0, x, lo)
-            hi = np.where(fx >= 0, x, hi)
-            xn = x - fx * np.exp(-ld)
-            bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            if np.max(np.abs(xn - x)) < 1e-14:
-                return xn
-            x = xn
-        residual = float(np.max(np.abs(self._value01(x) - y)))
-        if residual <= _NEWTON_TOL:
-            return x
-        raise NonConvergence("Newton inversion did not converge", residual)
-
-    def invert_lift(self, y) -> Array:
-        """Lift of the inverse at arbitrary reals."""
-        y = _as_array(y)
-        if self.inverse_fn is not None:
-            return _as_array(self.inverse_fn(y))
-        if not self.space.is_circle:
-            return self._invert01(np.clip(y, 0.0, 1.0))
-        k = np.floor(y - self.offset)
-        return self._invert01(y - k) + k
+        if self.plan is None:
+            x = np.clip(x, 0.0, 1.0)
+            return x, -self.log_deriv.interp(x)
+        x, ld = _newton(self.jet, y, nodes[idx], nodes[idx + 1], x)
+        return x, -ld
 
     # -- serialization -------------------------------------------------------
 
@@ -273,7 +410,8 @@ class Diffeo:
 
 def build_diffeo(definition, space: Space) -> Diffeo:
     """Builds a diffeomorphism from an expression (text or compiled), from
-    log-derivative samples, or passes an existing Diffeo through."""
+    log-derivative samples, or passes an existing Diffeo through.  A
+    Möbius root (a x + b)/(c x + d) inverts in closed form."""
     from .expressions import Expression, compile_expression
 
     if isinstance(definition, Diffeo):
@@ -281,59 +419,48 @@ def build_diffeo(definition, space: Space) -> Diffeo:
         return definition
     if isinstance(definition, str):
         definition = compile_expression(definition)
-    if isinstance(definition, Expression):
-        expr = definition
+    if not isinstance(definition, Expression):
+        return Diffeo.from_log_deriv(space, definition)
+    expr = definition
 
-        def jet_fn(x):
-            v, d = expr.jet(x)
-            if np.any(~np.isfinite(d)) or np.any(d <= 0):
-                raise NonMonotone(f"{expr.text!r} has non-positive derivative")
-            return _as_array(v), np.log(d)
+    def jet_fn(x):
+        v, d = expr.jet(x)
+        if np.any(~np.isfinite(d)) or np.any(d <= 0):
+            raise NonMonotone(f"{expr.text!r} has non-positive derivative")
+        return _as_array(v), np.log(d)
 
-        return Diffeo.from_callables(space, jet_fn)
-    return Diffeo.from_log_deriv(space, definition)
+    inverse_jet = None
+    if expr.mobius is not None:
+        a, b, c, d = expr.mobius
+
+        def inverse_jet(y):
+            den = a - c * y
+            return (d * y - b) / den, math.log(a * d - b * c) - 2.0 * np.log(den)
+
+    return Diffeo.from_callables(space, jet_fn, inverse_jet)
+
+
+def _from_maps(*entries, exact: bool) -> Diffeo:
+    """The composition of maps (Diffeo, ±1), the last acting first, from
+    their concatenated plans (a map without a plan enters as itself): exact
+    with the reduced plan, or a grid map with the tracks alone."""
+    space = entries[0][0].space
+    for f, _ in entries:
+        space.check_same(f.space)
+    plan = sum((f.as_plan(s) for f, s in entries), ())
+    if exact:
+        return Diffeo.from_plan(space, plan)
+    return Diffeo._sampled(space, *_walk(plan, space.nodes))
 
 
 def compose(f: Diffeo, g: Diffeo) -> Diffeo:
     """f∘g.  The log-derivative track is log Dg + (log Df)∘g sampled per node."""
-    f.space.check_same(g.space)
-    space = f.space
-    gv_nodes = g.eval_lift(space.nodes)
-    values = f.eval_lift(gv_nodes)
-    shift = math.floor(values[0]) if space.is_circle else 0
-    if shift:
-        values = values - shift
-    ld_samples = g.log_deriv.samples + f.log_deriv(gv_nodes[: space.track_length])
-
-    inverse_fn = jet_fn = None
-    if f.is_exact and g.is_exact:
-        inverse_fn = lambda y: g.invert_lift(f.invert_lift(y + shift))
-
-        def jet_fn(x):
-            gv, g_ld = g.jet(x)
-            fv, f_ld = f.jet(gv)
-            return fv - shift, g_ld + f_ld
-
-    return Diffeo(space, GridFunction(space, ld_samples), values, inverse_fn, jet_fn)
+    return _from_maps((f, 1), (g, 1), exact=f.is_exact and g.is_exact)
 
 
 def invert(f: Diffeo) -> Diffeo:
     """f^{-1}.  The log-derivative track is -(log Df)∘f^{-1} sampled per node."""
-    space = f.space
-    inv_nodes = f.invert_lift(space.nodes)
-    shift = math.floor(inv_nodes[0]) if space.is_circle else 0
-    values = inv_nodes - shift
-    ld_samples = -f.log_deriv(inv_nodes[: space.track_length])
-
-    inverse_fn = jet_fn = None
-    if f.is_exact:
-        inverse_fn = lambda y: f.eval_lift(y + shift)
-
-        def jet_fn(x):
-            y = f.invert_lift(x)
-            return y - shift, -f.log_derivative(y)
-
-    return Diffeo(space, GridFunction(space, ld_samples), values, inverse_fn, jet_fn)
+    return _from_maps((f, -1), exact=f.is_exact)
 
 
 def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
@@ -348,34 +475,13 @@ def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
 
 
 def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
-    """phi ∘ f ∘ phi^{-1}, built directly from phi's forward/inverse
-    evaluators.  The intermediates phi^{-1} and f∘phi^{-1} are never
-    materialized: a strongly expanding conjugator (e.g. a weighted orbit
-    CDF) can have an inverse whose derivative dips below the node floor
-    even though the conjugated composite is perfectly regular.  One shared
-    inversion of phi covers both the value and log-derivative tracks."""
-    space = f.space
-    space.check_same(phi.space)
-    t = space.track_length
-    y_nodes = phi.invert_lift(space.nodes)
-    fy_nodes, f_ld = f.jet(y_nodes)
-    values, phi_ld = phi.jet(fy_nodes)
-    shift = math.floor(values[0]) if space.is_circle else 0
-    if shift:
-        values = values - shift
-    ld_samples = phi_ld[:t] + f_ld[:t] - phi.log_derivative(y_nodes[:t])
-
-    def jet_fn(x):
-        y = phi.invert_lift(np.asarray(x, dtype=float))
-        fy, f_ld = f.jet(y)
-        v, phi_ld = phi.jet(fy)
-        return v - shift, phi_ld + f_ld - phi.log_derivative(y)
-
-    def inverse_fn(z):
-        y = phi.invert_lift(np.asarray(z, dtype=float) + shift)
-        return phi.eval_lift(f.invert_lift(y))
-
-    return Diffeo(space, GridFunction(space, ld_samples), values, inverse_fn, jet_fn)
+    """phi ∘ f ∘ phi^{-1}, the plan phi·f·phi⁻¹ reduced.  The intermediates
+    phi^{-1} and f∘phi^{-1} are never materialized: a strongly expanding
+    conjugator (e.g. a weighted orbit CDF) can have an inverse whose
+    derivative dips below the node floor even though the conjugated
+    composite is perfectly regular.  The result is exact even when f or phi
+    is known only by its tracks: it composes their interpolants."""
+    return _from_maps((phi, 1), (f, 1), (phi, -1), exact=True)
 
 
 def log_deriv_sup(f: Diffeo) -> float:
@@ -388,11 +494,7 @@ def log_deriv_sup(f: Diffeo) -> float:
 
 
 def identity(space: Space) -> Diffeo:
-    return Diffeo.from_callables(
-        space,
-        lambda x: (np.array(x, dtype=float, copy=True), np.zeros_like(_as_array(x))),
-        inverse_fn=lambda y: np.array(y, dtype=float, copy=True),
-    )
+    return Diffeo.from_plan(space, ())
 
 
 def rotation(space: Space, angle: float) -> Diffeo:
@@ -401,12 +503,7 @@ def rotation(space: Space, angle: float) -> Diffeo:
         if angle % 1.0 == 0.0:
             return identity(space)
         raise NonMonotone("rotations by a non-integer angle need the circle")
-    a = float(angle)
-    return Diffeo.from_callables(
-        space,
-        lambda x: (_as_array(x) + a, np.zeros_like(_as_array(x))),
-        inverse_fn=lambda y: np.asarray(y, dtype=float) - a,
-    )
+    return Diffeo.from_plan(space, ((Primitive(True, angle=float(angle)), 1),))
 
 
 def pwl_diffeo(space: Space, points: Sequence[tuple[float, float]]) -> Diffeo:
@@ -426,26 +523,22 @@ def pwl_diffeo(space: Space, points: Sequence[tuple[float, float]]) -> Diffeo:
     slopes = np.diff(by) / np.diff(bx)
     if np.any(slopes < DERIVATIVE_FLOOR):
         raise DegenerateDerivative("piecewise-linear slope below the floor")
+    log_slopes = np.log(slopes)
+
+    def piece(t, knots):
+        return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(slopes) - 1)
 
     def jet_fn(x):
-        x = _as_array(x)
-        k = np.floor(x) if space.is_circle else 0.0
-        x0 = np.mod(x, 1.0) if space.is_circle else x
-        idx = np.clip(np.searchsorted(bx, x0, side="right") - 1, 0, len(slopes) - 1)
-        return np.interp(x - k, bx, by) + k, np.log(slopes[idx])
+        return np.interp(x, bx, by), log_slopes[piece(x, bx)]
 
-    def inverse_fn(y):
-        y = _as_array(y)
-        k = np.floor(y - by[0]) if space.is_circle else 0.0
-        return np.interp(y - k, by, bx) + k
+    def inverse_jet(y):
+        return np.interp(y, by, bx), -log_slopes[piece(y, by)]
 
-    return Diffeo.from_callables(space, jet_fn, inverse_fn)
+    return Diffeo.from_callables(space, jet_fn, inverse_jet)
 
 
 def conjugated_rotation(space: Space, h, angle: float) -> Diffeo:
     """h ∘ (x+angle) ∘ h^{-1} with exact evaluation throughout."""
     if not space.is_circle:
         raise NonMonotone("conjugated rotations need the circle")
-    if not isinstance(h, Diffeo):
-        h = build_diffeo(h, space)
-    return compose(h, compose(rotation(space, angle), invert(h)))
+    return conjugate_action(rotation(space, angle), build_diffeo(h, space))

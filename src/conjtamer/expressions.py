@@ -286,6 +286,8 @@ class Expression:
         self.text = text
         self._ast = ast
         self.has_x = ast.has_x
+        # (a, b, c, d) when the expression is mobius(a, b, c, d)
+        self.mobius = (ast.a, ast.b, ast.c, ast.d) if isinstance(ast, _Mobius) else None
 
     def jet(self, x) -> Tuple[Array, Array]:
         """(value, derivative) at x in one walk of the tree."""

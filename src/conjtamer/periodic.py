@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo
-from .errors import InfiniteHyperbolicSet, NonConvergence, NotCircle
+from .diffeo import Diffeo, _newton
+from .errors import InfiniteHyperbolicSet, NotCircle
 from .space import Space
 from .words import FREE, Letter, Word
 
@@ -27,8 +27,6 @@ Array = np.ndarray
 PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
 _SNAP_TOL = 1e-8  # distance for snapping images of flagged points
-_NEWTON_STEPS = 60  # step budget of the safeguarded bridge inversion
-_NEWTON_TOL = 1e-12  # residual accepted once the budget is spent (see diffeo)
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +211,10 @@ class _Bridge:
         d10, d11 = _hermite_dterms(s)
         return 1.0 + (self.slope_a - 1.0) * d10 + (self.slope_b - 1.0) * d11
 
-    def invert(self, y: Array) -> Array:
-        lo = np.full_like(y, self.a)
-        hi = np.full_like(y, self.b)
-        x = np.clip(y, self.a, self.b)
-        for _ in range(_NEWTON_STEPS):
-            fx = self.value(x) - y
-            lo = np.where(fx <= 0, x, lo)
-            hi = np.where(fx >= 0, x, hi)
-            xn = x - fx / self.deriv(x)
-            bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            if np.max(np.abs(xn - x)) < 1e-15:
-                return xn
-            x = xn
-        residual = float(np.max(np.abs(self.value(x) - y)))
-        if residual <= _NEWTON_TOL:
-            return x
-        raise NonConvergence("bridge inversion did not converge", residual)
+    def invert(self, y: Array) -> Tuple[Array, Array]:
+        """(x, log Dbridge(x)) with bridge(x) = y, by Newton on the jet."""
+        jet = lambda x: (self.value(x), np.log(self.deriv(x)))
+        return _newton(jet, y, np.full_like(y, self.a), np.full_like(y, self.b), y)
 
 
 _LEFT_GERM, _RIGHT_GERM, _BRIDGE = 0, 1, 2
@@ -287,43 +271,23 @@ class FlatteningMap:
                 segs.append((x, _RIGHT_GERM, x))
                 nxt = pts[j + 1] if j + 1 < len(pts) else pts[0] + 1.0
                 add_bridge(x + r, nxt - r, q, q)
-            # fold segments into [0,1): split anything crossing an integer
-            folded: List[Tuple[float, int, object]] = []
-            for start, kind, pay in segs:
-                s0 = start % 1.0
-                folded.append((s0, kind, pay if not isinstance(pay, float) else pay))
-                # frame correction: a germ centered at c evaluated from a
-                # folded start s0 = start+1 sees points near c+1
-                if s0 != start:
-                    shift = round(s0 - start)
-                    if isinstance(pay, float):
-                        folded[-1] = (s0, kind, pay + shift)
-                    else:
-                        folded[-1] = (
-                            s0,
-                            kind,
-                            _Bridge(
-                                pay.a + shift, pay.b + shift, pay.slope_a, pay.slope_b
-                            ),
-                        )
+            # fold segments into [0,1); a germ centered at c evaluated from a
+            # folded start s0 = start + 1 sees points near c + 1
+            def moved(pay, shift):
+                if isinstance(pay, float):
+                    return pay + shift
+                return _Bridge(pay.a + shift, pay.b + shift, pay.slope_a, pay.slope_b)
+
+            segs = sorted(
+                ((t % 1.0, k, moved(pay, round(t % 1.0 - t))) for t, k, pay in segs),
+                key=lambda seg: seg[0],
+            )
             # a segment may still straddle 1.0 after folding its start; the
             # part beyond 1 reappears at the front via mod-1 inputs, handled
             # by an extra copy starting at 0 when no segment starts there
-            folded.sort(key=lambda t: t[0])
-            if folded[0][0] > 0.0:
-                start, kind, pay = folded[-1]
-                if isinstance(pay, float):
-                    folded.insert(0, (0.0, kind, pay - 1.0))
-                else:
-                    folded.insert(
-                        0,
-                        (
-                            0.0,
-                            kind,
-                            _Bridge(pay.a - 1.0, pay.b - 1.0, pay.slope_a, pay.slope_b),
-                        ),
-                    )
-            segs = folded
+            if segs[0][0] > 0.0:
+                _, kind, pay = segs[-1]
+                segs.insert(0, (0.0, kind, moved(pay, -1.0)))
         else:
             if pts[0] > 0.0:
                 add_bridge(0.0, pts[0] - r, 1.0, q)
@@ -374,7 +338,7 @@ class FlatteningMap:
             kind = self._kinds[i]
             pay = self._payload[i]
             if kind == _BRIDGE:
-                out[sel] = pay.invert(x0[sel]) if inverse else pay.value(x0[sel])
+                out[sel] = pay.invert(x0[sel])[0] if inverse else pay.value(x0[sel])
             else:
                 z = np.abs(x0[sel] - pay)
                 sgn = 1.0 if kind == _RIGHT_GERM else -1.0
@@ -456,10 +420,10 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 pay = psi._payload[i]
                 xs = x0[sel]
                 if kind == _BRIDGE:
-                    y = pay.invert(xs)
+                    y, bridge_ld = pay.invert(xs)
                     w, move_ld = move(y)
                     val[sel] = psi.eval_lift(w)
-                    ld[sel] = psi.log_deriv(w) + move_ld - np.log(pay.deriv(y))
+                    ld[sel] = psi.log_deriv(w) + move_ld - bridge_ld
                     continue
                 c = float(pay)
                 sgn = 1.0 if kind == _RIGHT_GERM else -1.0
@@ -509,16 +473,11 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
         if t >= 0:
             bwd_snap[t] = j
 
-    def inverse_move(y: Array) -> Tuple[Array, Array]:
-        x = g.invert_lift(y)
-        return x, -g.log_derivative(x)
-
     fwd = kernel(g.jet, fwd_snap)
-    bwd = kernel(inverse_move, bwd_snap)
+    bwd = kernel(g.inverse_jet, bwd_snap)
 
     def lifted(pair: Callable, raw_move: Callable):
         def jet(x):
-            x = np.asarray(x, dtype=float)
             k = np.floor(x) if space.is_circle else np.zeros_like(x)
             x0 = np.clip(x - k, 0.0, 1.0)
             v, l = pair(x0)
@@ -531,7 +490,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
 
     fwd_jet = lifted(fwd, g.eval_lift)
     bwd_jet = lifted(bwd, g.invert_lift)
-    return Diffeo.from_callables(space, fwd_jet, lambda y: bwd_jet(y)[0])
+    return Diffeo.from_callables(space, fwd_jet, bwd_jet)
 
 
 @dataclass
@@ -792,10 +751,12 @@ def detect_resilient(
     moved to the exact float edge of its predicate.  Only the g(x) - f(y)
     edge depends on the pair: one O(m log m) search over the m scanned
     points, batched over blocks of g.  Images are built on first use."""
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
     space = action.space
     stride = max(1, int(space.grid_size * resolution / 4.0)) if space.is_circle else 1
     nodes = space.nodes
-    sub = np.arange(0, len(nodes), stride)
+    sub = np.arange(0, space.track_length, stride)  # circle: node 1 is node 0
     words = _distinct_words(action, max_len)
     lift = _word_images(action)
 

@@ -304,7 +304,8 @@ def _const_value(text: str, line: int) -> float:
     return float(expr.value(0.0))
 
 
-def _build_generator(d: GeneratorDef, space: Space, base_dir: str) -> Diffeo:
+def _build_generator(d: GeneratorDef, space: Space, base_dir: str, conj_h) -> Diffeo:
+    # conj_h: each conj h text built once, so its generators share h's primitive
     if d.form == "file":
         path = d.text[1:].strip()
         if not os.path.isabs(path):
@@ -334,11 +335,12 @@ def _build_generator(d: GeneratorDef, space: Space, base_dir: str) -> Diffeo:
             raise SpecError(
                 f"conj needs (h, angle), got {len(parts)} arguments", line=d.line
             )
+        h = parts[0].strip()
         try:
-            h = build_diffeo(parts[0].strip(), space)
+            conj_h[h] = conj_h.get(h) or build_diffeo(h, space)
         except SpecError as exc:
             raise SpecError(f"in conj h: {exc.message}", line=d.line, col=exc.col)
-        return conjugated_rotation(space, h, _const_value(parts[1], d.line))
+        return conjugated_rotation(space, conj_h[h], _const_value(parts[1], d.line))
     if d.form == "pwl":
         inner = d.text[len("pwl(") : -1]
         pts = []
@@ -383,8 +385,9 @@ def build_action(
             presentation.check_confluence()
         except ConjTamerError as exc:
             raise SpecError(f"group rules: {exc}")
+    conj_h: Dict[str, Diffeo] = {}
     gens = {
-        name: _build_generator(spec.generator_defs[name], space, base_dir)
+        name: _build_generator(spec.generator_defs[name], space, base_dir, conj_h)
         for name in spec.generator_names
     }
     action = Action(space, presentation, gens)

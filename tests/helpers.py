@@ -16,10 +16,13 @@ objects.  The maps:
 * interval_pingpong_action -- the same pair acting on [0, 1].
 
 dense_first_chain is the reference scan for resilient-pair detection.
+ClosureMap and the closure_* builders are the closure-chain evaluators that
+exact diffeos carried before composition plans, kept as their oracle.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -134,3 +137,90 @@ def dense_first_chain(xs, images, r):
                 ii, jj = divmod(int(np.argmax(ok)), ok.shape[1])
                 return fk, gk, int(cand_i[ii]), int(cand_j[jj])
     return None
+
+
+# ---------------------------------------------------------------------------
+# The closure-chain oracle.  Each map is a lift jet x -> (value,
+# log-derivative) and a lift inverse; compose, invert and conjugate close
+# over their operands' evaluators, as exact diffeos did before plans.  Leaves
+# invert by bisection, independent of Newton and of every closed form.
+
+
+class ClosureMap:
+    """An exact map as two closures, shifted on the circle so that f(0)
+    lies in [0, 1) like every Diffeo."""
+
+    def __init__(self, space, jet, inverse):
+        self.space = space
+        self._jet, self._inverse = jet, inverse
+        self._shift = math.floor(jet(np.zeros(1))[0][0]) if space.is_circle else 0
+
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
+        if not self.space.is_circle:
+            x = np.clip(x, 0.0, 1.0)
+        v, ld = self._jet(x)
+        return v - self._shift, ld
+
+    def inverse(self, y):
+        y = np.asarray(y, dtype=float)
+        if not self.space.is_circle:
+            y = np.clip(y, 0.0, 1.0)
+        return self._inverse(y + self._shift)
+
+
+def closure_leaf(f):
+    """A diffeo as a leaf: its own jet, and its inverse by bisection."""
+
+    def inverse(y):
+        if f.space.is_circle:
+            lo = np.floor(y - f.offset)  # f maps [k, k + 1] onto [f(0) + k, ...]
+        else:
+            lo = np.zeros_like(y)
+        hi = lo + 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = f.eval_lift(mid) < y
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    return ClosureMap(f.space, f.jet, inverse)
+
+
+def closure_compose(f, g):
+    def jet(x):
+        gv, g_ld = g.jet(x)
+        fv, f_ld = f.jet(gv)
+        return fv, g_ld + f_ld
+
+    return ClosureMap(f.space, jet, lambda y: g.inverse(f.inverse(y)))
+
+
+def closure_invert(f):
+    def jet(x):
+        y = f.inverse(x)
+        return y, -f.jet(y)[1]
+
+    return ClosureMap(f.space, jet, lambda y: f.jet(y)[0])
+
+
+def closure_conjugate(f, phi):
+    """phi ∘ f ∘ phi^-1."""
+
+    def jet(x):
+        y = phi.inverse(x)
+        fy, f_ld = f.jet(y)
+        v, phi_ld = phi.jet(fy)
+        return v, phi_ld + f_ld - phi.jet(y)[1]
+
+    return ClosureMap(
+        f.space, jet, lambda z: phi.jet(f.inverse(phi.inverse(z)))[0]
+    )
+
+
+def assert_close(actual, oracle, rel=1e-11):
+    """Agreement within rel, relative to the larger of 1 and the oracle's
+    sup norm: plan walks and closure chains round differently."""
+    oracle = np.asarray(oracle, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(oracle)))) if oracle.size else 1.0
+    np.testing.assert_allclose(actual, oracle, rtol=0, atol=rel * scale)

@@ -215,6 +215,32 @@ def test_interval_pingpong_witness_found():
     assert list(w.chain) == sorted(w.chain) and w.margin > 0.01
 
 
+@pytest.mark.parametrize("r", [0.0, -0.01, math.nan, math.inf])
+def test_detect_rejects_resolution_outside_the_positive_reals(r):
+    with pytest.raises(ValueError, match="resolution"):
+        detect_resilient(pingpong_action(256), 2, r)
+
+
+@pytest.mark.parametrize(
+    "build, last", [(pingpong_action, 255 / 256), (interval_pingpong_action, 1.0)]
+)
+def test_scan_holds_each_point_once(build, last, monkeypatch):
+    # the circle scan stops before x = 1, which is x = 0 again
+    import conjtamer.periodic as periodic
+
+    scanned = []
+    inner = periodic._first_chain
+
+    def recorded(xs, *args):
+        scanned.append(xs)
+        return inner(xs, *args)
+
+    monkeypatch.setattr(periodic, "_first_chain", recorded)
+    detect_resilient(build(256), 2, 1.0 / 1024)
+    (xs,) = scanned
+    assert xs[0] == 0.0 and xs[-1] == last and np.all(np.diff(xs) > 0)
+
+
 def test_word_images_match_letter_by_letter_walk():
     # conjugated rotations invert through Newton, whose last bits depend on
     # the batch: a shared suffix image must be the very array a walk makes
@@ -232,16 +258,16 @@ def test_word_images_match_letter_by_letter_walk():
     [(pingpong_action, 2), (conj_rotation_z2, 3), (interval_pingpong_action, 2)],
 )
 def test_sweep_matches_dense_scan_on_word_images(build, max_len):
-    # every node, x = 1 included, as detect_resilient scans a 256 grid; r > 0,
-    # since at r = 0 the dense table also pairs x = 0 with x = 1 (one circle
-    # point) whenever rounding lifts F(1) above F(0) + 1
+    # every node, as detect_resilient scans a 256 grid: x = 1 only on the
+    # interval, since on the circle it is x = 0 again
     act = build(256)
     lift = _word_images(act)
+    t = act.space.track_length
     images = [
-        lift(seq) % 1.0 if act.space.is_circle else lift(seq)
+        lift(seq)[:t] % 1.0 if act.space.is_circle else lift(seq)
         for seq in _distinct_words(act, max_len)
     ]
-    xs = act.space.nodes
+    xs = act.space.track_nodes()
     for r in (1.0 / 256, 0.01, 0.05):
         hit = _first_chain(xs, len(images), lambda k: images[k], r)
         assert hit == dense_first_chain(xs, images, r)

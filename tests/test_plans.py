@@ -1,0 +1,183 @@
+"""Composition plans: the free reduction of compose, invert and
+conjugate_action, and plan evaluators against the closure-chain oracle."""
+
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conjtamer import (
+    build_action,
+    build_diffeo,
+    compose,
+    conjugate_action,
+    conjugated_rotation,
+    invert,
+    load_action_spec,
+    pwl_diffeo,
+    rotation,
+)
+from conjtamer.space import circle, interval
+
+from helpers import (
+    GOLDEN,
+    assert_close,
+    closure_compose,
+    closure_conjugate,
+    closure_invert,
+    closure_leaf,
+    wobble,
+)
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# breakpoints away from the floats hypothesis favours; the circle map has
+# equal first and last slopes, so x = 0 is no corner either
+PWL_CIRCLE = ((0.0, 0.05), (0.2137, 0.30644), (0.6071, 0.57852), (1.0, 1.05))
+PWL_INTERVAL = ((0.0, 0.0), (0.3137, 0.4719), (1.0, 1.0))
+
+
+def angles(plan):
+    return [p.angle for p, _ in plan if p.angle is not None]
+
+
+# ---------------------------------------------------------------------------
+# Reduction.
+
+
+def test_compose_with_inverse_is_the_empty_plan():
+    h = wobble(256)
+    assert compose(h, invert(h)).plan == ()
+    assert compose(invert(h), h).plan == ()
+    g = conjugated_rotation(circle(256), h, GOLDEN)
+    assert compose(g, invert(g)).plan == ()
+
+
+def test_adjacent_rotations_merge():
+    sp = circle(256)
+    r = compose(rotation(sp, 0.25), rotation(sp, 0.5))
+    assert len(r.plan) == 1 and angles(r.plan) == [0.75]
+    assert compose(rotation(sp, 0.25), rotation(sp, -0.25)).plan == ()
+
+
+def test_conjugated_rotations_cancel_their_conjugator():
+    sp = circle(256)
+    h = wobble(256)
+    g1 = conjugated_rotation(sp, h, GOLDEN)
+    g2 = conjugated_rotation(sp, h, 0.125)
+    (head, s), *_ = g1.plan
+    assert s == 1 and g1.plan[-1] == (head, -1)
+    plan = compose(g1, g2).plan
+    assert len(plan) == 3 and plan[0] == (head, 1) and plan[2] == (head, -1)
+    assert angles(plan) == [GOLDEN + 0.125]
+
+
+def test_a3_z2_conj_generators_share_their_h_primitive():
+    action = build_action(load_action_spec(str(SPECS / "a3_z2.spec")), 256)
+    g1, g2 = action.gens
+    assert g1.plan[0][0] is g2.plan[0][0]
+    assert g1.plan[-1] == (g1.plan[0][0], -1)
+
+
+def test_integer_shift_joins_the_rotation():
+    # g(0) lands in [1, 2): the shift back into [0, 1) folds into the angle,
+    # so h stays at both ends of the plan
+    sp = circle(256)
+    g = conjugated_rotation(sp, wobble(256), 1.375)
+    assert 0.0 <= g.offset < 1.0
+    assert len(g.plan) == 3 and angles(g.plan) == [0.375]
+
+
+# ---------------------------------------------------------------------------
+# Plans against the closure-chain oracle, on random words.
+
+
+@lru_cache(maxsize=None)
+def generators(kind):
+    """(diffeo, closure oracle) pairs: conj, pwl, Möbius and rotation maps."""
+    if kind == "circle":
+        sp = circle(256)
+        h = wobble(256)
+        h_o = closure_leaf(h)
+        pairs = [
+            (conjugated_rotation(sp, h, GOLDEN),
+             closure_conjugate(closure_leaf(rotation(sp, GOLDEN)), h_o)),
+            (pwl_diffeo(sp, PWL_CIRCLE), None),
+            (rotation(sp, 0.3), None),
+            (h, h_o),
+        ]
+    else:
+        sp = interval(256)
+        pairs = [
+            (build_diffeo("mobius(1, 0, -1, 2)", sp), None),
+            (pwl_diffeo(sp, PWL_INTERVAL), None),
+            (build_diffeo("x + 0.05*sin(2*pi*x)", sp), None),
+        ]
+    return tuple((f, o if o is not None else closure_leaf(f)) for f, o in pairs)
+
+
+def realize(kind, word):
+    f, oracle = None, None
+    for i, s in word:
+        g, g_o = generators(kind)[i]
+        if s < 0:
+            g, g_o = invert(g), closure_invert(g_o)
+        f = g if f is None else compose(f, g)
+        oracle = g_o if oracle is None else closure_compose(oracle, g_o)
+    return f, oracle
+
+
+@st.composite
+def words(draw):
+    kind = draw(st.sampled_from(["circle", "interval"]))
+    n = len(generators(kind))
+    word = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])),
+                 min_size=1, max_size=4)
+    )
+    lo, hi = (-1.5, 2.5) if kind == "circle" else (0.0, 1.0)
+    x = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=5))
+    return kind, word, np.array(x)
+
+
+def assert_same_lift(v, v_o, kind):
+    # where f(0) is within rounding of an integer, the two normalizations
+    # may pick lifts one apart
+    if kind == "circle":
+        v = v - np.round(v - v_o)
+    assert_close(v, v_o)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=words())
+def test_plan_jets_and_inverses_match_the_closure_oracle(case):
+    kind, word, x = case
+    f, oracle = realize(kind, word)
+    v, ld = f.jet(x)
+    v_o, ld_o = oracle.jet(x)
+    assert_same_lift(v, v_o, kind)
+    assert_close(ld, ld_o)
+    vi, ldi = f.inverse_jet(x)
+    assert_same_lift(vi, oracle.inverse(x), kind)
+    assert_close(ldi, closure_invert(oracle).jet(x)[1])
+
+
+@settings(deadline=None, max_examples=20)
+@given(case=words())
+def test_conjugate_action_matches_the_closure_oracle(case):
+    kind, word, x = case
+    f, oracle = realize(kind, word)
+    phi, phi_o = generators(kind)[1]
+    v, ld = conjugate_action(f, phi).jet(x)
+    v_o, ld_o = closure_conjugate(oracle, phi_o).jet(x)
+    assert_same_lift(v, v_o, kind)
+    assert_close(ld, ld_o)
+
+
+def test_mobius_inverse_is_closed_form():
+    f = build_diffeo("mobius(1, 0, -1, 2)", interval(256))
+    y = np.linspace(0.0, 1.0, 11)
+    x, ld = f.inverse_jet(y)
+    np.testing.assert_allclose(x, 2.0 * y / (1.0 + y), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ld, np.log(2.0 / (1.0 + y) ** 2), rtol=0, atol=1e-15)

@@ -32,7 +32,7 @@ from helpers import (
     mobius_gen,
     rigid_rotations,
 )
-from test_jet import rotations_z, two_call_birkhoff_field, two_call_word_cocycle
+from test_jet import rotations_z
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_birkhoff_solution_matches_six_pass_measurement(make, n, block, monkeypa
     scale = float(n**action.rank)
 
     def fn(y):
-        return two_call_birkhoff_field(action, n, np.atleast_1d(y))[n] / scale
+        return cohomology._ball_rows(action, n, np.atleast_1d(y), rows=False)[0] / scale
 
     sol = birkhoff_solution(action, n)
     assert_same_measurement(sol, action, six_pass_measurement(action, fn))
@@ -109,7 +109,7 @@ def test_nilpotent_solution_matches_six_pass_measurement():
     def fn(x):
         acc = np.zeros_like(x)
         for word in words:
-            c, _ = two_call_word_cocycle(action, word.letters, x)
+            c, _ = action.word_cocycle(word.letters, x)
             acc += c
         return acc / len(words)
 
@@ -118,22 +118,28 @@ def test_nilpotent_solution_matches_six_pass_measurement():
 
 def test_birkhoff_solution_steps_the_ball_once(monkeypatch):
     action = conj_rotation_z2(256)
-    sizes = []
-    inner = Diffeo.jet
+    passes, inversions = [], []
+    rows, invert01 = cohomology._ball_rows, Diffeo._invert01
 
-    def counted(self, x):
-        if any(self is g for g in action.gens):
-            sizes.append(np.size(x))
-        return inner(self, x)
+    def counted_rows(act, n, x, **kwargs):
+        passes.append(x.size)
+        return rows(act, n, x, **kwargs)
 
-    monkeypatch.setattr(Diffeo, "jet", counted)
+    def counted_invert01(self, y):
+        inversions.append(np.size(y))
+        return invert01(self, y)
+
+    monkeypatch.setattr(cohomology, "_ball_rows", counted_rows)
+    monkeypatch.setattr(Diffeo, "_invert01", counted_invert01)
     n, d, nodes = 5, action.rank, 256
     birkhoff_solution(action, n)
-    # 2d jets at the nodes and the midpoints, then n^2 - 1 orbit steps over
-    # nodes, midpoints and their d images at once, in one block of at most
-    # 4096 points (the six-pass measurement made 6(n^2 - 1) + d)
+    # one ball pass over the nodes, the midpoints and their d images at once,
+    # in one block of at most 4096 points; h is inverted once for each of the
+    # 2d generator jets at the nodes and the midpoints, and once for the pass
+    # (the six-pass measurement stepped the ball 6(n^2 - 1) + d times)
     batch = (d + 1) * 2 * nodes
-    assert sorted(sizes) == [nodes] * (2 * d) + [batch] * (n * n - 1)
+    assert passes == [batch]
+    assert sorted(inversions) == [nodes] * (2 * d) + [batch]
 
 
 # ---------------------------------------------------------------------------
