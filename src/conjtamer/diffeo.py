@@ -43,10 +43,13 @@ _LOG_FLOOR = math.log(DERIVATIVE_FLOOR)
 _ENDPOINT_TOL = 1e-9
 _NEWTON_STEPS = 60  # step budget of the safeguarded Newton inversion
 _NEWTON_STEP = 1e-14  # a point stops once its Newton step is below this
-# Largest residual |f(x) - y| accepted once the step budget is spent: where
-# Df < 1, a residual of one ulp moves x by more than the stopping step, so a
-# converged point can keep stepping back and forth until the budget runs out.
+# Largest residual |f(x) - y| accepted, at a stop or once the step budget is
+# spent: where Df < 1, a residual of one ulp moves x by more than the
+# stopping step, so a converged point can keep stepping back and forth until
+# the budget runs out; where Df is huge, a step below _NEWTON_STEP can leave
+# a residual far above it.
 _NEWTON_TOL = 1e-12
+_ANGLE_SNAP = 64 * 2.0**-52  # relative rounding of merged rotation angles
 
 
 def _as_array(x):
@@ -56,14 +59,29 @@ def _as_array(x):
 def _newton(jet: Callable, y, lo, hi, x) -> Tuple[Array, Array]:
     """(x, log Dv at each point's last jet) with v(x) = y in [lo, hi], where
     jet(x) = (v, log Dv) and v increases: safeguarded Newton-bisection
-    (rtsafe) from x.  Each point stops on its own, once its step is below
-    _NEWTON_STEP, so no result depends on the batch.  Raises NonConvergence
-    when, the budget spent, a residual is above _NEWTON_TOL."""
+    (rtsafe) from x.  Each point stops on its own, so no result depends on
+    the batch: once its step is below _NEWTON_STEP with a residual within
+    _NEWTON_TOL, or once its bracket has collapsed to two adjacent floats,
+    where it returns the one of smaller residual (the far end is evaluated
+    in the next round).  A step below _NEWTON_STEP that rounds onto an end
+    of the bracket moves one float towards the root instead, so a steep v
+    still collapses its bracket.  Raises NonConvergence when, the budget
+    spent, a residual is above _NEWTON_TOL."""
     shape = np.shape(y)
     y, lo, hi = (np.broadcast_to(_as_array(a), shape).ravel() for a in (y, lo, hi))
     x = np.clip(np.ravel(x), lo, hi)
     out_x, out_ld = np.empty_like(y), np.empty_like(y)
+    near = np.full(y.size, np.inf)  # residual at a collapsed bracket's near end
     live = np.arange(y.size)
+    pending = False  # some x is the far end of a collapsed bracket
+
+    def settle(fx, ld) -> Array:
+        """Far ends of collapsed brackets: kept where nearer than the near end."""
+        far = near[live] < np.inf
+        take = far & (np.abs(fx) < near[live])
+        out_x[live[take]], out_ld[live[take]] = x[take], ld[take]
+        return far
+
     for _ in range(_NEWTON_STEPS):
         v, ld = jet(x)
         fx = v - y
@@ -72,17 +90,31 @@ def _newton(jet: Callable, y, lo, hi, x) -> Tuple[Array, Array]:
         xn = x - fx * np.exp(-ld)
         bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
-        done = np.abs(xn - x) < _NEWTON_STEP
+        small = np.abs(xn - x) < _NEWTON_STEP
+        done = small & (np.abs(fx) <= _NEWTON_TOL)
         out_x[live[done]], out_ld[live[done]] = xn[done], ld[done]
+        if pending:
+            done |= settle(fx, ld)
         if done.all():
             return out_x.reshape(shape), out_ld.reshape(shape)
+        slow = small & ~done  # a step below resolution, a residual above tol
+        pending = False
+        if slow.any():
+            pinned = slow & (np.nextafter(lo, np.inf) >= hi)
+            out_x[live[pinned]], out_ld[live[pinned]] = x[pinned], ld[pinned]
+            near[live[pinned]] = np.abs(fx[pinned])
+            edge = slow & ((xn <= lo) | (xn >= hi))
+            xn = np.where(edge, np.nextafter(x, np.where(fx < 0, hi, lo)), xn)
+            xn = np.where(pinned, np.where(x == lo, hi, lo), xn)
+            pending = pinned.any()
         go = ~done
         live, x, y, lo, hi = live[go], xn[go], y[go], lo[go], hi[go]
     v, ld = jet(x)
-    residual = float(np.max(np.abs(v - y)))
-    if residual > _NEWTON_TOL:
+    rest = ~settle(v - y, ld) if pending else np.ones(x.size, dtype=bool)
+    residual = float(np.max(np.abs(v - y)[rest], initial=0.0))
+    if not residual <= _NEWTON_TOL:  # NaN included
         raise NonConvergence("Newton inversion did not converge", residual)
-    out_x[live], out_ld[live] = x, ld
+    out_x[live[rest]], out_ld[live[rest]] = x[rest], ld[rest]
     return out_x.reshape(shape), out_ld.reshape(shape)
 
 
@@ -138,12 +170,18 @@ def _walk(plan, x: Array) -> Tuple[Array, Array]:
 
 def _reduce(plan) -> tuple:
     """Free reduction: P·P⁻¹ of one primitive object cancels and adjacent
-    rotations merge (a zero angle drops)."""
+    rotations merge (a zero angle drops).  A merged angle closer to an
+    integer than _ANGLE_SNAP times the operands' size is that integer:
+    rotations that cancel leave a residue of a few ulps otherwise, and the
+    f(0) in [0, 1) frame shifts the lift of a residue below 0 by 1."""
     out = []
     for p, s in plan:
         if out and p.angle is not None and out[-1][0].angle is not None:
             q, t = out.pop()
             angle = t * q.angle + s * p.angle
+            k = round(angle)
+            if abs(angle - k) <= _ANGLE_SNAP * (abs(q.angle) + abs(p.angle)):
+                angle = float(k)
             out += [(Primitive(True, angle=angle), 1)] if angle else []
         elif out and out[-1] == (p, -s):
             out.pop()
@@ -174,11 +212,12 @@ class WalkState:
 
     @classmethod
     def start(cls, x, plans=()) -> "WalkState":
-        """The empty word at x, in P's coordinates when every plan starts
-        with the same P⁻¹ (P no rotation): one inverse of P for the points."""
+        """The empty word at x, in P's coordinates when every plan that is
+        not empty (an identity letter) starts with the same P⁻¹ (P no
+        rotation): one inverse of P for the points."""
         x = _as_array(x)
-        firsts = {plan[-1] if plan else None for plan in plans}
-        p, s = firsts.pop() if firsts != {None} and len(firsts) == 1 else (None, 1)
+        firsts = {plan[-1] for plan in plans if plan}
+        p, s = firsts.pop() if len(firsts) == 1 else (None, 1)
         if s > 0 or p.angle is not None:
             return cls(x, np.zeros_like(x))
         z, ld = p.apply(x, s)
@@ -193,9 +232,12 @@ class WalkState:
         return self._point
 
     def step(self, plan) -> "WalkState":
-        """The walk after one more letter, given by its plan."""
+        """The walk after one more letter, given by its plan; an identity
+        letter (empty plan) leaves it as it is."""
+        if not plan:
+            return self
         p, s = self.head or (None, 0)
-        if plan and plan[-1] == (p, -s):
+        if plan[-1] == (p, -s):
             z, acc, plan = self.z, self.acc, plan[:-1]
         else:
             z, acc = self.point()
@@ -410,8 +452,9 @@ class Diffeo:
 
 def build_diffeo(definition, space: Space) -> Diffeo:
     """Builds a diffeomorphism from an expression (text or compiled), from
-    log-derivative samples, or passes an existing Diffeo through.  A
-    Möbius root (a x + b)/(c x + d) inverts in closed form."""
+    log-derivative samples, or passes an existing Diffeo through.  The bare
+    variable x is the identity, whose plan is empty; a Möbius root
+    (a x + b)/(c x + d) inverts in closed form."""
     from .expressions import Expression, compile_expression
 
     if isinstance(definition, Diffeo):
@@ -422,6 +465,8 @@ def build_diffeo(definition, space: Space) -> Diffeo:
     if not isinstance(definition, Expression):
         return Diffeo.from_log_deriv(space, definition)
     expr = definition
+    if expr.is_variable:
+        return identity(space)
 
     def jet_fn(x):
         v, d = expr.jet(x)

@@ -288,6 +288,7 @@ class Expression:
         self.has_x = ast.has_x
         # (a, b, c, d) when the expression is mobius(a, b, c, d)
         self.mobius = (ast.a, ast.b, ast.c, ast.d) if isinstance(ast, _Mobius) else None
+        self.is_variable = isinstance(ast, _X)  # the bare variable x
 
     def jet(self, x) -> Tuple[Array, Array]:
         """(value, derivative) at x in one walk of the tree."""

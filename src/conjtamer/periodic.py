@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, _newton
-from .errors import InfiniteHyperbolicSet, NotCircle
+from .diffeo import Diffeo, WalkState, _newton
+from .errors import InfiniteHyperbolicSet, NonConvergence, NotCircle
 from .space import Space
 from .words import FREE, Letter, Word
 
@@ -124,6 +124,14 @@ def find_periodic_points(
                     lo = np.where(left, mid, lo)
                     dlo = np.where(left, dm, dlo)
                     hi = np.where(left, hi, mid)
+                # a bracket ends a few ulps wide, or on a small displacement
+                ulps = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+                open_ = ~((hi - lo <= ulps) | (np.abs(dm) <= tol))
+                if open_.any():
+                    raise NonConvergence(
+                        "periodic-point bisection did not converge",
+                        float(np.max(np.abs(dm[open_]))),
+                    )
                 roots.extend(float(v) for v in 0.5 * (lo + hi))
         if identity_like:
             continue
@@ -647,17 +655,47 @@ def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
     return list(first.values())
 
 
-def _word_images(action: Action) -> Callable[[Tuple], Array]:
-    """seq -> lift of the nodes under the word: its first letter applied to its
-    suffix's cached image, the same eval_lift calls as a letter-by-letter walk."""
-    lifts: Dict[Tuple, Array] = {(): action.space.nodes}
+def _word_images(action: Action, x: Array) -> Callable[[Tuple], Array]:
+    """seq -> lift of the points x under the word, from one walk per suffix:
+    walk(seq) = walk(seq[1:]).step(plan of seq[0]).  Walks start in the
+    letters' shared coordinates (WalkState.start), so a word of conjugated
+    rotations h∘R∘h⁻¹ costs one jet of h and h is inverted once; an
+    identity letter costs nothing."""
+    letters = [(g, e) for g in range(action.rank) for e in (1, -1)]
+    plans = {lt: action.letter_diffeo(lt).as_plan() for lt in letters}
+    walks = {(): WalkState.start(x, plans.values())}
 
-    def lift(seq) -> Array:
-        if seq not in lifts:
-            lifts[seq] = action.letter_diffeo(seq[0]).eval_lift(lift(seq[1:]))
-        return lifts[seq]
+    def walk(seq) -> WalkState:
+        if seq not in walks:
+            walks[seq] = walk(seq[1:]).step(plans[seq[0]])
+        return walks[seq]
 
-    return lift
+    return lambda seq: walk(seq).point()[0]
+
+
+def _cuts(v: Array) -> Array:
+    """Starts of the non-decreasing pieces of v after the first."""
+    return np.flatnonzero(np.diff(v) < 0) + 1
+
+
+def _can_chain(xs: Array, v: Array, r: float) -> bool:
+    """Whether the image v of the points xs may be f or g of a chain: some
+    non-decreasing piece of v holds i < j with v[i] - xs[i] > r and
+    xs[j] - v[j] > r.  One O(m) pass.
+
+    The sweep's predicates imply this for f and for g.  Its i < j lie in
+    one piece of f and of g, with f[i] - xs[i] > r and xs[j] - g[j] > r.
+    Its differences f[j] - f[i], g[i] - f[j] and g[j] - g[i] round above
+    r >= 0, so f[i] < f[j] < g[i] < g[j] as floats.  Rounding is monotone,
+    so the rounded xs[j] - f[j] is at least the rounded xs[j] - g[j], and
+    the rounded g[i] - xs[i] at least the rounded f[i] - xs[i]: both above
+    r."""
+    m = len(xs)
+    starts = np.r_[0, _cuts(v)]
+    idx = np.arange(m)
+    above = np.minimum.reduceat(np.where(v - xs > r, idx, m), starts)
+    below = np.maximum.reduceat(np.where(xs - v > r, idx, -1), starts)
+    return bool((above < below).any())
 
 
 def _least_above(v: Array, r: float) -> Array:
@@ -678,15 +716,18 @@ def _first_chain(
 ) -> Optional[Tuple[int, int, int, int]]:
     """First (f, g, i, j) in row-major order with xs[i] < f[i] < f[j] <
     g[i] < g[j] < xs[j], every difference above r >= 0, over the images
-    values(0..count-1) of the points xs, fetched lazily.  Each image must
-    reduce a non-decreasing lift (see detect_resilient).  No f pairs with
-    itself: f[j] - f[i] and f[i] - f[j] cannot both exceed r."""
+    values(0..count-1) of the points xs.  Each image must reduce a
+    non-decreasing lift (see detect_resilient).  Only the images that pass
+    _can_chain are swept, in their order, so the first chain is the same.
+    No f pairs with itself: f[j] - f[i] and f[i] - f[j] cannot both exceed
+    r."""
     m = len(xs)
     idx = np.arange(m, dtype=np.int32)
+    kept = [k for k in range(count) if _can_chain(xs, values(k), r)]
     blocks: Dict[int, List[Array]] = {}
 
     def pieces(v: Array) -> List[Tuple[int, int]]:
-        cuts = (np.flatnonzero(np.diff(v) < 0) + 1).tolist()
+        cuts = _cuts(v).tolist()
         return list(zip([0] + cuts, cuts + [m]))
 
     def row(v: Array) -> Tuple[Array, ...]:
@@ -702,23 +743,21 @@ def _first_chain(
         return v, end, first, nxt, up
 
     spans, a, size = [], 0, 1
-    while a < count:
-        spans.append((a, min(a + size, count)))
+    while a < len(kept):
+        spans.append((a, min(a + size, len(kept))))
         a, size = a + size, min(2 * size, _ROW_BLOCK)
-    for fk in range(count):
+    for fk in kept:
         fv = values(fk)
         x_ok = fv - xs > r
-        if not x_ok.any():
-            continue
         _, _, f_first, _, f_up = row(fv)
         f_pieces = pieces(fv)
         for n, (a, b) in enumerate(spans):
             if n not in blocks:
-                tables = zip(*(row(values(k))[:4] for k in range(a, b)))
+                tables = zip(*(row(values(kept[k]))[:4] for k in range(a, b)))
                 blocks[n] = [np.stack(t) for t in tables]
             gv, g_end, g_first, g_nxt = blocks[n]
             cand = x_ok & (gv - fv > 2.0 * r)
-            keep = np.flatnonzero(cand.any(axis=1) & (g_nxt[:, 0] < m))
+            keep = np.flatnonzero(cand.any(axis=1))
             if keep.size == 0:
                 continue
             hi = g_end[keep]  # g[i] - f[j] > r iff f_up[j] <= g[i]: a prefix
@@ -730,7 +769,7 @@ def _first_chain(
             ok = cand[keep] & (j < hi)
             if ok.any():
                 rk, i = divmod(int(np.argmax(ok)), m)  # row-major: first (g, i)
-                return fk, a + int(keep[rk]), i, int(j[rk, i])
+                return fk, kept[a + int(keep[rk])], i, int(j[rk, i])
     return None
 
 
@@ -750,28 +789,28 @@ def detect_resilient(
     y holds on a suffix or a prefix, found by a searchsorted at a threshold
     moved to the exact float edge of its predicate.  Only the g(x) - f(y)
     edge depends on the pair: one O(m log m) search over the m scanned
-    points, batched over blocks of g.  Images are built on first use."""
+    points, batched over blocks of g.  Only words that pass _can_chain are
+    swept; none does for a conjugated rotation, whose every image lies
+    above x before its wrap and below x after it.  The images are walks in
+    the letters' plan coordinates (_word_images)."""
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
     space = action.space
     stride = max(1, int(space.grid_size * resolution / 4.0)) if space.is_circle else 1
-    nodes = space.nodes
-    sub = np.arange(0, space.track_length, stride)  # circle: node 1 is node 0
+    xs = space.track_nodes()[::stride]  # circle: node 1 is node 0
     words = _distinct_words(action, max_len)
-    lift = _word_images(action)
+    lift = _word_images(action, xs)
 
     def values_of(seq) -> Array:
         return lift(seq) % 1.0 if space.is_circle else lift(seq)
 
-    hit = _first_chain(
-        nodes[sub], len(words), lambda k: values_of(words[k])[sub], resolution
-    )
+    hit = _first_chain(xs, len(words), lambda k: values_of(words[k]), resolution)
     if hit is None:
         return None
     wf, wg = Word(words[hit[0]]), Word(words[hit[1]])
-    i, j = int(sub[hit[2]]), int(sub[hit[3]])
     fv, gv = values_of(wf.letters), values_of(wg.letters)
-    chain = tuple(float(v) for v in (nodes[i], fv[i], fv[j], gv[i], gv[j], nodes[j]))
+    i, j = hit[2:]
+    chain = tuple(float(v) for v in (xs[i], fv[i], fv[j], gv[i], gv[j], xs[j]))
     return ResilientWitness(
         wf, wg, wf.display(action.names), wg.display(action.names),
         chain[0], chain[-1], chain, float(np.min(np.diff(chain))), resolution,

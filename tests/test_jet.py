@@ -2,6 +2,7 @@
 orbit loops that use it, and Newton's non-convergence report."""
 
 import json
+import math
 import textwrap
 from functools import lru_cache
 
@@ -262,6 +263,37 @@ def test_newton_raises_when_log_derivative_disagrees_with_value():
     with pytest.raises(NonConvergence) as info:
         f.invert_lift(np.array([0.3, 0.7]))
     assert info.value.residual > 1e-8
+
+
+def test_newton_on_a_steep_jet_returns_the_nearest_float():
+    # slope 1e10, overstated by e^0.3 in the log-derivative: Newton creeps
+    # down on the root, and its steps fall below their stop size some 60
+    # floats above it, with residuals near 1e-5.  One float near 0.3 moves
+    # v by 5.6e-7, so no float meets the tolerance: each point must settle
+    # on the float of least residual
+    slope = 1e10
+
+    def v(x):
+        return slope * (x - 0.3)
+
+    y = np.linspace(1e-7, 5e-7, 9)
+    ld = math.log(slope) + 0.3
+    x, _ = diffeo_mod._newton(
+        lambda x: (v(x), np.full_like(x, ld)), y, 0.0, 1.0, 0.31
+    )
+    for xi, yi in zip(x, y):
+        for nb in (np.nextafter(xi, 0.0), np.nextafter(xi, 1.0)):
+            assert abs(v(xi) - yi) <= abs(v(nb) - yi)
+
+
+def test_newton_raises_on_a_nan_residual():
+    # beyond 0.5 the jet is NaN: bisection pins x at 0.75, and the NaN
+    # residual must not pass for a small one
+    def jet(x):
+        return np.where(x > 0.5, np.nan, x), np.zeros_like(x)
+
+    with pytest.raises(NonConvergence):
+        diffeo_mod._newton(jet, np.array([0.75]), 0.0, 1.0, np.array([0.75]))
 
 
 def test_cli_non_convergence_exits_one_with_failed_stage(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conjtamer import (
     InfiniteHyperbolicSet,
+    NonConvergence,
     NotCircle,
     build_diffeo,
     c1_refinement_ratio,
@@ -17,9 +18,10 @@ from conjtamer import (
     rotation,
     rotation_number,
 )
-from conjtamer import Action, Presentation
+from conjtamer import Action, Presentation, build_action, load_action_spec
 from conjtamer.periodic import (
     FlatteningMap,
+    _can_chain,
     _distinct_words,
     _first_chain,
     _word_images,
@@ -74,6 +76,20 @@ def test_interior_fixed_points_of_circle_map():
     mults = {round(p, 6): o.multiplier for o in orbits for p in o.points}
     assert mults[0.0] == pytest.approx(1 + 0.06 * np.pi, abs=1e-6)
     assert mults[0.5] == pytest.approx(1 - 0.06 * np.pi, abs=1e-6)
+
+
+def test_bisection_raises_when_a_bracket_stays_open():
+    # a displacement jumping across zero just above x = 0: after 60 halvings
+    # the bracket is still far wider than its ulps, and |dm| stays 0.1
+    class Jump:
+        space = interval(16)
+
+        def eval_lift(self, x):
+            x = np.asarray(x, dtype=float)
+            return x + np.where(x > 1e-300, 0.1, -0.1)
+
+    with pytest.raises(NonConvergence):
+        find_periodic_points(Jump(), 1)
 
 
 def test_orbit_multiplier_chain_rule():
@@ -242,15 +258,13 @@ def test_scan_holds_each_point_once(build, last, monkeypatch):
 
 
 def test_word_images_match_letter_by_letter_walk():
-    # conjugated rotations invert through Newton, whose last bits depend on
-    # the batch: a shared suffix image must be the very array a walk makes
+    # an image built on its suffix's cached walk must be the very array that
+    # one walk of the word's letters makes in the same plan coordinates
     act = conj_rotation_z2(256)
-    lift = _word_images(act)
+    nodes = act.space.nodes
+    lift = _word_images(act, nodes)
     for seq in _distinct_words(act, 3):
-        pts = act.space.nodes.copy()
-        for letter in reversed(seq):
-            pts = act.letter_diffeo(letter).eval_lift(pts)
-        assert np.array_equal(lift(seq), pts)
+        assert np.array_equal(lift(seq), act.word_cocycle(seq, nodes)[1])
 
 
 @pytest.mark.parametrize(
@@ -261,13 +275,12 @@ def test_sweep_matches_dense_scan_on_word_images(build, max_len):
     # every node, as detect_resilient scans a 256 grid: x = 1 only on the
     # interval, since on the circle it is x = 0 again
     act = build(256)
-    lift = _word_images(act)
-    t = act.space.track_length
+    xs = act.space.track_nodes()
+    lift = _word_images(act, xs)
     images = [
-        lift(seq)[:t] % 1.0 if act.space.is_circle else lift(seq)
+        lift(seq) % 1.0 if act.space.is_circle else lift(seq)
         for seq in _distinct_words(act, max_len)
     ]
-    xs = act.space.track_nodes()
     for r in (1.0 / 256, 0.01, 0.05):
         hit = _first_chain(xs, len(images), lambda k: images[k], r)
         assert hit == dense_first_chain(xs, images, r)
@@ -321,6 +334,61 @@ def test_sweep_matches_dense_scan(seed, on_circle, closed, m, count, shape, q, r
         fk, gk, i, j = hit
         f, g = images[fk], images[gk]
         assert np.min(np.diff([xs[i], f[i], f[j], g[i], g[j], xs[j]])) > r
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    on_circle=st.booleans(),
+    m=st.integers(2, 64),
+    shape=st.sampled_from(["random", "north-south"]),
+    q=st.sampled_from([0, 64, 256]),
+    res=st.sampled_from(["zero", "cell", "0.01"]),
+)
+def test_chain_words_pass_the_filter(seed, on_circle, m, shape, q, res):
+    # every pair the dense scan finds a chain for is made of two words that
+    # pass _can_chain, so sweeping only those loses no chain
+    rng = np.random.default_rng(seed)
+    r = {"zero": 0.0, "cell": 1.0 / m, "0.01": 0.01}[res]
+    xs = np.arange(m) / m if on_circle else np.linspace(0.0, 1.0, m)
+    images = [_synthetic_image(rng, xs, on_circle, shape, q) for _ in range(4)]
+    for f in images:
+        for g in images:
+            if dense_first_chain(xs, [f, g], r) is not None:
+                assert _can_chain(xs, f, r) and _can_chain(xs, g, r)
+
+
+@pytest.mark.parametrize("which", ["conj_rotation_z2", "heisenberg_proj"])
+def test_conjugated_rotations_sweep_no_word(which, pytestconfig, monkeypatch):
+    # a conjugated rotation lies above x before its wrap and below x after
+    # it, so no word passes the filter and the pair sweep never runs; the
+    # walks invert the shared distortion h once, for the scanned points
+    import conjtamer.periodic as periodic
+    from conjtamer.diffeo import Diffeo
+
+    spec = pytestconfig.rootpath / "specs" / "heisenberg_proj.spec"
+    act = (
+        conj_rotation_z2(1024)
+        if which == "conj_rotation_z2"
+        else build_action(load_action_spec(str(spec)))
+    )
+    act.inverses  # the letters, built before counting (build_action has)
+    passed, inversions = [], []
+    inner_filter, inner_invert = periodic._can_chain, Diffeo._invert01
+
+    def recorded(*args):
+        passed.append(inner_filter(*args))
+        return passed[-1]
+
+    def counted(self, y):
+        inversions.append(np.size(y))
+        return inner_invert(self, y)
+
+    monkeypatch.setattr(periodic, "_can_chain", recorded)
+    monkeypatch.setattr(Diffeo, "_invert01", counted)
+    assert detect_resilient(act, 4, 0.01) is None
+    assert len(passed) == len(_distinct_words(act, 4)) and not any(passed)
+    assert len(inversions) <= 1
 
 
 def _least_above_brute(v, r):

@@ -18,10 +18,12 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
+from conjtamer.diffeo import WalkState
 from conjtamer.space import circle, interval
 
 from helpers import (
     GOLDEN,
+    SILVER,
     assert_close,
     closure_compose,
     closure_conjugate,
@@ -78,6 +80,29 @@ def test_a3_z2_conj_generators_share_their_h_primitive():
     g1, g2 = action.gens
     assert g1.plan[0][0] is g2.plan[0][0]
     assert g1.plan[-1] == (g1.plan[0][0], -1)
+
+
+def test_rotations_that_cancel_merge_to_the_empty_plan():
+    # merged letter by letter, these angles sum to -2.2e-16, not 0; the
+    # f(0) in [0, 1) frame would then lift the map to x + 1 - 2.2e-16
+    sp = circle(256)
+    word = [SILVER, SILVER, -GOLDEN, -GOLDEN, GOLDEN, GOLDEN, -SILVER, -SILVER]
+    f = rotation(sp, 0.0)
+    for angle in word:
+        f = compose(f, rotation(sp, angle))
+    assert f.plan == () and f.offset == 0.0
+
+
+def test_bare_variable_is_the_identity_plan():
+    # c = x adds nothing to a walk: a walk through it stays in h's
+    # coordinates, as if the letter were not there
+    sp = circle(256)
+    c = build_diffeo("x", sp)
+    assert c.plan == ()
+    g = conjugated_rotation(sp, wobble(256), GOLDEN)
+    walk = WalkState.start(sp.nodes, [c.as_plan(), g.as_plan()])
+    assert walk.head == (g.plan[0][0], 1)
+    assert walk.step(c.as_plan()) is walk
 
 
 def test_integer_shift_joins_the_rotation():
