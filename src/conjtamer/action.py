@@ -4,7 +4,11 @@ Realization of words is by composition (left letter outermost, so a word acts
 as w(x) = l1(l2(...(x)))), which makes word_realize a homomorphism for the
 compose operation and accumulates log-derivatives through the chain rule.
 Word evaluation walks the letters' plans (diffeo.WalkState), so a conjugator
-shared by consecutive letters is inverted once, not once per letter.
+shared by consecutive letters is inverted once, not once per letter.  A list
+of words at one point set shares its walks by suffix (`Action.walk_words`):
+every walk starts in the letters' shared coordinates, and a suffix common to
+several words is stepped once; relation checks, ball averages and word images
+all walk this way.
 
 A generator's inverse is built on first use and cached (`Action.inverse`), so
 an action that never applies one, such as a conjugated action, never inverts.
@@ -12,7 +16,7 @@ an action that never applies one, such as a conjugated action, never inverts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +26,10 @@ from .space import Space
 from .words import Letter, Presentation, Word
 
 Array = np.ndarray
+
+# most points that the kept walks of Action.walk_words hold (each holds up to
+# four arrays of its points)
+_WALK_POINTS = 2**20
 
 
 class Action:
@@ -86,13 +94,44 @@ class Action:
 
     # -- word evaluation without building composite diffeos ------------------
 
+    def walk_words(
+        self, words: Iterable[Sequence[Letter]], x
+    ) -> Iterator[WalkState]:
+        """The walk of each word at the points x, in order, one step per
+        distinct suffix: walk(seq) = walk(seq[1:]).step(plan of seq[0]).
+        Walks start in the shared coordinates of the letters the words use
+        (WalkState.start), so words of conjugated rotations h∘R∘h⁻¹ invert h
+        once and cost one jet of h each.  A suffix's walk is kept until the
+        last word that ends in it, and at most _WALK_POINTS points' worth of
+        walks are kept: past that the least recently used goes, and is
+        walked again from a shorter suffix if a later word needs it."""
+        words = [tuple(w) for w in words]
+        last_use = {
+            seq[j:]: i for i, seq in enumerate(words) for j in range(len(seq) + 1)
+        }
+        plans = {lt: self.letter_diffeo(lt).as_plan() for seq in words for lt in seq}
+        start = WalkState.start(x, plans.values())
+        room = max(1, _WALK_POINTS // max(1, start.z.size))
+        walks: Dict[Tuple[Letter, ...], WalkState] = {}
+        for i, seq in enumerate(words):
+            j = 0
+            while j < len(seq) and seq[j:] not in walks:
+                j += 1
+            walk = walks.pop(seq[j:], start)  # re-inserted below: most recent
+            if j < len(seq):
+                walks[seq[j:]] = walk
+            for j in range(j - 1, -1, -1):
+                walk = walks[seq[j:]] = walk.step(plans[seq[j]])
+            yield walk
+            for j in range(len(seq)):
+                if last_use[seq[j:]] == i:
+                    walks.pop(seq[j:], None)
+            while len(walks) > room:
+                walks.pop(next(iter(walks)))
+
     def word_cocycle(self, letters: Iterable[Letter], x) -> Tuple[Array, Array]:
         """(log D(w)(x), w(x)) along one walk of the letters' plans."""
-        plans = [self.letter_diffeo(lt).as_plan() for lt in reversed(tuple(letters))]
-        walk = WalkState.start(x, plans[:1])
-        for plan in plans:
-            walk = walk.step(plan)
-        y, acc = walk.point()
+        y, acc = next(self.walk_words([letters], x)).point()
         return acc, y
 
     # -- transformations ------------------------------------------------------
@@ -118,12 +157,14 @@ def validate_relations(
     action: Action, tol: float = 1e-6, raise_on_fail: bool = True
 ) -> Dict[str, float]:
     """Measures sup |lhs(x) - rhs(x)| on the grid for every rewriting rule,
-    treated as the relation lhs = rhs."""
+    treated as the relation lhs = rhs; all sides walk together."""
     nodes = action.space.nodes
     deviations: Dict[str, float] = {}
     names = action.names
-    for lhs, rhs in action.presentation.rules:
-        d = action.word_cocycle(lhs, nodes)[1] - action.word_cocycle(rhs, nodes)[1]
+    rules = action.presentation.rules
+    walks = action.walk_words((side for rule in rules for side in rule), nodes)
+    for lhs, rhs in rules:
+        d = next(walks).point()[0] - next(walks).point()[0]
         if action.space.is_circle:
             d = d - round(float(np.mean(d)))
         dev = float(np.max(np.abs(d)))

@@ -262,20 +262,18 @@ def nilpotent_average_solution(
         )
     k = selection.radii[shell_index]
     tn = action.space.track_nodes()
-    ball = selection.ball.elements[: selection.sizes[k + 1]]  # B(k+1)
+    ball = [w.letters for w in selection.ball.elements[: selection.sizes[k + 1]]]
     n_inner = selection.sizes[k]
 
     def ball_average(x: Array) -> Array:
         acc = np.zeros_like(x)
-        for word in ball[:n_inner]:
-            c, _ = action.word_cocycle(word.letters, x)
-            acc += c
+        for walk in action.walk_words(ball[:n_inner], x):
+            acc += walk.point()[1]
         return acc / n_inner
 
-    max_word_c = 0.0
-    for word in ball:
-        c, _ = action.word_cocycle(word.letters, tn)
-        max_word_c = max(max_word_c, float(np.max(np.abs(c))))
+    max_word_c = 0.0  # over B(k+1)
+    for walk in action.walk_words(ball, tn):
+        max_word_c = max(max_word_c, float(np.max(np.abs(walk.point()[1]))))
 
     # measured constants of the error decomposition
     c_used = selection.measured[k - 1]

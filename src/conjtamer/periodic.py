@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, WalkState, _newton
+from .diffeo import Diffeo, _newton
 from .errors import InfiniteHyperbolicSet, NonConvergence, NotCircle
 from .space import Space
 from .words import FREE, Letter, Word
@@ -655,24 +655,6 @@ def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
     return list(first.values())
 
 
-def _word_images(action: Action, x: Array) -> Callable[[Tuple], Array]:
-    """seq -> lift of the points x under the word, from one walk per suffix:
-    walk(seq) = walk(seq[1:]).step(plan of seq[0]).  Walks start in the
-    letters' shared coordinates (WalkState.start), so a word of conjugated
-    rotations h∘R∘h⁻¹ costs one jet of h and h is inverted once; an
-    identity letter costs nothing."""
-    letters = [(g, e) for g in range(action.rank) for e in (1, -1)]
-    plans = {lt: action.letter_diffeo(lt).as_plan() for lt in letters}
-    walks = {(): WalkState.start(x, plans.values())}
-
-    def walk(seq) -> WalkState:
-        if seq not in walks:
-            walks[seq] = walk(seq[1:]).step(plans[seq[0]])
-        return walks[seq]
-
-    return lambda seq: walk(seq).point()[0]
-
-
 def _cuts(v: Array) -> Array:
     """Starts of the non-decreasing pieces of v after the first."""
     return np.flatnonzero(np.diff(v) < 0) + 1
@@ -792,23 +774,23 @@ def detect_resilient(
     points, batched over blocks of g.  Only words that pass _can_chain are
     swept; none does for a conjugated rotation, whose every image lies
     above x before its wrap and below x after it.  The images are walks in
-    the letters' plan coordinates (_word_images)."""
+    the letters' plan coordinates, shared by suffix (Action.walk_words)."""
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
     space = action.space
     stride = max(1, int(space.grid_size * resolution / 4.0)) if space.is_circle else 1
     xs = space.track_nodes()[::stride]  # circle: node 1 is node 0
     words = _distinct_words(action, max_len)
-    lift = _word_images(action, xs)
+    lifts = [walk.point()[0] for walk in action.walk_words(words, xs)]
 
-    def values_of(seq) -> Array:
-        return lift(seq) % 1.0 if space.is_circle else lift(seq)
+    def values_of(k: int) -> Array:
+        return lifts[k] % 1.0 if space.is_circle else lifts[k]
 
-    hit = _first_chain(xs, len(words), lambda k: values_of(words[k]), resolution)
+    hit = _first_chain(xs, len(words), values_of, resolution)
     if hit is None:
         return None
     wf, wg = Word(words[hit[0]]), Word(words[hit[1]])
-    fv, gv = values_of(wf.letters), values_of(wg.letters)
+    fv, gv = values_of(hit[0]), values_of(hit[1])
     i, j = hit[2:]
     chain = tuple(float(v) for v in (xs[i], fv[i], fv[j], gv[i], gv[j], xs[j]))
     return ResilientWitness(

@@ -365,7 +365,8 @@ def build_action(
     grid_override: Optional[int] = None,
     base_dir: str = ".",
 ) -> Action:
-    """Builds and validates the action: the grid size is a valid one, every
+    """Builds and validates the action: the grid size is a valid one,
+    bounded_generation is >= 1 and relation_tolerance finite and >= 0, every
     generator passes diffeo validation, nilpotent rewriting rules pass the
     critical-pair confluence check, and every relation holds within
     relation_tolerance."""
@@ -373,6 +374,11 @@ def build_action(
         space = Space(spec.space_kind, grid_override or spec.grid_size)
     except ValueError as exc:
         raise SpecError(str(exc))
+    bounded, rel_tol = spec.bounded_generation, spec.relation_tolerance
+    if bounded is not None and bounded < 1:
+        raise SpecError(f"bounded_generation must be >= 1, got {bounded}")
+    if not 0.0 <= rel_tol < math.inf:
+        raise SpecError(f"relation_tolerance must be finite and >= 0, got {rel_tol!r}")
     presentation = Presentation(
         spec.generator_names,
         spec.rules,

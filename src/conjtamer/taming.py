@@ -18,7 +18,7 @@ from .action import Action
 from .diffeo import Diffeo
 from .errors import LambdaOutOfRange
 from .gridfn import GridFunction
-from .words import Ball, enumerate_ball
+from .words import enumerate_ball
 
 Array = np.ndarray
 
@@ -26,14 +26,6 @@ Array = np.ndarray
 # the total mass; the reference run (lambda=e^{-0.1}, N=40 on a two-sphere
 # group) sits at 0.0177, so 0.02 keeps honest headroom without passing junk.
 DEFAULT_TAIL_REFUSAL = 0.02
-
-
-def _ball_layers(ball: Ball) -> np.ndarray:
-    layers = np.zeros(len(ball.elements), dtype=int)
-    for i, (parent, _letter) in enumerate(ball.tree):
-        if parent >= 0:
-            layers[i] = layers[parent] + 1
-    return layers
 
 
 @dataclass
@@ -93,8 +85,9 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         raise LambdaOutOfRange(f"need radius >= 0, got {radius}")
     space = action.space
     ball = enumerate_ball(action.presentation, radius)
-    layers = _ball_layers(ball)
-    weights = lam ** layers.astype(float)
+    # BFS layers are contiguous: element i lies on the sphere of its layer
+    sizes = ball.sphere_sizes
+    weights = lam ** np.repeat(np.arange(len(sizes)), sizes).astype(float)
     mass = float(np.sum(weights))  # each w_*(Leb) has unit mass
 
     def walk(x):

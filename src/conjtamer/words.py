@@ -2,16 +2,23 @@
 
 A word is a sequence of (generator index, sign) letters.  A presentation
 carries the generator names, a terminating rewriting system (free cancellation
-is always active), and optional bounded-generation data.  Normal forms come
-from a stack reducer that only rewrites at the top of an irreducible prefix;
-a Knuth-Bendix critical-pair check proves the rules confluent, so that normal
-form is unique.
+is always active), and optional bounded-generation data.  A Knuth-Bendix
+critical-pair check proves the rules confluent, so that normal form is unique.
+
+Normal forms live on an interned trie of irreducible words, grown on demand:
+a node is its parent and last letter.  Pushing a letter onto an irreducible
+word can only create a redex that ends at the top, so the reduced push of
+(node, letter) is a pure function and each one is computed once: with no
+left-hand side ending at the top it is the node's child, otherwise the
+right-hand side's letters are pushed in order onto the node the left-hand
+side climbs to.  Balls run their BFS on node ids.  Abelian presentations keep
+exponent vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,10 +103,21 @@ class Presentation:
         self._rewrites = self.rules + tuple(
             (((g, s), (g, -s)), ()) for g in range(self.rank) for s in (1, -1)
         )
-        # lhs as a list and rhs reversed, keyed by the last letter of lhs
-        self._by_last: Dict[Letter, List[Tuple[List[Letter], List[Letter]]]] = {}
+        # letter (g, s) <-> index 2g + (s < 0); rules on indices, keyed by the
+        # last letter of lhs: (lhs below its last letter from the top, rhs)
+        self._letters = [(g, s) for g in range(self.rank) for s in (1, -1)]
+        self._index = {lt: i for i, lt in enumerate(self._letters)}
+        self._by_last: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
         for lhs, rhs in self._rewrites:
-            self._by_last.setdefault(lhs[-1], []).append((list(lhs), list(rhs[::-1])))
+            ids = [self._index[lt] for lt in lhs]
+            self._by_last.setdefault(ids[-1], []).append(
+                (tuple(ids[-2::-1]), tuple(self._index[lt] for lt in rhs))
+            )
+        # the trie: node 0 is the empty word; push[node * 2 rank + letter]
+        # is the node of the reduced push, -1 until computed
+        self._parent: List[int] = [-1]
+        self._last: List[int] = [-1]
+        self._push: List[int] = [-1] * len(self._letters)
 
     @property
     def rank(self) -> int:
@@ -108,30 +126,76 @@ class Presentation:
     # -- rewriting ----------------------------------------------------------
 
     def normal_form(self, word: Word, prefix: Tuple[Letter, ...] = ()) -> Word:
-        """Normal form of prefix·word, where prefix is already a normal form.
-
-        Letters are pushed one at a time onto an irreducible stack; a redex
-        can then only end at the top, so only the top is rewritten and the
-        right-hand side goes back onto the input.  Once check_confluence has
-        passed, the result is the unique normal form."""
+        """Normal form of prefix·word, where prefix is already a normal form:
+        the letters pushed from the trie's root, read back from the node.
+        Once check_confluence has passed, the result is the unique normal
+        form."""
         if self.kind == ABELIAN:
             return word_from_exponents(
                 Word(prefix + word.letters).exponent_vector(self.rank)
             )
-        out = list(prefix)
-        todo = list(reversed(word.letters))
+        try:
+            ids = [self._index[lt] for lt in prefix + word.letters]
+        except KeyError as exc:
+            raise UnknownGenerator(f"letter {exc.args[0]} out of range") from None
+        return self._word(self._extend(0, ids))
+
+    def _extend(self, node: int, ids: Sequence[int]) -> int:
+        """The node of the normal form of word(node)·ids, by memoized reduced
+        pushes on an explicit stack of frames [memo slot, letters, next
+        letter, node so far].  Each rewrite opens a frame for its right-hand
+        side; more than _MAX_REWRITES new rewrites in one call means the
+        rules do not terminate."""
+        n_letters, push = len(self._letters), self._push
+        frames = [[-1, ids, 0, node]]
         rewrites = 0
-        while todo:
-            out.append(todo.pop())
-            for lhs, rhs in self._by_last.get(out[-1], ()):
-                if out[-len(lhs) :] == lhs:
-                    del out[-len(lhs) :]
-                    todo.extend(rhs)
-                    rewrites += 1
+        while True:
+            frame = frames[-1]
+            slot, seq, i, cur = frame
+            if i == len(seq):
+                frames.pop()
+                if not frames:
+                    return cur
+                push[slot] = nxt = cur
+                frame = frames[-1]
+            else:
+                key = cur * n_letters + seq[i]
+                nxt = push[key]
+                if nxt < 0:
+                    redex = self._redex(cur, seq[i])
+                    if redex is not None:
+                        rewrites += 1
+                        if rewrites > _MAX_REWRITES:
+                            raise ConjTamerError("rewriting did not terminate")
+                        frames.append([key, redex[1], 0, redex[0]])
+                        continue
+                    nxt = push[key] = len(self._parent)
+                    self._parent.append(cur)
+                    self._last.append(seq[i])
+                    push.extend([-1] * n_letters)
+            frame[2] += 1
+            frame[3] = nxt
+
+    def _redex(self, node: int, a: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """(node left when the left-hand side is removed, right-hand side) of
+        the first rule whose left-hand side ends word(node)·a, or None."""
+        for below, rhs in self._by_last.get(a, ()):
+            top = node
+            for b in below:
+                if self._last[top] != b:
                     break
-            if rewrites > _MAX_REWRITES:
-                raise ConjTamerError("rewriting did not terminate")
-        return Word(tuple(out))
+                top = self._parent[top]
+            else:
+                return top, rhs
+        return None
+
+    def _word(self, node: int) -> Word:
+        """The word of a trie node, read back along its parents."""
+        ids = []
+        while node:
+            ids.append(self._last[node])
+            node = self._parent[node]
+        return Word(tuple(self._letters[i] for i in reversed(ids)))
 
     def _successors(self, w: Tuple[Letter, ...]) -> List[Tuple[Letter, ...]]:
         return [
@@ -252,32 +316,41 @@ def enumerate_ball(
     presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
 ) -> Ball:
     """The full ball of radius k over the metric generators and their
-    inverses, BFS layer by layer with normal-form deduplication;
-    deterministic ordering.  Each frontier word is already a normal form, so
-    it is only extended by one letter, not reduced again."""
+    inverses, BFS layer by layer, deduplicated on trie node ids (exponent
+    vectors for an abelian presentation); each layer is sorted by its words'
+    letters.  A frontier element is extended by one reduced push, and each
+    element's Word is built once."""
     alphabet = [(g, s) for g in presentation.metric_generators for s in (1, -1)]
-    seen: Dict[Tuple[Letter, ...], int] = {(): 0}
+    if presentation.kind == ABELIAN:
+        start: Hashable = (0,) * presentation.rank
+        step = lambda e, lt: e[: lt[0]] + (e[lt[0]] + lt[1],) + e[lt[0] + 1 :]
+        word_of = word_from_exponents
+    else:
+        start, index = 0, presentation._index
+        step = lambda node, lt: presentation._extend(node, (index[lt],))
+        word_of = presentation._word
+    seen: Dict[Hashable, int] = {start: 0}
     elements: List[Word] = [Word()]
     tree: List[Tuple[int, Letter]] = [(-1, (0, 0))]
     sphere_sizes = [1]
-    frontier: List[Tuple[Letter, ...]] = [()]
+    frontier: List[Hashable] = [start]
     for _ in range(k):
-        layer: Dict[Tuple[Letter, ...], Tuple[int, Letter]] = {}
-        for w in frontier:
-            parent_idx = seen[w]
+        layer: Dict[Hashable, Tuple[int, Letter]] = {}
+        for state in frontier:
+            parent_idx = seen[state]
             for letter in alphabet:
-                nf = presentation.normal_form(Word((letter,)), prefix=w).letters
-                if nf not in seen and nf not in layer:
-                    layer[nf] = (parent_idx, letter)
-        new_words = sorted(layer)
-        if len(elements) + len(new_words) > cap:
+                nxt = step(state, letter)
+                if nxt not in seen and nxt not in layer:
+                    layer[nxt] = (parent_idx, letter)
+        words = {state: word_of(state) for state in layer}
+        frontier = sorted(layer, key=lambda state: words[state].letters)
+        if len(elements) + len(frontier) > cap:
             raise SizeOverflow(f"ball exceeds cap {cap} at radius {len(sphere_sizes)}")
-        for nf in new_words:
-            seen[nf] = len(elements)
-            elements.append(Word(nf))
-            tree.append(layer[nf])
-        sphere_sizes.append(len(new_words))
-        frontier = new_words
+        for state in frontier:
+            seen[state] = len(elements)
+            elements.append(words[state])
+            tree.append(layer[state])
+        sphere_sizes.append(len(frontier))
     return Ball(
         radius=k,
         elements=tuple(elements),

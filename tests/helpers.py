@@ -16,6 +16,8 @@ objects.  The maps:
 * interval_pingpong_action -- the same pair acting on [0, 1].
 
 dense_first_chain is the reference scan for resilient-pair detection.
+stack_normal_form and stack_ball are the letter-stack reducer and the ball
+BFS over letter tuples that words.py ran before the trie, kept as its oracle.
 ClosureMap and the closure_* builders are the closure-chain evaluators that
 exact diffeos carried before composition plans, kept as their oracle.
 """
@@ -35,7 +37,9 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
+from conjtamer.errors import ConjTamerError
 from conjtamer.space import circle, interval
+from conjtamer.words import ABELIAN, Word, word_from_exponents
 
 GOLDEN = 0.618034
 SILVER = 0.414214
@@ -224,3 +228,55 @@ def assert_close(actual, oracle, rel=1e-11):
     oracle = np.asarray(oracle, dtype=float)
     scale = max(1.0, float(np.max(np.abs(oracle)))) if oracle.size else 1.0
     np.testing.assert_allclose(actual, oracle, rtol=0, atol=rel * scale)
+
+
+# ---------------------------------------------------------------------------
+# The letter-stack oracle for normal forms and balls.
+
+
+def stack_normal_form(p, word, prefix=(), max_rewrites=100000):
+    """Normal form of prefix·word by a letter stack: each letter is pushed,
+    the first rule (declared rules, then free cancellations) whose left side
+    ends at the top is replaced, and its right side goes back onto the
+    input."""
+    if p.kind == ABELIAN:
+        return word_from_exponents(Word(prefix + word.letters).exponent_vector(p.rank))
+    rewrites = p.rules + tuple(
+        (((g, s), (g, -s)), ()) for g in range(p.rank) for s in (1, -1)
+    )
+    out = list(prefix)
+    todo = list(reversed(word.letters))
+    count = 0
+    while todo:
+        out.append(todo.pop())
+        for lhs, rhs in rewrites:
+            if lhs[-1] == out[-1] and tuple(out[-len(lhs) :]) == lhs:
+                del out[-len(lhs) :]
+                todo.extend(reversed(rhs))
+                count += 1
+                break
+        if count > max_rewrites:
+            raise ConjTamerError("rewriting did not terminate")
+    return Word(tuple(out))
+
+
+def stack_ball(p, k):
+    """(elements, tree, sphere sizes) of the radius-k ball by BFS over letter
+    tuples, each layer sorted, reduced by stack_normal_form."""
+    alphabet = [(g, s) for g in p.metric_generators for s in (1, -1)]
+    seen = {(): 0}
+    elements, tree, sizes, frontier = [()], [(-1, (0, 0))], [1], [()]
+    for _ in range(k):
+        layer = {}
+        for w in frontier:
+            for letter in alphabet:
+                nf = stack_normal_form(p, Word((letter,)), prefix=w).letters
+                if nf not in seen and nf not in layer:
+                    layer[nf] = (seen[w], letter)
+        frontier = sorted(layer)
+        for nf in frontier:
+            seen[nf] = len(elements)
+            elements.append(nf)
+            tree.append(layer[nf])
+        sizes.append(len(frontier))
+    return elements, tree, sizes

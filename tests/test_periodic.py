@@ -24,7 +24,6 @@ from conjtamer.periodic import (
     _can_chain,
     _distinct_words,
     _first_chain,
-    _word_images,
     flatten_conjugate,
 )
 from conjtamer.space import circle, interval
@@ -262,9 +261,9 @@ def test_word_images_match_letter_by_letter_walk():
     # one walk of the word's letters makes in the same plan coordinates
     act = conj_rotation_z2(256)
     nodes = act.space.nodes
-    lift = _word_images(act, nodes)
-    for seq in _distinct_words(act, 3):
-        assert np.array_equal(lift(seq), act.word_cocycle(seq, nodes)[1])
+    words = _distinct_words(act, 3)
+    for seq, walk in zip(words, act.walk_words(words, nodes)):
+        assert np.array_equal(walk.point()[0], act.word_cocycle(seq, nodes)[1])
 
 
 @pytest.mark.parametrize(
@@ -276,10 +275,9 @@ def test_sweep_matches_dense_scan_on_word_images(build, max_len):
     # interval, since on the circle it is x = 0 again
     act = build(256)
     xs = act.space.track_nodes()
-    lift = _word_images(act, xs)
     images = [
-        lift(seq) % 1.0 if act.space.is_circle else lift(seq)
-        for seq in _distinct_words(act, max_len)
+        walk.point()[0] % 1.0 if act.space.is_circle else walk.point()[0]
+        for walk in act.walk_words(_distinct_words(act, max_len), xs)
     ]
     for r in (1.0 / 256, 0.01, 0.05):
         hit = _first_chain(xs, len(images), lambda k: images[k], r)

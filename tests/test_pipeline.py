@@ -99,6 +99,37 @@ PINGPONG_SMALL = textwrap.dedent(
 )
 
 
+HEISENBERG_SMALL = textwrap.dedent(
+    """\
+    [space]
+    kind = circle
+    grid_size = 128
+
+    [group]
+    type = nilpotent
+    generators = a b c
+    rules = "b a -> a b c^-1", "b a^-1 -> a^-1 b c"
+    rules = "b^-1 a -> a b^-1 c", "b^-1 a^-1 -> a^-1 b^-1 c^-1"
+    rules = "c a -> a c", "c a^-1 -> a^-1 c", "c b -> b c", "c b^-1 -> b^-1 c"
+    rules = "c^-1 a -> a c^-1", "c^-1 a^-1 -> a^-1 c^-1"
+    rules = "c^-1 b -> b c^-1", "c^-1 b^-1 -> b^-1 c^-1"
+    bounded_generation = 7
+    metric_generators = a b
+
+    [generators]
+    a = conj(x + 0.1*sin(2*pi*x), 0.618034)
+    b = conj(x + 0.1*sin(2*pi*x), 0.414214)
+    c = x
+
+    [pipeline]
+    epsilon = 0.75
+    delta = 0.1
+    k_max = 3
+    shell_index = 0
+    """
+)
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -382,6 +413,55 @@ def test_cli_out_of_range_parameter_exit_two_with_report(
     assert main([command, "--spec", spec, "--out", str(out)] + args) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["failed_stage"] == "build"
+
+
+def group_edit(key, value):
+    """A (old, new) replacement in HEISENBERG_SMALL that sets one [group]
+    key: bounded_generation in place, the others before metric_generators."""
+    if key == "bounded_generation":
+        return ("bounded_generation = 7", f"bounded_generation = {value}")
+    return ("metric_generators", f"{key} = {value}\nmetric_generators")
+
+
+NON_TERMINATING = (
+    'rules = "b a -> a b c^-1", "b a^-1 -> a^-1 b c"',
+    'rules = "b a -> a b", "a b -> b a"',
+)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(group_edit("bounded_generation", -3), "bounded_generation",
+                     id="bounded-generation--3"),
+        pytest.param(group_edit("bounded_generation", 0), "bounded_generation",
+                     id="bounded-generation-0"),
+        pytest.param(group_edit("relation_tolerance", "nan"), "relation_tolerance",
+                     id="relation-tolerance-nan"),
+        pytest.param(group_edit("relation_tolerance", "inf"), "relation_tolerance",
+                     id="relation-tolerance-inf"),
+        pytest.param(group_edit("relation_tolerance", -1), "relation_tolerance",
+                     id="relation-tolerance--1"),
+        pytest.param(NON_TERMINATING, "rewriting did not terminate",
+                     id="rules-do-not-terminate"),
+    ],
+)
+def test_cli_bad_group_exit_two_with_report(tmp_path, capsys, edit, message):
+    spec = write(tmp_path, "h.spec", HEISENBERG_SMALL.replace(*edit))
+    out = tmp_path / "out"
+    assert main(["tame-c1", "--spec", spec, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] == "build"
+
+
+def test_cli_heisenberg_group_at_range_edges_certifies(tmp_path):
+    text = HEISENBERG_SMALL.replace(*group_edit("bounded_generation", 1))
+    text = text.replace(*group_edit("relation_tolerance", "1e-12"))
+    spec = write(tmp_path, "h.spec", text)
+    out = tmp_path / "out"
+    assert main(["tame-c1", "--spec", spec, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["certified"] is True
 
 
 def test_cli_flag_overrides_an_out_of_range_spec_value(tmp_path):

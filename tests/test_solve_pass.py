@@ -17,6 +17,7 @@ from conjtamer import (
     birkhoff_solution,
     build_diffeo,
     cocycle_defect,
+    enumerate_ball,
     flatten_hyperbolic,
     log_density_normalizer,
     nilpotent_average_solution,
@@ -97,10 +98,7 @@ def test_birkhoff_solution_matches_six_pass_measurement(make, n, block, monkeypa
 
 
 def test_nilpotent_solution_matches_six_pass_measurement():
-    sp = circle(256)
-    g1, g2 = conj_rotation_z2(256).gens
-    p = Presentation.heisenberg()
-    action = Action(sp, p, {"a": g1, "b": g2, "c": build_diffeo("x", sp)})
+    action, p = heisenberg_rotations(256)
     sol = nilpotent_average_solution(action, p, shell_index=0, k_max=4)
     k = sol.extras["shell_radius"]
     selection = select_shell_radii(p, 4)
@@ -114,6 +112,50 @@ def test_nilpotent_solution_matches_six_pass_measurement():
         return acc / len(words)
 
     assert_same_measurement(sol, action, six_pass_measurement(action, fn))
+
+
+def heisenberg_rotations(grid):
+    """The Heisenberg group acting through its abelianization: a and b
+    conjugated rotations sharing h, c the identity (heisenberg_proj)."""
+    sp = circle(grid)
+    g1, g2 = conj_rotation_z2(grid).gens
+    p = Presentation.heisenberg()
+    return Action(sp, p, {"a": g1, "b": g2, "c": build_diffeo("x", sp)}), p
+
+
+def test_nilpotent_walks_share_suffixes_and_one_inverse_of_h(monkeypatch):
+    # every word walk starts in h's coordinates and steps each distinct
+    # suffix once, so a point set costs one Newton solve of h (the
+    # word-by-word walks before made 24 and 28 solves)
+    action, p = heisenberg_rotations(256)
+    action.inverses  # built first: building an inverse solves h on the nodes
+    calls = []
+    invert01 = Diffeo._invert01
+
+    def counted(self, y):
+        calls.append(np.size(y))
+        return invert01(self, y)
+
+    monkeypatch.setattr(Diffeo, "_invert01", counted)
+    action_mod.validate_relations(action)
+    assert len(calls) == 1
+    calls.clear()
+    nilpotent_average_solution(action, p, shell_index=0, k_max=8)
+    assert len(calls) <= 10
+
+
+def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
+    # a suffix walk dropped for room is walked again, with the same bits
+    action, p = heisenberg_rotations(256)
+    words = [w.letters for w in enumerate_ball(p, 4).elements]
+    x = action.space.nodes
+    kept = [walk.point() for walk in action.walk_words(words, x)]
+    monkeypatch.setattr(action_mod, "_WALK_POINTS", 2 * x.size)
+    for seq, (y, acc), walk in zip(words, kept, action.walk_words(words, x)):
+        assert np.array_equal(walk.point()[0], y)
+        assert np.array_equal(walk.point()[1], acc)
+        c, w = action.word_cocycle(seq, x)
+        assert np.array_equal(w, y) and np.array_equal(c, acc)
 
 
 def test_birkhoff_solution_steps_the_ball_once(monkeypatch):

@@ -13,14 +13,16 @@ from conjtamer import (
     word_from_exponents,
     word_realize,
 )
-from conjtamer.errors import ConjTamerError
+from conjtamer.errors import ConjTamerError, UnknownGenerator
 from conjtamer.words import select_shell_radii
 
-from helpers import mobius_action, rigid_rotations
+from helpers import mobius_action, rigid_rotations, stack_ball, stack_normal_form
 
 # frozen oracle: |B(k)| for the discrete Heisenberg group, k = 0..8,
 # cross-checked against an independent matrix BFS (see acceptance tests)
 H3_BALL_SIZES = [1, 5, 17, 53, 135, 299, 593, 1069, 1793]
+# |S(k)| for k = 0..9: B(9) is the ball select_shell_radii(heisenberg, 8) reads
+H3_SPHERE_SIZES = (1, 4, 12, 36, 82, 164, 294, 476, 724, 1052)
 
 
 def W(*letters):
@@ -167,6 +169,97 @@ def test_normal_form_matches_leftmost_rewriting(p):
         # extending a normal form by one letter needs no re-reduction
         head, tail = p.normal_form(Word(w[:-1])).letters, Word(w[-1:])
         assert p.normal_form(tail, prefix=head).letters == leftmost_normal_form(p, w)
+
+
+# ---------------------------------------------------------------------------
+# the trie against the letter-stack oracle (tests/helpers.py)
+
+ORACLE_PRESENTATIONS = {
+    "heisenberg": Presentation.heisenberg(),
+    "free2": Presentation.free(("a", "b")),
+    "free3": Presentation.free(("a", "b", "c")),
+    "z2": Presentation.zd(2, ("a", "b")),
+    # the commutation rules of Z^2 on the trie, not as exponent vectors
+    "z2-rules": Presentation(("a", "b"), Presentation.zd(2).rules, kind="nilpotent"),
+}
+
+
+def random_words(rank, max_len):
+    letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    return st.lists(letter, max_size=max_len).map(tuple)
+
+
+@settings(deadline=None, max_examples=100)
+@given(short_rules, random_words(2, 8), random_words(2, 8))
+def test_normal_form_matches_stack_oracle_on_short_rules(rules, head, tail):
+    # confluent or not, the trie reduces exactly as the stack reducer does
+    p = Presentation(("a", "b"), rules, kind="nilpotent")
+    prefix = stack_normal_form(p, Word(head)).letters
+    assert p.normal_form(Word(tail)).letters == stack_normal_form(p, Word(tail)).letters
+    assert (
+        p.normal_form(Word(tail), prefix=prefix).letters
+        == stack_normal_form(p, Word(tail), prefix=prefix).letters
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESENTATIONS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_normal_form_matches_stack_oracle(name, data):
+    p = ORACLE_PRESENTATIONS[name]
+    w = data.draw(random_words(p.rank, 12))
+    assert p.normal_form(Word(w)).letters == stack_normal_form(p, Word(w)).letters
+
+
+@settings(deadline=None, max_examples=50)
+@given(short_rules, st.integers(0, 4))
+def test_ball_matches_stack_oracle_on_short_rules(rules, k):
+    p = Presentation(("a", "b"), rules, kind="nilpotent")
+    ball = enumerate_ball(p, k)
+    elements, tree, sizes = stack_ball(p, k)
+    assert [w.letters for w in ball.elements] == elements
+    assert list(ball.tree) == tree and list(ball.sphere_sizes) == sizes
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("heisenberg", 6), ("free2", 5), ("free3", 3), ("z2", 7), ("z2-rules", 7)],
+)
+def test_ball_matches_stack_oracle(name, k):
+    p = ORACLE_PRESENTATIONS[name]
+    ball = enumerate_ball(p, k)
+    elements, tree, sizes = stack_ball(p, k)
+    assert [w.letters for w in ball.elements] == elements
+    assert list(ball.tree) == tree and list(ball.sphere_sizes) == sizes
+
+
+def test_heisenberg_shell_ball_sphere_sizes():
+    sel = select_shell_radii(Presentation.heisenberg(), 8)
+    assert sel.ball.sphere_sizes == H3_SPHERE_SIZES
+    assert list(sel.sizes) == list(np.cumsum(H3_SPHERE_SIZES))
+    assert list(sel.sizes[:9]) == H3_BALL_SIZES
+
+
+def test_long_collection_needs_no_recursion():
+    # b^40 a^40 = a^40 b^40 c^-1600: rewrite frames live on an explicit stack
+    p = Presentation.heisenberg()
+    nf = p.normal_form(Word(((1, 1),) * 40 + ((0, 1),) * 40))
+    assert nf.letters == ((0, 1),) * 40 + ((1, 1),) * 40 + ((2, -1),) * 1600
+
+
+def test_non_terminating_rules_raise():
+    p = Presentation(
+        ("a", "b"),
+        ((((1, 1), (0, 1)), ((0, 1), (1, 1))), (((0, 1), (1, 1)), ((1, 1), (0, 1)))),
+        kind="nilpotent",
+    )
+    with pytest.raises(ConjTamerError, match="rewriting did not terminate"):
+        p.normal_form(W((1, 1), (0, 1), (1, 1)))
+
+
+def test_normal_form_rejects_unknown_letters():
+    with pytest.raises(UnknownGenerator):
+        Presentation.heisenberg().normal_form(W((3, 1)))
 
 
 # ---------------------------------------------------------------------------
