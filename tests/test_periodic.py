@@ -179,6 +179,27 @@ def test_refinement_ratio_separates_smooth_from_corner():
     assert c1_refinement_ratio(corner) <= 1.2
 
 
+def test_flatten_circle_map_with_a_flagged_point_on_the_fold():
+    # the germs of the flagged point 0 straddle the fold of the circle, so
+    # the segment table wraps around 1; the flattened map stays a C^1
+    # degree-one lift whose inverse is its inverse
+    sp = circle(512)
+    act = Action(
+        sp, Presentation.zd(1, ("f",)), {"f": build_diffeo("x + 0.05*sin(2*pi*x)", sp)}
+    )
+    flat, _, report = flatten_hyperbolic(act, delta=0.1)
+    assert report.alpha == pytest.approx(3.7710984345710017, rel=1e-12)
+    assert report.flagged == (0.0, 0.5)
+    after = report.log_multipliers_after
+    assert after[0.0] == pytest.approx(0.0724449716630, abs=1e-9)
+    assert after[0.5] == pytest.approx(-0.1, abs=1e-12)
+    g = flat.gens[0]
+    assert c1_refinement_ratio(g) == pytest.approx(1.92, abs=0.01)
+    x = np.linspace(-1.5, 2.5, 4001)
+    assert float(np.max(np.abs(g.eval_lift(x + 1) - g.eval_lift(x) - 1))) <= 4.5e-16
+    assert float(np.max(np.abs(g.invert_lift(g.eval_lift(x)) - x))) <= 1e-12
+
+
 def test_flatten_conjugate_fixes_flagged_points():
     act = mobius_action(512)
     psi = FlatteningMap(act.space, (0.0, 1.0), 4.0)
