@@ -10,13 +10,14 @@ every walk starts in the letters' shared coordinates, and a suffix common to
 several words is stepped once; relation checks, ball averages and word images
 all walk this way.
 
-A generator's inverse is built on first use and cached (`Action.inverse`), so
-an action that never applies one, such as a conjugated action, never inverts.
+An inverse letter is the generator's reversed plan (Diffeo.as_plan(-1)), so
+no walk builds an inverse map: a conjugated rotation's inverse letter walks as
+z -> z - α in the same coordinates as its forward letter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class Action:
         for g in gens:
             space.check_same(g.space)
         self.gens: Tuple[Diffeo, ...] = tuple(gens)
-        self._inverses: List[Optional[Diffeo]] = [None] * len(gens)
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -66,15 +66,11 @@ class Action:
     def rank(self) -> int:
         return self.presentation.rank
 
-    def inverse(self, i: int) -> Diffeo:
-        """g_i^{-1}, built on first use and cached."""
-        if self._inverses[i] is None:
-            self._inverses[i] = invert(self.gens[i])
-        return self._inverses[i]
-
     @property
     def inverses(self) -> Tuple[Diffeo, ...]:
-        return tuple(self.inverse(i) for i in range(self.rank))
+        """Every g_i^{-1} as a map, built anew on each read; walks and the
+        package's own stages use the reversed plans instead."""
+        return tuple(invert(g) for g in self.gens)
 
     def generator(self, key) -> Diffeo:
         if isinstance(key, str):
@@ -85,12 +81,6 @@ class Action:
         if not (0 <= key < self.rank):
             raise UnknownGenerator(f"generator index {key} out of range")
         return self.gens[key]
-
-    def letter_diffeo(self, letter: Letter) -> Diffeo:
-        g, s = letter
-        if not (0 <= g < self.rank):
-            raise UnknownGenerator(f"letter index {g} out of range")
-        return self.gens[g] if s > 0 else self.inverse(g)
 
     # -- word evaluation without building composite diffeos ------------------
 
@@ -109,7 +99,7 @@ class Action:
         last_use = {
             seq[j:]: i for i, seq in enumerate(words) for j in range(len(seq) + 1)
         }
-        plans = {lt: self.letter_diffeo(lt).as_plan() for seq in words for lt in seq}
+        plans = {(g, s): self.generator(g).as_plan(s) for seq in words for g, s in seq}
         start = WalkState.start(x, plans.values())
         room = max(1, _WALK_POINTS // max(1, start.z.size))
         walks: Dict[Tuple[Letter, ...], WalkState] = {}
@@ -148,8 +138,9 @@ class Action:
 def word_realize(action: Action, word: Word) -> Diffeo:
     """Realizes a word as a diffeomorphism by composing its letters."""
     result = identity(action.space)
-    for letter in word.letters:
-        result = compose(result, action.letter_diffeo(letter))
+    for g, s in word.letters:
+        f = action.generator(g)
+        result = compose(result, f if s > 0 else invert(f))
     return result
 
 

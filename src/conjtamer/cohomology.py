@@ -305,17 +305,20 @@ def _measure_exactness_onset(
     action: Action, presentation: Presentation, delta: float, n_cap: int
 ) -> int:
     """Smallest N0 such that |(1/n) log D(g^n)| < delta on the grid for every
-    metric generator and all n in [N0, n_cap]; n_cap when never reached."""
-    tn = action.space.track_nodes()
+    metric generator and all n in [N0, n_cap]; n_cap when never reached.
+    The walks of g^n and g^-n all start from one WalkState in the letters'
+    shared coordinates."""
+    plans = [
+        action.gens[j].as_plan(s) for j in presentation.metric_generators for s in (1, -1)
+    ]
+    start = WalkState.start(action.space.track_nodes(), plans)
     worst = 1
-    for j in presentation.metric_generators:
-        for g in (action.gens[j], action.inverse(j)):
-            walk, onset = WalkState.start(tn, [g.as_plan()]), 1
-            for n in range(1, n_cap + 1):
-                walk = walk.step(g.as_plan())
-                if float(np.max(np.abs(walk.point()[1]))) / n >= delta:
-                    onset = n + 1
-            worst = max(worst, onset)
+    for plan in plans:
+        walk = start
+        for n in range(1, n_cap + 1):
+            walk = walk.step(plan)
+            if float(np.max(np.abs(walk.point()[1]))) / n >= delta:
+                worst = max(worst, n + 1)
     return worst
 
 

@@ -79,6 +79,11 @@ class InfiniteHyperbolicSet(ConjTamerError):
     """More flagged hyperbolic periodic points than the configured cap."""
 
 
+class FlaggedSetNotInvariant(ConjTamerError):
+    """A generator maps a flagged hyperbolic point off the flagged set, so a
+    flattening conjugacy (alpha > 1) would give it derivative 0 there."""
+
+
 class SpecError(ConjTamerError):
     """A spec file failed to parse or validate.
 

@@ -3,8 +3,9 @@ resilient interval pairs.
 
 Flattening conjugates by a map whose germ at each flagged point is
 x_j ± r (t/r)^(1/alpha); the conjugated maps stay C^1 with fixed-point
-multipliers raised to the power 1/alpha, while the flattening map itself has
-infinite derivative at the flagged points and is kept in its own class.
+multipliers raised to the power 1/alpha.  The flattening map has infinite
+derivative at the flagged points, so it is a plan primitive but no Diffeo:
+a conjugate walks its plan and collapses the singularity analytically.
 """
 
 from __future__ import annotations
@@ -17,8 +18,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, _newton
-from .errors import InfiniteHyperbolicSet, NonConvergence, NotCircle
+from .diffeo import Diffeo, Primitive, _newton
+from .errors import (
+    FlaggedSetNotInvariant,
+    InfiniteHyperbolicSet,
+    NonConvergence,
+    NotCircle,
+)
 from .space import Space
 from .words import FREE, Letter, Word
 
@@ -26,7 +32,7 @@ Array = np.ndarray
 
 PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
-_SNAP_TOL = 1e-8  # distance for snapping images of flagged points
+_SNAP_TOL = 1e-8  # distance within which an image of a flagged point is flagged
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +231,12 @@ class _Bridge:
         return _newton(jet, y, np.full_like(y, self.a), np.full_like(y, self.b), y)
 
 
-_LEFT_GERM, _RIGHT_GERM, _BRIDGE = 0, 1, 2
-
-
 class FlatteningMap:
     """psi with germ x_j ± r (t/r)^(1/alpha) at each flagged point and
-    monotone C^1 Hermite bridges elsewhere.  Dpsi is infinite at the flagged
-    points, so psi is not a Diffeo; conjugation goes through
-    flatten_conjugate, which removes the singularity analytically."""
+    monotone C^1 Hermite bridges elsewhere, given by a segment table that
+    psi maps segment by segment onto itself.  Its lifts are the plan
+    primitive `prim`.  log Dpsi is +inf at the flagged points, so psi is no
+    Diffeo; flatten_conjugate collapses that singularity analytically."""
 
     def __init__(self, space: Space, flagged: Sequence[float], alpha: float):
         if alpha < 1.0:
@@ -243,40 +247,31 @@ class FlatteningMap:
         self.space = space
         self.alpha = float(alpha)
         self.nodes = tuple(pts)
-        if not pts:
-            # nothing to flatten: psi is the identity
-            self.radius = 0.05
-            self._q = 1.0 / self.alpha
-            self._starts = np.asarray([0.0])
-            self._kinds = np.asarray([_BRIDGE])
-            self._payload = [_Bridge(0.0, 1.0, 1.0, 1.0)]
-            return
         gaps = [b - a for a, b in zip(pts, pts[1:])]
-        if space.is_circle:
+        if pts and space.is_circle:
             gaps.append(pts[0] + 1.0 - pts[-1])
-        else:
-            if pts[0] > 0.0:
-                gaps.append(pts[0])
-            if pts[-1] < 1.0:
-                gaps.append(1.0 - pts[-1])
+        elif pts:
+            gaps += [g for g in (pts[0], 1.0 - pts[-1]) if g > 0.0]
         self.radius = min(0.05, 0.5 * min(gaps)) if gaps else 0.05
-        q = 1.0 / self.alpha
-        self._q = q
+        q = self._q = 1.0 / self.alpha
         r = self.radius
 
-        # segment table over one period/interval: (start, kind, payload)
-        # where payload is the germ center (in the segment's own frame,
-        # possibly shifted by ±1 on the circle) or a _Bridge.
+        # segment table over one period/interval: (start, side, payload), side
+        # -1 (+1) on the germ left (right) of a flagged point, whose center is
+        # the payload (in the segment's own frame, possibly shifted by ±1 on
+        # the circle), and 0 on a bridge, the payload a _Bridge
         segs: List[Tuple[float, int, object]] = []
 
         def add_bridge(a: float, b: float, sa: float, sb: float):
             if b - a > 1e-12:
-                segs.append((a, _BRIDGE, _Bridge(a, b, sa, sb)))
+                segs.append((a, 0, _Bridge(a, b, sa, sb)))
 
-        if space.is_circle:
+        if not pts:
+            add_bridge(0.0, 1.0, 1.0, 1.0)  # nothing to flatten: the identity
+        elif space.is_circle:
             for j, x in enumerate(pts):
-                segs.append((x - r, _LEFT_GERM, x))
-                segs.append((x, _RIGHT_GERM, x))
+                segs.append((x - r, -1, x))
+                segs.append((x, 1, x))
                 nxt = pts[j + 1] if j + 1 < len(pts) else pts[0] + 1.0
                 add_bridge(x + r, nxt - r, q, q)
             # fold segments into [0,1); a germ centered at c evaluated from a
@@ -301,17 +296,21 @@ class FlatteningMap:
                 add_bridge(0.0, pts[0] - r, 1.0, q)
             for j, x in enumerate(pts):
                 if x - r >= 0.0:
-                    segs.append((x - r, _LEFT_GERM, x))
+                    segs.append((x - r, -1, x))
                 if x < 1.0:
-                    segs.append((x, _RIGHT_GERM, x))
+                    segs.append((x, 1, x))
                 if j + 1 < len(pts):
                     add_bridge(x + r, pts[j + 1] - r, q, q)
                 elif x + r <= 1.0 - 1e-12:
                     add_bridge(x + r, 1.0, q, 1.0)
             segs.sort(key=lambda t: t[0])
         self._starts = np.asarray([s for s, _, _ in segs], dtype=float)
-        self._kinds = np.asarray([k for _, k, _ in segs], dtype=int)
+        self._sides = np.asarray([k for _, k, _ in segs], dtype=int)
         self._payload = [p for _, _, p in segs]
+        self._centers = np.asarray([p if k else np.nan for _, k, p in segs])
+        self.prim = Primitive(
+            space.is_circle, lambda x: self._jet(x, 1), lambda y: self._jet(y, -1)
+        )
 
     # -- evaluation ----------------------------------------------------------
 
@@ -330,58 +329,38 @@ class FlatteningMap:
         r = self.radius
         return r * np.power(np.maximum(u, 0.0) / r, self.alpha)
 
-    def _split(self, x) -> Tuple[Array, Array]:
-        x = np.asarray(x, dtype=float)
-        if self.space.is_circle:
-            k = np.floor(x)
-        else:
-            k = np.zeros_like(x)
-        return k, np.clip(x - k, 0.0, 1.0)
-
-    def _map_pieces(self, x0: Array, inverse: bool) -> Array:
-        out = np.empty_like(x0)
-        seg = self._segment(x0)
+    def _jet(self, x: Array, sign: int) -> Tuple[Array, Array]:
+        """(psi, log Dpsi) for sign 1, (psi^{-1}, log Dpsi^{-1}) for sign -1,
+        on the fundamental domain of Primitive.apply: a point before the
+        first start or past 1 lies on the segment that straddles the fold."""
+        seg = self._segment(x)
+        v, ld = np.empty_like(x), np.empty_like(x)
         for i in np.unique(seg):
             sel = seg == i
-            kind = self._kinds[i]
-            pay = self._payload[i]
-            if kind == _BRIDGE:
-                out[sel] = pay.invert(x0[sel])[0] if inverse else pay.value(x0[sel])
+            side, pay = self._sides[i], self._payload[i]
+            if not side and sign > 0:
+                v[sel], ld[sel] = pay.value(x[sel]), np.log(pay.deriv(x[sel]))
+            elif not side:
+                v[sel], ld_b = pay.invert(x[sel])
+                ld[sel] = -ld_b
             else:
-                z = np.abs(x0[sel] - pay)
-                sgn = 1.0 if kind == _RIGHT_GERM else -1.0
-                out[sel] = pay + sgn * (
-                    self._germ_inv(z) if inverse else self._germ(z)
-                )
-        return out
-
-    def eval_lift(self, x) -> Array:
-        k, x0 = self._split(x)
-        return self._map_pieces(x0, inverse=False) + k
-
-    def invert_lift(self, y) -> Array:
-        # psi fixes every segment boundary, so segments are psi-invariant
-        k, y0 = self._split(y)
-        return self._map_pieces(y0, inverse=True) + k
-
-    def log_deriv(self, x) -> Array:
-        """log Dpsi; +inf exactly at the flagged points."""
-        _, x0 = self._split(x)
-        seg = self._segment(x0)
-        out = np.empty_like(x0)
-        q = self._q
-        for i in np.unique(seg):
-            sel = seg == i
-            pay = self._payload[i]
-            if self._kinds[i] == _BRIDGE:
-                out[sel] = np.log(pay.deriv(x0[sel]))
-            else:
-                z = np.abs(x0[sel] - pay)
-                with np.errstate(divide="ignore"):
-                    out[sel] = math.log(q) + (q - 1.0) * (
-                        np.log(z) - math.log(self.radius)
+                z = np.abs(x[sel] - pay)
+                z_img = self._germ(z) if sign > 0 else self._germ_inv(z)
+                v[sel] = pay + side * z_img
+                z_src = z if sign > 0 else z_img  # offset on psi's source side
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ld[sel] = sign * (
+                        math.log(self._q)
+                        + (self._q - 1.0) * (np.log(z_src) - math.log(self.radius))
                     )
-        return out
+        return v, ld
+
+    def _germ_center(self, x: Array) -> Tuple[Array, Array]:
+        """(center, side) of the segment of each lift x: the lifted flagged
+        point of a germ and its side ±1, or (nan, 0) on a bridge."""
+        k = np.floor(x) if self.space.is_circle else 0.0
+        seg = self._segment(x - k)
+        return self._centers[seg] + k, self._sides[seg]
 
     def __repr__(self):
         return (
@@ -391,114 +370,59 @@ class FlatteningMap:
 
 
 def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
-    """psi ∘ g ∘ psi^{-1} as an honest C^1 diffeomorphism.  Near flagged
-    points the composition is evaluated in offset coordinates: images of
-    flagged points snap to flagged points when closer than 1e-8, offsets
-    below 1e-9 use the exact linear collapse x_k ± m^(1/alpha) z with
-    log-derivative (1/alpha) log m, and larger offsets difference out the
-    periodic-point root error before the germ power is applied."""
+    """psi ∘ g ∘ psi^{-1} as an honest C^1 diffeomorphism: a walk of the
+    plan psi·g·psi⁻¹, whose values on the germs are then replaced where the
+    walk cannot resolve them.  A point x on the germ of a flagged point c,
+    with offsets z = |x - c| and z_y = |psi^{-1}(x) - c|, takes the exact
+    linear collapse g(c) ± m^(1/alpha) z with log-derivative (1/alpha) log m,
+    m = Dg(c), when z_y < 1e-9; when g(psi^{-1}(x)) lies within r of g(c) it
+    takes the germ at g(c), which differences out the periodic-point root
+    error.  Raises FlaggedSetNotInvariant when alpha > 1 and g maps a
+    flagged point farther than 1e-8 from every flagged point: Dpsi^{-1}
+    vanishes there and Dpsi at its image is finite, so the conjugate would
+    have derivative 0."""
     space = g.space
-    q = psi._q
-    r = psi.radius
-    flagged = np.asarray(psi.nodes)
+    q, r = psi._q, psi.radius
+    if psi.alpha > 1.0:
+        for c, img in zip(psi.nodes, g.eval_lift(np.asarray(psi.nodes))):
+            img = img % 1.0 if space.is_circle else img
+            if all(_point_distance(space, img, f) >= _SNAP_TOL for f in psi.nodes):
+                raise FlaggedSetNotInvariant(
+                    f"a generator maps the flagged point {c:.12g} to {img:.12g}, "
+                    f"which is not flagged: flattening with alpha {psi.alpha:.6g} "
+                    "would give its conjugate derivative 0 there"
+                )
 
-    def snap_table(move: Callable) -> Array:
-        imgs = move(flagged)
-        table = np.full(len(flagged), -1, dtype=int)
-        for j, img in enumerate(imgs):
-            img0 = img % 1.0 if space.is_circle else img
-            d = np.abs(flagged - img0)
-            if space.is_circle:
-                d = np.minimum(d, 1.0 - d)
-            k = int(np.argmin(d))
-            if d[k] < _SNAP_TOL:
-                table[j] = k
-        return table
-
-    def kernel(move: Callable, targets: Array):
-        """Jet (value mod frame, logderiv) of psi∘move∘psi^{-1} on [0,1]."""
-
-        def both(x0: Array) -> Tuple[Array, Array]:
-            seg = psi._segment(x0)
-            val = np.empty_like(x0)
-            ld = np.empty_like(x0)
-            for i in np.unique(seg):
-                sel = seg == i
-                kind = psi._kinds[i]
-                pay = psi._payload[i]
-                xs = x0[sel]
-                if kind == _BRIDGE:
-                    y, bridge_ld = pay.invert(xs)
-                    w, move_ld = move(y)
-                    val[sel] = psi.eval_lift(w)
-                    ld[sel] = psi.log_deriv(w) + move_ld - bridge_ld
-                    continue
-                c = float(pay)
-                sgn = 1.0 if kind == _RIGHT_GERM else -1.0
-                z_x = np.abs(xs - c)
+    def jet(s: int) -> Callable:
+        def conjugated(x: Array) -> Tuple[Array, Array]:
+            c, side = psi._germ_center(x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y, ld_y = psi.prim.apply(x, -1)
+                w, ld_g = g.apply(y, s)
+                v, ld_v = psi.prim.apply(w, 1)
+                ld = ld_v + ld_g + ld_y
+                at = np.flatnonzero(side)
+                if at.size == 0:
+                    return v, ld
+                centers, pos = np.unique(c[at], return_inverse=True)
+                gc, lm = (a[pos] for a in g.apply(centers, s))
+                side = side[at]
+                z_x = np.abs(x[at] - c[at])
                 z_y = psi._germ_inv(z_x)
-                y = c + sgn * z_y
-                j = int(np.argmin(np.abs(flagged - (c % 1.0 if space.is_circle else c))))
-                tgt = int(targets[j])
-                w, move_ld = move(y)
-                if tgt < 0:
-                    val[sel] = psi.eval_lift(w)
-                    with np.errstate(divide="ignore"):
-                        germ_ld = math.log(q) + (q - 1.0) * (
-                            np.log(z_y) - math.log(r)
-                        )
-                    ld[sel] = psi.log_deriv(w) + move_ld - germ_ld
-                    continue
-                base, lm = (float(a[0]) for a in move(np.asarray([c])))
-                ck = base  # snapped frame origin: exact flagged value + lift
-                z_gy = np.maximum((w - base) * sgn, 0.0)
-                lin = z_y < _GERM_LIN
-                m_q = math.exp(q * lm)
-                v_lin = ck + sgn * m_q * z_x
-                ld_lin = np.full_like(xs, q * lm)
-                inside = z_gy <= r
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    v_in = ck + sgn * psi._germ(z_gy)
-                    ld_in = move_ld + (q - 1.0) * (
-                        np.log(np.maximum(z_gy, 1e-300))
-                        - np.log(np.maximum(z_y, 1e-300))
-                    )
-                    w_out = ck + sgn * z_gy
-                    v_out = psi.eval_lift(w_out)
-                    germ_ld = math.log(q) + (q - 1.0) * (
-                        np.log(np.maximum(z_y, 1e-300)) - math.log(r)
-                    )
-                    ld_out = psi.log_deriv(w_out) + move_ld - germ_ld
-                val[sel] = np.where(lin, v_lin, np.where(inside, v_in, v_out))
-                ld[sel] = np.where(lin, ld_lin, np.where(inside, ld_in, ld_out))
-            return val, ld
+                z_gy = np.maximum((w[at] - gc) * side, 0.0)
+                lin, inside = z_y < _GERM_LIN, z_gy <= r
+                v_in = gc + side * psi._germ(z_gy)
+                ld_in = ld_g[at] + (q - 1.0) * (
+                    np.log(np.maximum(z_gy, 1e-300)) - np.log(z_y)
+                )
+                v_lin = gc + side * np.exp(q * lm) * z_x
+                v[at] = np.where(lin, v_lin, np.where(inside, v_in, v[at]))
+                ld[at] = np.where(lin, q * lm, np.where(inside, ld_in, ld[at]))
+            return v, ld
 
-        return both
+        return conjugated
 
-    fwd_snap = snap_table(g.eval_lift)
-    bwd_snap = np.full(len(flagged), -1, dtype=int)
-    for j, t in enumerate(fwd_snap):
-        if t >= 0:
-            bwd_snap[t] = j
-
-    fwd = kernel(g.jet, fwd_snap)
-    bwd = kernel(g.inverse_jet, bwd_snap)
-
-    def lifted(pair: Callable, raw_move: Callable):
-        def jet(x):
-            k = np.floor(x) if space.is_circle else np.zeros_like(x)
-            x0 = np.clip(x - k, 0.0, 1.0)
-            v, l = pair(x0)
-            if space.is_circle:
-                raw = psi.eval_lift(raw_move(psi.invert_lift(x0)))
-                v = v + np.round(raw - v)
-            return v + k, l
-
-        return jet
-
-    fwd_jet = lifted(fwd, g.eval_lift)
-    bwd_jet = lifted(bwd, g.invert_lift)
-    return Diffeo.from_callables(space, fwd_jet, bwd_jet)
+    return Diffeo.from_callables(space, jet(1), jet(-1))
 
 
 @dataclass
@@ -542,7 +466,9 @@ def flatten_hyperbolic(
     """Conjugates the action so every hyperbolic periodic multiplier M of
     period N satisfies |log M|/alpha <= N*delta, taking
     alpha = max(1, max |log M| / (N*delta)) unless given.  Raises
-    InfiniteHyperbolicSet when more than cap points are flagged."""
+    InfiniteHyperbolicSet when more than cap points are flagged, and
+    FlaggedSetNotInvariant when alpha > 1 and a generator moves a flagged
+    point off the flagged set (see flatten_conjugate)."""
     if delta is None and alpha is None:
         raise ValueError("need delta or alpha")
     per_gen = [find_periodic_points(g, n_max) for g in action.gens]

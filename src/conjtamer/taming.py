@@ -10,12 +10,12 @@ slack from the truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo
+from .diffeo import Diffeo, WalkState
 from .errors import LambdaOutOfRange
 from .gridfn import GridFunction
 from .words import enumerate_ball
@@ -90,22 +90,29 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
     weights = lam ** np.repeat(np.arange(len(sizes)), sizes).astype(float)
     mass = float(np.sum(weights))  # each w_*(Leb) has unit mass
 
+    # w·l extends the orbit of w by l^{-1}: a step along the reversed plan of
+    # l; a walk is kept until its last child in the ball tree has stepped
+    plans = {lt: action.gens[lt[0]].as_plan(-lt[1]) for _, lt in ball.tree[1:]}
+    last_child = {parent: i for i, (parent, _) in enumerate(ball.tree[1:], 1)}
+
     def walk(x):
         """Unnormalized CDF sum of weights * (w^{-1}(x) - w^{-1}(0)), on
         lifts, and the log of its density sum of weights * D(w^{-1})(x).
-        Orbit arrays extend along the ball tree one letter at a time
-        (w·l maps to l^{-1} applied to the w orbit)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pts: List[Array] = [np.concatenate([x, [0.0]])]
-        lds: List[Array] = [np.zeros_like(pts[0])]
-        acc = weights[0] * pts[0]
-        dens = weights[0] * np.ones_like(pts[0])
+        The orbits walk along the ball tree from the letters' shared
+        coordinates (WalkState), one step per element."""
+        x = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)), [0.0]])
+        walks = {0: WalkState.start(x, plans.values())}
+        acc = weights[0] * x
+        dens = weights[0] * np.ones_like(x)
         for i in range(1, len(ball.elements)):
-            parent, (g, s) = ball.tree[i]
-            y, ld = action.letter_diffeo((g, -s)).jet(pts[parent])
-            lds.append(lds[parent] + ld)
-            dens = dens + weights[i] * np.exp(lds[-1])
-            pts.append(y)
+            parent, letter = ball.tree[i]
+            walk = walks[parent].step(plans[letter])
+            if last_child[parent] == i:
+                del walks[parent]
+            if i in last_child:
+                walks[i] = walk
+            y, ld = walk.point()
+            dens = dens + weights[i] * np.exp(ld)
             acc = acc + weights[i] * y
         raw = acc[:-1] - acc[-1]
         return raw, np.log(dens[:-1])
@@ -179,11 +186,14 @@ class TamingReport:
         }
 
 
-def _image_partition_quotients(F: Diffeo, g: Diffeo, stride: int = 1) -> float:
-    """Max difference quotient of F∘g∘F^{-1} measured over the image partition
-    {F(x_i)}: mass ratio of g(cell) to cell under the measure with CDF F."""
+def _image_partition_quotients(
+    F: Diffeo, g: Diffeo, sign: int = 1, stride: int = 1
+) -> float:
+    """Max difference quotient of F∘g^sign∘F^{-1} measured over the image
+    partition {F(x_i)}: mass ratio of g^sign(cell) to cell under the measure
+    with CDF F."""
     nodes = F.space.nodes[::stride]
-    num = np.diff(F.eval_lift(g.eval_lift(nodes)))
+    num = np.diff(F.eval_lift(g.apply(nodes, sign)[0]))
     den = np.diff(F.eval_lift(nodes))
     return float(np.max(num / den))
 
@@ -208,13 +218,11 @@ def tame_lipschitz(
 
     per_gen: Dict[str, GeneratorTaming] = {}
     ok = np.isfinite(slack) and slack <= refuse_threshold
-    for name, g, ginv, tg in zip(
-        action.names, action.gens, action.inverses, tamed.gens
-    ):
+    for name, g, tg in zip(action.names, action.gens, tamed.gens):
         lip = _image_partition_quotients(F, g)
-        lip_inv = _image_partition_quotients(F, ginv)
+        lip_inv = _image_partition_quotients(F, g, -1)
         lip_c = _image_partition_quotients(F, g, stride=2)
-        lip_inv_c = _image_partition_quotients(F, ginv, stride=2)
+        lip_inv_c = _image_partition_quotients(F, g, -1, stride=2)
         two_scale = abs(lip - lip_c) <= 0.05 * lip and abs(
             lip_inv - lip_inv_c
         ) <= 0.05 * lip_inv
@@ -249,8 +257,8 @@ def pushforward_check(
     cell_mass = np.diff(raw_nodes)
     budget = cell_mass / measure.lam + 2.0 * measure.tail_bound
     out: Dict[str, dict] = {}
-    for name, ginv in zip(action.names, action.inverses):
-        pre_mass = np.diff(measure.cdf_raw(ginv.eval_lift(nodes)))
+    for name, g in zip(action.names, action.gens):
+        pre_mass = np.diff(measure.cdf_raw(g.invert_lift(nodes)))
         violation = pre_mass - budget
         out[name] = {
             "max_violation": float(np.max(violation)),

@@ -155,7 +155,8 @@ def test_flatten_parabolic_only_returns_identity():
     assert report.alpha == 1.0
     assert report.flagged == ()
     x = np.linspace(0, 1, 200)
-    assert float(np.max(np.abs(psi.eval_lift(x) - x))) == 0.0
+    for sign in (1, -1):
+        assert float(np.max(np.abs(psi.prim.apply(x, sign)[0] - x))) == 0.0
     assert flat is act
 
 
@@ -198,6 +199,19 @@ def test_flatten_circle_map_with_a_flagged_point_on_the_fold():
     x = np.linspace(-1.5, 2.5, 4001)
     assert float(np.max(np.abs(g.eval_lift(x + 1) - g.eval_lift(x) - 1))) <= 4.5e-16
     assert float(np.max(np.abs(g.invert_lift(g.eval_lift(x)) - x))) <= 1e-12
+
+
+def test_flatten_at_alpha_one_leaves_every_map_alone():
+    # psi is the identity at alpha 1, so a flagged set that the other
+    # generator moves is no obstruction and every conjugate is g itself
+    act = pingpong_action(512)
+    flat, _, report = flatten_hyperbolic(act, alpha=1.0)
+    assert len(report.flagged) == 3
+    x = np.linspace(-0.5, 1.5, 2001)
+    for g, h in zip(act.gens, flat.gens):
+        assert float(np.max(np.abs(h.eval_lift(x) - g.eval_lift(x)))) <= 1e-15
+        assert float(np.max(np.abs(h.invert_lift(x) - g.invert_lift(x)))) <= 1e-15
+        assert np.array_equal(h.log_deriv.samples, g.log_deriv.samples)
 
 
 def test_flatten_conjugate_fixes_flagged_points():
@@ -391,7 +405,6 @@ def test_conjugated_rotations_sweep_no_word(which, pytestconfig, monkeypatch):
         if which == "conj_rotation_z2"
         else build_action(load_action_spec(str(spec)))
     )
-    act.inverses  # the letters, built before counting (build_action has)
     passed, inversions = [], []
     inner_filter, inner_invert = periodic._can_chain, Diffeo._invert01
 

@@ -260,6 +260,19 @@ def test_flatten_then_reingest(tmp_path):
     assert d0 == pytest.approx(np.exp(-0.1), abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "1.5"]])
+def test_cli_flatten_refuses_a_flagged_point_mapped_off_the_flagged_set(
+    tmp_path, capsys, alpha
+):
+    # f's fixed points are not g's, so a flattening conjugacy would give the
+    # conjugate of g derivative 0 at f's flagged points
+    spec = write(tmp_path, "pp.spec", PINGPONG_SMALL)
+    out = tmp_path / "out"
+    assert main(["flatten", "--spec", spec, "--out", str(out)] + alpha) == 1
+    assert "which is not flagged" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["failed_stage"] == "flatten"
+
+
 def test_path_outputs(tmp_path):
     spec = parse_action_spec(A3_SMALL)
     out = tmp_path / "out"

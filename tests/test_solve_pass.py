@@ -1,7 +1,7 @@
 """The C^1 solves measure u and its defects in one ball pass over their
 distinct points; these tests hold them to the six-pass measurement they
 replaced, count their orbit steps, pin the ball-size limits, and check that
-Action builds its inverses on first use."""
+no stage builds an inverse map."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,12 @@ from conjtamer import (
     Presentation,
     SizeOverflow,
     birkhoff_solution,
+    build_action,
     build_diffeo,
     cocycle_defect,
     enumerate_ball,
     flatten_hyperbolic,
+    load_action_spec,
     log_density_normalizer,
     nilpotent_average_solution,
     path_of_conjugates,
@@ -125,10 +127,11 @@ def heisenberg_rotations(grid):
 
 def test_nilpotent_walks_share_suffixes_and_one_inverse_of_h(monkeypatch):
     # every word walk starts in h's coordinates and steps each distinct
-    # suffix once, so a point set costs one Newton solve of h (the
-    # word-by-word walks before made 24 and 28 solves)
+    # suffix once, and an inverse letter walks its generator's reversed
+    # plan, so a point set costs one Newton solve of h (the word-by-word
+    # walks before made 24 and 28 solves, and inverse maps built for the
+    # letters two more)
     action, p = heisenberg_rotations(256)
-    action.inverses  # built first: building an inverse solves h on the nodes
     calls = []
     invert01 = Diffeo._invert01
 
@@ -141,7 +144,7 @@ def test_nilpotent_walks_share_suffixes_and_one_inverse_of_h(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     nilpotent_average_solution(action, p, shell_index=0, k_max=8)
-    assert len(calls) <= 10
+    assert len(calls) <= 7
 
 
 def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
@@ -218,22 +221,28 @@ def test_path_size_limit_is_nodes(make, nodes, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Lazy inverses.
+# Inverse letters as reversed plans.
 
 
-def test_action_inverts_a_generator_on_first_use(monkeypatch):
+def test_no_stage_builds_an_inverse_map(monkeypatch, pytestconfig):
+    # an inverse letter walks its generator's reversed plan, so building
+    # and checking an action, Lipschitz taming and the nilpotent solve
+    # never call invert; Action.inverses still builds the maps on request
+    import conjtamer.diffeo as diffeo_mod
+
     calls = []
-    inner = action_mod.invert
+    inner = diffeo_mod.invert
 
     def counted(g):
         calls.append(g)
         return inner(g)
 
     monkeypatch.setattr(action_mod, "invert", counted)
+    monkeypatch.setattr(diffeo_mod, "invert", counted)
+    spec = pytestconfig.rootpath / "specs" / "heisenberg_proj.spec"
+    build_action(load_action_spec(str(spec)), grid_override=256)
     action = Action(interval(256), Presentation.zd(1, ("f",)), {"f": mobius_gen(256)})
-    assert calls == []
-    # the Deroin walk inverts f once; the tamed action never inverts
     tame_lipschitz(action, 0.9, 4)
-    assert len(calls) == 1
-    assert action.inverses[0] is action.letter_diffeo((0, -1))
-    assert len(calls) == 1
+    nilpotent_average_solution(*heisenberg_rotations(256), shell_index=0, k_max=8)
+    assert calls == []
+    assert len(action.inverses) == 1 and len(calls) == 1
