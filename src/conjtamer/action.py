@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .diffeo import Diffeo, WalkState, compose, conjugate_action, identity, invert
+from .diffeo import Diffeo, WalkState, compose, conjugate_maps, identity, invert
 from .errors import RelationViolation, UnknownGenerator
 from .space import Space
 from .words import Letter, Presentation, Word
@@ -127,9 +127,9 @@ class Action:
     # -- transformations ------------------------------------------------------
 
     def conjugated(self, phi: Diffeo) -> "Action":
-        """The action with every generator replaced by phi ∘ g ∘ phi^{-1}."""
-        gens = [conjugate_action(g, phi) for g in self.gens]
-        return Action(self.space, self.presentation, gens)
+        """The action with every generator replaced by phi ∘ g ∘ phi^{-1}:
+        the plans' shared first entries (phi⁻¹, a shared h⁻¹) walk once."""
+        return Action(self.space, self.presentation, conjugate_maps(self.gens, phi))
 
     def __repr__(self):
         return f"Action({self.space}, <{', '.join(self.names)}>)"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -373,9 +373,21 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
 # Paths of conjugates.
 
 
+def _blend(tracks: Sequence[Array], n: int, s: float) -> Array:
+    """(1-s) tracks[n] + s tracks[n+1]; past the last track, that one alone."""
+    return (1.0 - s) * tracks[n] + s * tracks[min(n + 1, len(tracks) - 1)]
+
+
+def path_conjugacy(space: Space, u: Sequence[Array], n: int, s: float) -> Diffeo:
+    """phi_t, t = n + s, of the path built from the ball averages u[k] = u_k
+    (k >= 1; u[0] is not read)."""
+    return conjugacy_from_log_density(GridFunction(space, _blend(u, n, s)))
+
+
 @dataclass
 class PathSample:
-    """One point of the interpolated conjugacy path.
+    """One point of the interpolated conjugacy path, t = n + s, with phi =
+    path_conjugacy(..., n, s) and u = u_t at integer t (None in between).
 
     c1_gap: max over generators of the sup of the interpolated defect field
     (equals sup|log D(conjugated generator)| up to grid interpolation, and
@@ -383,6 +395,9 @@ class PathSample:
     generator C1 distance to the previous sample (None on the first)."""
 
     t: float
+    n: int
+    s: float
+    u: Optional[Array]
     phi: Diffeo
     conjugated: Action
     c1_gap: float
@@ -393,10 +408,12 @@ class PathSample:
 
 def path_of_conjugates(
     action: Action, n_max: int, steps_per_unit: int
-) -> List[PathSample]:
+) -> Iterator[PathSample]:
     """Samples t in {1, 1+1/steps, ..., n_max} of the path phi_t built from
     v_t = (1-s) u_n + s u_{n+1} + C_t; each sample carries the conjugated
-    action and the interpolated defect gap."""
+    action and the interpolated defect gap.  The checks and the ball pass
+    run on the call; the samples are then built one at a time as they are
+    iterated, each keeping only the previous one's tracks for c1_step."""
     if n_max < 1 or steps_per_unit < 1:
         raise ValueError("need n_max >= 1 and steps_per_unit >= 1")
     space = action.space
@@ -413,41 +430,29 @@ def path_of_conjugates(
         u_samp.append(u_n)
         d_fields.append(u_n - np.stack(u_images) - log_derivs)
 
-    total_steps = (n_max - 1) * steps_per_unit
+    def samples() -> Iterator[PathSample]:
+        prev = None
+        for j in range((n_max - 1) * steps_per_unit + 1):
+            n, s = 1 + j // steps_per_unit, j % steps_per_unit / steps_per_unit
+            if n >= n_max > 1:
+                n, s = n_max - 1, 1.0
+            t, phi = n + s, path_conjugacy(space, u_samp, n, s)
+            cur, gap = action.conjugated(phi), _blend(d_fields, n, s)
+            yield PathSample(
+                t, n, s, u_samp[int(t)] if t % 1 == 0 else None, phi, cur,
+                c1_gap=float(np.max(np.abs(gap))),
+                c1_gap_track=max(g.log_deriv.sup_abs() for g in cur.gens),
+                gap_per_generator={
+                    name: float(np.max(np.abs(gap[i]))) for i, name in enumerate(action.names)
+                },
+                c1_step=None if prev is None else {
+                    name: c1_distance(pg, cg)
+                    for name, pg, cg in zip(action.names, prev.gens, cur.gens)
+                },
+            )
+            prev = cur
 
-    def build(j: int) -> PathSample:
-        n, rem = divmod(j, steps_per_unit)
-        n += 1
-        s = rem / steps_per_unit
-        if n >= n_max:
-            n, s = n_max - 1, 1.0
-        t = n + s
-        ut = (1.0 - s) * u_samp[n] + s * u_samp[n + 1]
-        phi = conjugacy_from_log_density(GridFunction(space, ut))
-        conjugated = action.conjugated(phi)
-        gap_field = (1.0 - s) * d_fields[n] + s * d_fields[n + 1]
-        per_gen = {
-            name: float(np.max(np.abs(gap_field[i])))
-            for i, name in enumerate(action.names)
-        }
-        c1_gap = float(np.max(np.abs(gap_field)))
-        c1_track = max(g.log_deriv.sup_abs() for g in conjugated.gens)
-        return PathSample(
-            t=t,
-            phi=phi,
-            conjugated=conjugated,
-            c1_gap=c1_gap,
-            c1_gap_track=c1_track,
-            gap_per_generator=per_gen,
-        )
-
-    samples = [build(j) for j in range(total_steps + 1)]
-    for prev, cur in zip(samples, samples[1:]):
-        cur.c1_step = {
-            name: c1_distance(pg, cg)
-            for name, pg, cg in zip(action.names, prev.conjugated.gens, cur.conjugated.gens)
-        }
-    return samples
+    return samples()
 
 
 # ---------------------------------------------------------------------------

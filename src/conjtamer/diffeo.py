@@ -26,7 +26,7 @@ from values.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -158,9 +158,9 @@ def _branch(x: Array, base: float = 0.0) -> Tuple[Array, Array]:
     return y, k
 
 
-def _walk(plan, x: Array) -> Tuple[Array, Array]:
-    """(value, log-derivative) of a plan at lifts x."""
-    ld = None
+def _walk(plan, x: Array, ld=None) -> Tuple[Array, Array]:
+    """(value, log-derivative) of a plan at lifts x, or of the walk whose
+    state is (x, ld) continued by the plan."""
     for p, s in reversed(plan):
         x, d = p.apply(x, s)
         if d is not None:
@@ -266,8 +266,9 @@ class Diffeo:
     angle = None  # walks read .angle of their primitives
 
     def __init__(self, space: Space, log_deriv: GridFunction, values: Array, plan=None):
-        if plan is not None:
-            log_deriv = GridFunction(space, log_deriv.samples, lambda x: self.jet(x)[1])
+        if plan is not None:  # log D as apply walks it; no self, so no cycle for the gc
+            fn = lambda x: _walk(plan, _branch(x)[0] if space.is_circle else np.clip(x, 0, 1))[1]
+            log_deriv = GridFunction(space, log_deriv.samples, fn)
         self.space = space
         self.log_deriv = log_deriv
         self.values = values
@@ -519,6 +520,26 @@ def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
     return c0, dlog
 
 
+def conjugate_maps(maps: Sequence[Diffeo], phi: Diffeo) -> List[Diffeo]:
+    """phi ∘ f ∘ phi^{-1} for each f, the plan phi·f·phi⁻¹ reduced.  The
+    entries that every plan but the empty one ends with act first (phi⁻¹,
+    and h⁻¹ for maps h∘R∘h⁻¹): unless they are all rotations, they are
+    walked once at the nodes and each plan continues from there."""
+    nodes = phi.space.nodes
+    for f in maps:
+        phi.space.check_same(f.space)
+    plans = [_reduce(phi.as_plan() + f.as_plan() + phi.as_plan(-1)) for f in maps]
+    ends = [plan[::-1] for plan in plans if plan] or [()]
+    k = next((i for i, e in enumerate(zip(*ends)) if len(set(e)) > 1), min(map(len, ends)))
+    if all(p.angle is not None for p, _ in ends[0][:k]):
+        k = 0  # a shared zero log-derivative would turn a -0.0 into 0.0
+    state = _walk(ends[0][k - 1 :: -1], nodes) if k else (nodes, None)
+    return [
+        Diffeo._sampled(phi.space, *(_walk(p[: len(p) - k], *state) if p else _walk(p, nodes)), p)
+        for p in plans
+    ]
+
+
 def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
     """phi ∘ f ∘ phi^{-1}, the plan phi·f·phi⁻¹ reduced.  The intermediates
     phi^{-1} and f∘phi^{-1} are never materialized: a strongly expanding
@@ -526,7 +547,7 @@ def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
     derivative dips below the node floor even though the conjugated
     composite is perfectly regular.  The result is exact even when f or phi
     is known only by its tracks: it composes their interpolants."""
-    return _from_maps((phi, 1), (f, 1), (phi, -1), exact=True)
+    return conjugate_maps([f], phi)[0]
 
 
 def log_deriv_sup(f: Diffeo) -> float:

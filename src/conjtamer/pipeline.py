@@ -3,10 +3,12 @@
 Every command parses a spec, builds the action and writes deterministic
 artifacts into an output directory:
 
-  report.json     always: schema_version 1, stage-by-stage record
+  report.json     always: schema_version 2, stage-by-stage record
   <prefix>_*.json serialized generators, re-ingestable via @name.json
   *.spec          a spec file reproducing the transformed action
-  path.jsonl      (path) one conjugacy-path sample per line
+  path.jsonl      (path) one conjugacy-path sample per line, written as it
+                  is built: t, n, s and the defect gaps; integer t adds the
+                  ball average u_t, from which path_phi rebuilds any phi_t
   plot.csv        (path) t, c1_gap and per-generator defect columns
   detect.json     (detect) the resilience witness, or null
 
@@ -31,6 +33,7 @@ from .cohomology import (
     birkhoff_solution,
     conjugacy_from_log_density,
     nilpotent_average_solution,
+    path_conjugacy,
     path_of_conjugates,
 )
 from .diffeo import Diffeo
@@ -41,11 +44,12 @@ from .periodic import (
     flatten_hyperbolic,
     rotation_number,
 )
+from .space import Space
 from .specfile import ActionSpec, PipelineParams, build_action
 from .taming import pushforward_check, tame_lipschitz
 from .words import FREE, NILPOTENT, Word
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 COMMANDS = ("tame-lipschitz", "tame-c1", "path", "detect", "flatten", "report")
 
 _PERIOD_CAP = 3  # default least-period bound for orbit inventories
@@ -374,44 +378,52 @@ def _cmd_path(
 ) -> None:
     n_max = params.nmax if params.nmax is not None else 24
     steps = params.steps if params.steps is not None else 8
+    names = action.names
+    space = {"kind": action.space.kind, "grid_size": action.space.grid_size}
+    step_sups: List[float] = []
 
+    # the checks and the ball pass run first; then each sample is written as
+    # soon as it is built, so a sample that fails leaves the ones before it
     with _stage(report, "path"):
         samples = path_of_conjugates(action, n_max, steps)
+        with open(os.path.join(out_dir, "path.jsonl"), "w") as fh, \
+                open(os.path.join(out_dir, "plot.csv"), "w") as csv:
+            csv.write("t,c1_gap" + "".join(f",defect_{n}" for n in names) + "\n")
+            for count, s in enumerate(samples, 1):
+                line = dict(t=s.t, n=s.n, s=s.s, c1_gap=s.c1_gap,
+                            c1_gap_track=s.c1_gap_track, c1_step=s.c1_step,
+                            gap_per_generator=s.gap_per_generator)
+                if s.u is not None:
+                    line.update(u=s.u, space=space)
+                fh.write(dumps_canonical(line) + "\n")
+                row = [s.t, s.c1_gap] + [s.gap_per_generator[n] for n in names]
+                csv.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                step_sups += [max(v) for v in (s.c1_step or {}).values()]
 
     with _stage(report, "export"):
-        jsonl = os.path.join(out_dir, "path.jsonl")
-        with open(jsonl, "w") as fh:
-            for s in samples:
-                fh.write(dumps_canonical({
-                    "t": s.t,
-                    "phi": s.phi.to_payload(),
-                    "c1_gap": s.c1_gap,
-                    "c1_gap_track": s.c1_gap_track,
-                    "gap_per_generator": s.gap_per_generator,
-                    "c1_step": s.c1_step,
-                }))
-                fh.write("\n")
-        csv_path = os.path.join(out_dir, "plot.csv")
-        names = action.names
-        with open(csv_path, "w") as fh:
-            fh.write("t,c1_gap" + "".join(f",defect_{n}" for n in names) + "\n")
-            for s in samples:
-                row = [f"{s.t:.17g}", f"{s.c1_gap:.17g}"]
-                row += [f"{s.gap_per_generator[n]:.17g}" for n in names]
-                fh.write(",".join(row) + "\n")
-        steps_max = max(
-            (max(v) for s in samples if s.c1_step for v in s.c1_step.values()),
-            default=0.0,
-        )
         report["path"] = {
             "n_max": n_max,
             "steps_per_unit": steps,
-            "samples": len(samples),
-            "final_c1_gap": samples[-1].c1_gap,
-            "final_c1_gap_track": samples[-1].c1_gap_track,
-            "max_c1_step": float(steps_max),
+            "samples": count,
+            "final_c1_gap": s.c1_gap,
+            "final_c1_gap_track": s.c1_gap_track,
+            "max_c1_step": float(max(step_sups, default=0.0)),
         }
         report["outputs"] = {"path": "path.jsonl", "plot": "plot.csv"}
+
+
+def path_phi(path_jsonl: str, t: float) -> Diffeo:
+    """The conjugacy phi_t of a path.jsonl sample, rebuilt bit for bit from
+    the u tracks of the integer samples (path_conjugacy); t must be one of
+    the file's sample times."""
+    with open(path_jsonl) as fh:
+        lines = [json.loads(line) for line in fh]
+    hit = next((line for line in lines if line["t"] == t), None)
+    if hit is None:
+        raise ValueError(f"t = {t!r} is not a sample of {path_jsonl}")
+    u = [None] + [np.asarray(line["u"]) for line in lines if "u" in line]
+    sp = lines[0]["space"]
+    return path_conjugacy(Space(sp["kind"], sp["grid_size"]), u, hit["n"], hit["s"])
 
 
 def _cmd_detect(

@@ -199,8 +199,8 @@ def test_criterion_6_certified_defect_bounds_multipliers(capsys, tmp_path, pytes
 def test_criterion_7_conjugacy_path(capsys):
     t0 = time.monotonic()
     act = conj_rotation_z2(4096)
-    path8 = path_of_conjugates(act, 24, 8)
-    path16 = path_of_conjugates(act, 24, 16)
+    path8 = list(path_of_conjugates(act, 24, 8))
+    path16 = list(path_of_conjugates(act, 24, 16))
 
     def max_step(samples):
         return max(max(d) for s in samples[1:] for d in s.c1_step.values())

@@ -243,7 +243,7 @@ def test_invariant_mean_rejects_non_orbit():
 
 def test_path_constant_for_rotations():
     act = rigid_rotations(256)
-    samples = path_of_conjugates(act, 3, 2)
+    samples = list(path_of_conjugates(act, 3, 2))
     assert len(samples) == 5
     assert [s.t for s in samples] == [1.0, 1.5, 2.0, 2.5, 3.0]
     for s in samples:
@@ -254,7 +254,7 @@ def test_path_constant_for_rotations():
 
 def test_path_gap_matches_integer_defects():
     act = conj_rotation_action(512)
-    samples = path_of_conjugates(act, 4, 2)
+    samples = list(path_of_conjugates(act, 4, 2))
     by_t = {s.t: s for s in samples}
     for n in (1, 2, 3, 4):
         want = birkhoff_solution(act, n).defect
@@ -264,7 +264,7 @@ def test_path_gap_matches_integer_defects():
 
 def test_path_records_steps():
     act = conj_rotation_action(512)
-    samples = path_of_conjugates(act, 2, 3)
+    samples = list(path_of_conjugates(act, 2, 3))
     assert samples[0].c1_step is None
     for s in samples[1:]:
         assert set(s.c1_step) == {"g"}

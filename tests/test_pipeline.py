@@ -6,10 +6,15 @@ import pytest
 
 from conjtamer import (
     CertificationFailure,
+    GridFunction,
     SpecError,
+    birkhoff_solution,
     build_action,
+    conjugacy_from_log_density,
     load_action_spec,
     parse_action_spec,
+    path_of_conjugates,
+    path_phi,
     run_pipeline,
 )
 from conjtamer.cli import main
@@ -143,7 +148,7 @@ def write(tmp_path, name, text):
 def test_report_command_trivial(tmp_path):
     spec = parse_action_spec(TRIVIAL)
     report = run_pipeline("report", spec, str(tmp_path / "out"))
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["command"] == "report"
     assert report["sup_log_deriv"]["f"] == 0.0
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -281,11 +286,31 @@ def test_path_outputs(tmp_path):
     assert len(lines) == (4 - 1) * 2 + 1
     first = json.loads(lines[0])
     assert first["t"] == 1.0
-    assert set(first) >= {"t", "phi", "c1_gap", "gap_per_generator"}
+    assert set(first) >= {"t", "n", "s", "u", "space", "c1_gap", "gap_per_generator"}
     csv_lines = (out / "plot.csv").read_text().splitlines()
     assert csv_lines[0] == "t,c1_gap,defect_g1,defect_g2"
     assert len(csv_lines) == len(lines) + 1
     assert report["path"]["samples"] == len(lines)
+
+
+def test_path_phi_rebuilds_every_sample_bit_for_bit(tmp_path):
+    spec = parse_action_spec(A3_SMALL)
+    out = tmp_path / "out"
+    run_pipeline("path", spec, str(out))
+    action = build_action(spec)
+    samples = list(path_of_conjugates(action, 4, 2))
+    lines = [json.loads(line) for line in (out / "path.jsonl").read_text().splitlines()]
+    assert [line["t"] for line in lines] == [s.t for s in samples]
+    assert (lines[-1]["t"], lines[-1]["n"], lines[-1]["s"]) == (4.0, 3, 1.0)
+    u = {s.t: s.u for s in samples if s.u is not None}
+    assert sorted(u) == [1.0, 2.0, 3.0, 4.0]
+    for s in samples:
+        want = (1.0 - s.s) * u[s.n] + s.s * u[s.n + 1]
+        phi = conjugacy_from_log_density(GridFunction(action.space, want))
+        assert s.phi.to_payload() == phi.to_payload()
+        assert path_phi(str(out / "path.jsonl"), s.t).to_payload() == phi.to_payload()
+    with pytest.raises(ValueError, match="not a sample"):
+        path_phi(str(out / "path.jsonl"), 1.25)
 
 
 def test_reports_are_byte_deterministic(tmp_path):
@@ -348,6 +373,22 @@ def test_cli_overrides_apply(tmp_path):
     out = tmp_path / "out"
     assert main(["path", "--spec", spec, "--out", str(out), "--nmax", "3", "--steps", "2"]) == 0
     assert len((out / "path.jsonl").read_text().splitlines()) == 5
+
+
+def test_cli_path_with_nmax_one_is_the_sample_at_one(tmp_path):
+    spec = write(tmp_path, "a3.spec", A3_SMALL)
+    out = tmp_path / "out"
+    assert main(["path", "--spec", spec, "--out", str(out), "--nmax", "1"]) == 0
+    lines = (out / "path.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    assert len((out / "plot.csv").read_text().splitlines()) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["path"]["samples"] == 1 and report["path"]["max_c1_step"] == 0.0
+    line = json.loads(lines[0])
+    assert (line["t"], line["n"], line["s"], line["c1_step"]) == (1.0, 1, 0.0, None)
+    u1 = birkhoff_solution(build_action(parse_action_spec(A3_SMALL)), 1).u
+    phi = path_phi(str(out / "path.jsonl"), 1.0)
+    np.testing.assert_allclose(phi.values, conjugacy_from_log_density(u1).values, atol=1e-12)
 
 
 def test_cli_grid_override(tmp_path):

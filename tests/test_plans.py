@@ -5,20 +5,29 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conjtamer import (
+    Diffeo,
+    GridFunction,
+    birkhoff_solution,
     build_action,
     build_diffeo,
     compose,
+    conjugacy_from_log_density,
     conjugate_action,
     conjugated_rotation,
+    deroin_cdf,
+    identity,
     invert,
     load_action_spec,
+    parse_action_spec,
     pwl_diffeo,
     rotation,
 )
 from conjtamer.diffeo import WalkState
+from conjtamer.pipeline import dumps_canonical
 from conjtamer.space import circle, interval
 
 from helpers import (
@@ -206,3 +215,65 @@ def test_mobius_inverse_is_closed_form():
     x, ld = f.inverse_jet(y)
     np.testing.assert_allclose(x, 2.0 * y / (1.0 + y), rtol=0, atol=1e-15)
     np.testing.assert_allclose(ld, np.log(2.0 / (1.0 + y) ** 2), rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Action.conjugated walks the entries that every plan ends with once.
+
+
+def _a3_z2(tmp_path):
+    # g1 and g2 share the primitive of h, so h⁻¹∘phi⁻¹ is walked once
+    action = build_action(load_action_spec(str(SPECS / "a3_z2.spec")), 256)
+    return action, conjugacy_from_log_density(birkhoff_solution(action, 3).u)
+
+
+def _heisenberg(tmp_path):
+    # c = x has an empty plan: phi·phi⁻¹ cancels and c stays the identity
+    action = build_action(load_action_spec(str(SPECS / "heisenberg_proj.spec")), 256)
+    u = 0.3 * np.sin(2 * np.pi * action.space.track_nodes())
+    return action, conjugacy_from_log_density(GridFunction(action.space, u))
+
+
+def _a4_deroin(tmp_path):
+    # one generator, conjugated by a map whose inverse is a Newton solve
+    action = build_action(load_action_spec(str(SPECS / "a4.spec")), 256)
+    return action, deroin_cdf(action, 0.9, 8).conjugator
+
+
+def _grid_only(tmp_path):
+    # generators loaded from a payload file have no plan
+    g = conjugated_rotation(circle(256), "x + 0.1*sin(2*pi*x)", GOLDEN)
+    (tmp_path / "g.json").write_text(dumps_canonical(g.to_payload()))
+    text = "[space]\nkind = circle\ngrid_size = 256\n\n[group]\ntype = abelian\n" \
+        "generators = g1 g2\n\n[generators]\ng1 = @g.json\ng2 = @g.json\n"
+    action = build_action(parse_action_spec(text), base_dir=str(tmp_path))
+    assert all(g.plan is None for g in action.gens)
+    u = 0.2 * np.cos(2 * np.pi * action.space.track_nodes())
+    return action, conjugacy_from_log_density(GridFunction(action.space, u))
+
+
+def _plan_key(plan):
+    # merged rotations are new primitives: compare them by angle
+    return [(p.angle if p.angle is not None else id(p), s) for p, s in plan]
+
+
+def _assert_same_map(f, g):
+    assert f.values.tobytes() == g.values.tobytes()
+    assert f.log_deriv.samples.tobytes() == g.log_deriv.samples.tobytes()
+    assert _plan_key(f.plan) == _plan_key(g.plan)
+
+
+@pytest.mark.parametrize(
+    "make", [_a3_z2, _heisenberg, _a4_deroin, _grid_only],
+    ids=["a3_z2", "heisenberg_proj", "a4-deroin", "grid-only"],
+)
+def test_conjugated_action_matches_each_conjugate_byte_for_byte(make, tmp_path):
+    action, phi = make(tmp_path)
+    conjugated = action.conjugated(phi)
+    for g, cg in zip(action.gens, conjugated.gens):
+        _assert_same_map(cg, conjugate_action(g, phi))
+        # the walk of the whole plan phi·g·phi⁻¹, as before the shared walk
+        plan = phi.as_plan() + g.as_plan() + phi.as_plan(-1)
+        _assert_same_map(cg, Diffeo.from_plan(action.space, plan))
+        if g.plan == ():
+            _assert_same_map(cg, identity(action.space))

@@ -187,6 +187,25 @@ def test_birkhoff_solution_steps_the_ball_once(monkeypatch):
     assert sorted(inversions) == [nodes] * (2 * d) + [batch]
 
 
+def test_path_sample_solves_h_once(monkeypatch):
+    # the conjugated generators phi·h·R_i·h⁻¹·phi⁻¹ end with the same
+    # h⁻¹·phi⁻¹, walked once per sample (one Newton solve of h per
+    # generator before); the ball pass runs on the call, not on iteration
+    action = conj_rotation_z2(256)
+    calls = []
+    invert01 = Diffeo._invert01
+
+    def counted(self, y):
+        calls.append(np.size(y))
+        return invert01(self, y)
+
+    monkeypatch.setattr(Diffeo, "_invert01", counted)
+    samples = path_of_conjugates(action, 4, 2)
+    calls.clear()
+    assert len(list(samples)) == 7
+    assert calls == [257] * 7  # at the grid nodes, endpoint included
+
+
 # ---------------------------------------------------------------------------
 # Ball-size limits: n^d times the largest point set that the six-pass
 # measurement evaluated at once, not times the size of the one-pass batch.
@@ -215,7 +234,7 @@ def test_path_size_limit_is_nodes(make, nodes, monkeypatch):
     action = make()
     n = 3
     monkeypatch.setattr(cohomology, "_FIELD_CAP", n**action.rank * nodes)
-    assert len(path_of_conjugates(action, n, 1)) == n
+    assert len(list(path_of_conjugates(action, n, 1))) == n
     with pytest.raises(SizeOverflow):
         path_of_conjugates(action, n + 1, 1)
 
