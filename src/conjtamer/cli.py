@@ -16,28 +16,14 @@ the spec parses), 3 certification failure (report.json still written),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
 
 from .errors import CertificationFailure, ConjTamerError, SpecError
 from .pipeline import run_pipeline
-from .specfile import load_action_spec
-
-_OVERRIDE_ATTRS = {
-    "lambda_": "lam",
-    "radius": "radius",
-    "epsilon": "epsilon",
-    "delta": "delta",
-    "alpha": "alpha",
-    "nmax": "nmax",
-    "steps": "steps",
-    "max_word_len": "max_word_len",
-    "resolution": "resolution",
-    "growth_constant": "growth_constant",
-    "k_max": "k_max",
-    "shell_index": "shell_index",
-}
+from .specfile import PipelineParams, load_action_spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,29 +47,33 @@ def build_parser() -> argparse.ArgumentParser:
                         help="conjugate to uniformly small Lipschitz "
                         "constants via a word-averaged measure")
     common(tl)
-    tl.add_argument("--lambda", dest="lambda_", type=float,
-                    help="series weight in (0, 1/growth)")
+    tl.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,
+                    help="series weight in (0, 1/growth) (required here "
+                    "or in the spec)")
     tl.add_argument("--radius", "--ball-radius", dest="radius", type=int,
-                    help="word-length truncation radius")
+                    help="word-length truncation radius (default 40)")
 
     tc = sub.add_parser("tame-c1",
                         help="flatten hyperbolic periodic points, solve the "
                         "additive cocycle equation and certify sup|log D|")
     common(tc)
-    tc.add_argument("--epsilon", type=float, help="certification target")
+    tc.add_argument("--epsilon", type=float,
+                    help="certification target (required here or in the spec)")
     tc.add_argument("--delta", type=float,
                     help="post-flattening multiplier budget per period "
-                    "(default: epsilon)")
+                    "(default: epsilon); on a nilpotent group also the "
+                    "exactness-onset threshold of the solve (default 0.1)")
     tc.add_argument("--alpha", type=float,
-                    help="flattening exponent override")
+                    help="flattening exponent override (default: from delta)")
     tc.add_argument("--nmax", type=int,
-                    help="averaging ball radius (abelian solve)")
+                    help="averaging ball radius (abelian solve, default 16)")
     tc.add_argument("--k-max", dest="k_max", type=int,
-                    help="shell search cap (nilpotent solve)")
+                    help="shell search cap (nilpotent solve, default 8)")
     tc.add_argument("--shell-index", dest="shell_index", type=int,
-                    help="which admissible shell to average over")
+                    help="which admissible shell to average over (default 0)")
     tc.add_argument("--growth-constant", dest="growth_constant", type=float,
-                    help="ball growth constant override (nilpotent solve)")
+                    help="ball growth constant override (nilpotent solve; "
+                    "default: the least measured constant)")
 
     pa = sub.add_parser("path",
                         help="sample the conjugacy path of averaging "
@@ -110,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "down to a per-period budget")
     common(fl)
     fl.add_argument("--delta", type=float,
-                    help="per-period multiplier budget (default 0.1)")
+                    help="per-period multiplier budget (default: the spec's "
+                    "epsilon, else 0.1; ignored once alpha is set)")
     fl.add_argument("--alpha", type=float,
-                    help="flattening exponent override")
+                    help="flattening exponent override (default: from delta)")
     fl.add_argument("--nmax", type=int,
                     help="least-period search bound (default 3)")
 
@@ -165,9 +156,9 @@ def _summary_lines(report: dict) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
-        dest: getattr(args, attr)
-        for attr, dest in _OVERRIDE_ATTRS.items()
-        if getattr(args, attr, None) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(PipelineParams)
+        if getattr(args, f.name, None) is not None
     }
     try:
         spec = load_action_spec(args.spec)

@@ -192,9 +192,7 @@ def _exp_integrals(a: Array, db: Array, width) -> Array:
 
 def log_density_normalizer(space: Space, samples: Array) -> float:
     """C with integral of exp(samples + C) = 1 (piecewise-linear samples)."""
-    full = (
-        np.concatenate([samples, samples[:1]]) if space.is_circle else samples
-    )
+    full = space.full_track(samples)
     return -float(np.log(np.sum(_exp_integrals(full[:-1], np.diff(full), space.h))))
 
 
@@ -334,9 +332,7 @@ def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
     samples = u.samples
     if not np.all(np.isfinite(samples)):
         raise NonFinite("log-density has non-finite samples")
-    full = (
-        np.concatenate([samples, samples[:1]]) if space.is_circle else samples
-    )
+    full = space.full_track(samples)
     cells = _exp_integrals(full[:-1], np.diff(full), space.h)
     cum = np.concatenate([[0.0], np.cumsum(cells)])
     total = cum[-1]

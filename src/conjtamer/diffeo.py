@@ -1,17 +1,18 @@
 """Orientation-preserving C^1 diffeomorphisms of the interval and the circle.
 
-The primary data is the log-derivative track sampled per grid node, plus the
-lift offset f(0) for circle maps.  Values are reconstructed from the track by
-trapezoidal quadrature with endpoint (interval) or degree-one (circle)
-normalization, and interpolated piecewise-linearly between nodes.
-
-A diffeo built from closed forms is also exact: it carries a plan, a freely
+Every map carries a log-derivative track per grid node, a value track at all
+nodes (on the circle, offset f(0) in [0,1)), and a plan: the map as a freely
 reduced word of entries (primitive, ±1) read as a composition, so the last
 entry acts first.  A primitive is an exact map with a jet x -> (value,
 log-derivative) and an inverse jet.  The inverse is in closed form for
 rotations, piecewise-linear and Möbius maps, log-density conjugacies and
 flattening conjugates; otherwise it is a Newton solve on the forward jet that
-returns the log-derivative of its last jet.  compose, invert and
+returns the log-derivative of its last jet, seeded and bracketed by the
+inverse of the piecewise-linear value track.  A map known only by its
+log-derivative track (from_log_deriv) is one track primitive: its values are
+the trapezoidal quadrature of the track, normalized at the endpoints
+(interval) or to degree one (circle); its jet interpolates both tracks and
+its inverse jet is that piecewise-linear inverse.  compose, invert and
 conjugate_action concatenate, reverse and reduce plans: P·P⁻¹ cancels and
 adjacent rotations merge.  Chains therefore evaluate without stacking
 interpolation error, and an orbit walk (WalkState) stays in a conjugator's
@@ -155,7 +156,15 @@ def _branch(x: Array, base: float = 0.0) -> Tuple[Array, Array]:
     wrap = y - base >= 1.0  # x - k rounded up onto the next branch
     if wrap.any():
         y, k = np.where(wrap, y - 1.0, y), k + wrap
-    return y, k
+    return np.maximum(y, base), k  # below base where x - base rounded onto k
+
+
+def _pl_inverse(space: Space, values: Array, y: Array) -> Tuple[Array, Array]:
+    """(x, cell index of x) where the piecewise-linear value track takes the
+    value y, unclipped."""
+    idx = np.clip(np.searchsorted(values, y) - 1, 0, space.grid_size - 1)
+    x = space.nodes[idx] + (y - values[idx]) / (values[idx + 1] - values[idx]) * space.h
+    return x, idx
 
 
 def _walk(plan, x: Array, ld=None) -> Tuple[Array, Array]:
@@ -191,9 +200,9 @@ def _reduce(plan) -> tuple:
 
 
 def _shifted(plan, k: int) -> tuple:
-    """The plan (or None) followed by x -> x + k, k an integer: k joins the
-    first rotation, as integer shifts commute with every circle primitive."""
-    if not k or plan is None:
+    """The plan followed by x -> x + k, k an integer: k joins the first
+    rotation, as integer shifts commute with every circle primitive."""
+    if not k:
         return plan
     i = next((i for i, (p, _) in enumerate(plan) if p.angle is not None), 0)
     return _reduce(plan[:i] + ((Primitive(True, angle=float(k)), 1),) + plan[i:])
@@ -257,18 +266,16 @@ class Diffeo:
     values: lift values at all grid_size+1 nodes (interval: values[0] = 0,
     values[-1] = 1; circle: values[0] = offset in [0,1), values[-1] = offset+1).
     log_deriv: GridFunction on the space's per-node track.
-    plan: the exact map as a reduced word of primitives, or None for a map
-    known only by its tracks; the exact log_deriv.fn walks it.  A map
-    without a plan is the one primitive of its own walks (see apply).
+    plan: the map as a reduced word of primitives, one track primitive for a
+    map known only by its tracks; the exact log_deriv.fn walks it.
     """
 
     __slots__ = ("space", "log_deriv", "values", "offset", "plan")
-    angle = None  # walks read .angle of their primitives
 
-    def __init__(self, space: Space, log_deriv: GridFunction, values: Array, plan=None):
-        if plan is not None:  # log D as apply walks it; no self, so no cycle for the gc
-            fn = lambda x: _walk(plan, _branch(x)[0] if space.is_circle else np.clip(x, 0, 1))[1]
-            log_deriv = GridFunction(space, log_deriv.samples, fn)
+    def __init__(self, space: Space, log_deriv: GridFunction, values: Array, plan):
+        # log D as apply walks it; no self, so no cycle for the gc
+        fn = lambda x: _walk(plan, _branch(x)[0] if space.is_circle else np.clip(x, 0, 1))[1]
+        log_deriv = GridFunction(space, log_deriv.samples, fn)
         self.space = space
         self.log_deriv = log_deriv
         self.values = values
@@ -280,8 +287,8 @@ class Diffeo:
 
     @classmethod
     def from_log_deriv(cls, space: Space, samples, offset: float = 0.0) -> "Diffeo":
-        """Canonical grid-only reconstruction: trapezoidal quadrature of
-        exp(log-derivative samples), then endpoint/degree normalization."""
+        """The track primitive of log-derivative samples: trapezoidal
+        quadrature of their exp, then endpoint/degree normalization."""
         samples = _as_array(samples)
         if samples.shape != (space.track_length,):
             raise ValueError(
@@ -290,8 +297,7 @@ class Diffeo:
             )
         if not np.all(np.isfinite(samples)):
             raise NonFinite("log-derivative samples must be finite")
-        full = np.concatenate([samples, samples[:1]]) if space.is_circle else samples
-        d = np.exp(full)
+        d = np.exp(space.full_track(samples))
         raw = np.concatenate([[0.0], np.cumsum((d[:-1] + d[1:]) * (0.5 * space.h))])
         values = raw / raw[-1]
         # keep the track consistent with the normalized values; skip shifts at
@@ -301,7 +307,15 @@ class Diffeo:
             samples = samples - c
         if space.is_circle:
             values = values + (float(offset) % 1.0)
-        return cls(space, GridFunction(space, samples), values)
+        track, nodes = GridFunction(space, samples), space.nodes
+
+        def inverse_jet(y):
+            x = np.clip(_pl_inverse(space, values, y)[0], 0.0, 1.0)
+            return x, -track.interp(x)
+
+        jet_fn = lambda x: (np.interp(x, nodes, values), track.interp(x))
+        prim = Primitive(space.is_circle, jet_fn, inverse_jet)
+        return cls(space, track, values, ((prim, 1),))
 
     @classmethod
     def from_callables(cls, space: Space, jet_fn, inverse_jet=None) -> "Diffeo":
@@ -321,7 +335,7 @@ class Diffeo:
         return cls._sampled(space, *_walk(plan, space.nodes), plan)
 
     @classmethod
-    def _sampled(cls, space: Space, values: Array, ld: Array, plan=None) -> "Diffeo":
+    def _sampled(cls, space: Space, values: Array, ld: Array, plan) -> "Diffeo":
         """A map from its jet at the nodes, shifted on the circle (plan too)
         so that f(0) lies in [0,1)."""
         shift = math.floor(values[0]) if space.is_circle else 0
@@ -354,26 +368,15 @@ class Diffeo:
 
     # -- evaluation ----------------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        return self.plan is not None
-
     def apply(self, x, sign: int = 1) -> Tuple[Array, Array]:
         """Jet (sign 1) or inverse jet (sign -1) at arbitrary reals (interval:
-        [0,1]), through the plan or its reverse, else from the tracks.  A map
-        without a plan is thus the one primitive of its own walks."""
+        [0,1]), through the plan or its reverse."""
         x, k = _as_array(x), 0.0
         if self.space.is_circle:
             x, k = _branch(x, 0.0 if sign > 0 else self.offset)
         else:
             x = np.clip(x, 0.0, 1.0)
-        if self.plan is not None:
-            v, ld = _walk(self.as_plan(sign), x)
-        elif sign > 0:
-            v = np.interp(x, self.space.nodes, self.values)
-            ld = self.log_deriv.interp(x)
-        else:
-            v, ld = self._invert01(x)
+        v, ld = _walk(self.as_plan(sign), x)
         return v + k, ld
 
     def jet(self, x) -> Tuple[Array, Array]:
@@ -404,21 +407,15 @@ class Diffeo:
         return np.exp(self.log_deriv(x))
 
     def as_plan(self, sign: int = 1) -> tuple:
-        """The plan of the map (sign 1) or of its inverse (sign -1); a map
-        without a plan is its own one primitive."""
-        plan = self.plan if self.plan is not None else ((self, 1),)
-        return plan if sign > 0 else tuple((p, -s) for p, s in reversed(plan))
+        """The plan of the map (sign 1) or of its inverse (sign -1)."""
+        return self.plan if sign > 0 else tuple((p, -s) for p, s in reversed(self.plan))
 
     def _invert01(self, y: Array) -> Tuple[Array, Array]:
-        """(f^{-1}(y), log D(f^{-1})(y)) for y in the fundamental branch.  The
-        value track inverts in closed form; that seeds Newton on the jet of
-        an exact map and is the answer for a grid map."""
-        vals, nodes = self.values, self.space.nodes
-        idx = np.clip(np.searchsorted(vals, y) - 1, 0, self.space.grid_size - 1)
-        x = nodes[idx] + (y - vals[idx]) / (vals[idx + 1] - vals[idx]) * self.space.h
-        if self.plan is None:
-            x = np.clip(x, 0.0, 1.0)
-            return x, -self.log_deriv.interp(x)
+        """(f^{-1}(y), log D(f^{-1})(y)) for y in the fundamental branch:
+        Newton on the jet, seeded and bracketed by the inverse of the
+        piecewise-linear value track."""
+        x, idx = _pl_inverse(self.space, self.values, y)
+        nodes = self.space.nodes
         x, ld = _newton(self.jet, y, nodes[idx], nodes[idx + 1], x)
         return x, -ld
 
@@ -441,10 +438,7 @@ class Diffeo:
         )
 
     def __repr__(self):
-        tag = "exact" if self.is_exact else "grid"
-        return (
-            f"Diffeo({self.space}, sup|logD|={self.log_deriv.sup_abs():.4g}, {tag})"
-        )
+        return f"Diffeo({self.space}, sup|logD|={self.log_deriv.sup_abs():.4g})"
 
 
 # ---------------------------------------------------------------------------
@@ -486,27 +480,17 @@ def build_diffeo(definition, space: Space) -> Diffeo:
     return Diffeo.from_callables(space, jet_fn, inverse_jet)
 
 
-def _from_maps(*entries, exact: bool) -> Diffeo:
-    """The composition of maps (Diffeo, ±1), the last acting first, from
-    their concatenated plans (a map without a plan enters as itself): exact
-    with the reduced plan, or a grid map with the tracks alone."""
-    space = entries[0][0].space
-    for f, _ in entries:
-        space.check_same(f.space)
-    plan = sum((f.as_plan(s) for f, s in entries), ())
-    if exact:
-        return Diffeo.from_plan(space, plan)
-    return Diffeo._sampled(space, *_walk(plan, space.nodes))
-
-
 def compose(f: Diffeo, g: Diffeo) -> Diffeo:
-    """f∘g.  The log-derivative track is log Dg + (log Df)∘g sampled per node."""
-    return _from_maps((f, 1), (g, 1), exact=f.is_exact and g.is_exact)
+    """f∘g, the plan f·g reduced.  The log-derivative track is
+    log Dg + (log Df)∘g sampled per node."""
+    f.space.check_same(g.space)
+    return Diffeo.from_plan(f.space, f.as_plan() + g.as_plan())
 
 
 def invert(f: Diffeo) -> Diffeo:
-    """f^{-1}.  The log-derivative track is -(log Df)∘f^{-1} sampled per node."""
-    return _from_maps((f, -1), exact=f.is_exact)
+    """f^{-1}, the reversed plan.  The log-derivative track is
+    -(log Df)∘f^{-1} sampled per node."""
+    return Diffeo.from_plan(f.space, f.as_plan(-1))
 
 
 def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
@@ -545,8 +529,7 @@ def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
     phi^{-1} and f∘phi^{-1} are never materialized: a strongly expanding
     conjugator (e.g. a weighted orbit CDF) can have an inverse whose
     derivative dips below the node floor even though the conjugated
-    composite is perfectly regular.  The result is exact even when f or phi
-    is known only by its tracks: it composes their interpolants."""
+    composite is perfectly regular."""
     return conjugate_maps([f], phi)[0]
 
 

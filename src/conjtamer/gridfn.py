@@ -46,11 +46,10 @@ class GridFunction:
     def interp(self, x) -> Array:
         """Piecewise-linear evaluation from the samples alone."""
         x = np.asarray(x, dtype=float)
-        nodes = self.space.nodes
+        fp = self.space.full_track(self.samples)
         if self.space.is_circle:
-            fp = np.concatenate([self.samples, self.samples[:1]])
-            return np.interp(np.mod(x, 1.0), nodes, fp)
-        return np.interp(x, nodes, self.samples)
+            x = np.mod(x, 1.0)
+        return np.interp(x, self.space.nodes, fp)
 
     # -- norms and checks ----------------------------------------------------
 

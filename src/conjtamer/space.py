@@ -60,6 +60,11 @@ class Space:
         """The nodes at which a per-node track is sampled."""
         return self.nodes[: self.track_length]
 
+    def full_track(self, track: np.ndarray) -> np.ndarray:
+        """A per-node track at all grid_size + 1 nodes: the circle repeats
+        its node-0 sample at node 1."""
+        return np.concatenate([track, track[:1]]) if self.is_circle else track
+
     def reduce(self, x) -> np.ndarray:
         """x reduced into the space: mod 1 on the circle, clipped to [0,1]."""
         x = np.asarray(x, dtype=float)

@@ -313,9 +313,11 @@ def _build_generator(d: GeneratorDef, space: Space, base_dir: str, conj_h) -> Di
         try:
             with open(path) as fh:
                 payload = json.load(fh)
+            g = Diffeo.from_payload(payload)
         except OSError as exc:
             raise SpecError(f"cannot read {path}: {exc}", line=d.line)
-        g = Diffeo.from_payload(payload)
+        except (ValueError, KeyError, TypeError) as exc:  # JSON, shape, grid
+            raise SpecError(f"malformed map payload {path}: {exc!r}", line=d.line)
         if g.space == space:
             return g
         if g.space.kind != space.kind:

@@ -20,6 +20,8 @@ stack_normal_form and stack_ball are the letter-stack reducer and the ball
 BFS over letter tuples that words.py ran before the trie, kept as its oracle.
 ClosureMap and the closure_* builders are the closure-chain evaluators that
 exact diffeos carried before composition plans, kept as their oracle.
+track_jet is the evaluator of maps known only by their tracks from before
+they became one track primitive, kept as its oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from conjtamer import (
     Action,
+    GridFunction,
     Presentation,
     build_diffeo,
     conjugated_rotation,
@@ -220,6 +223,29 @@ def closure_conjugate(f, phi):
     return ClosureMap(
         f.space, jet, lambda z: phi.jet(f.inverse(phi.inverse(z)))[0]
     )
+
+
+def track_jet(f, x, sign=1):
+    """Jet (sign 1) or inverse jet (sign -1) of f at lifts x from its tracks
+    alone: the value track interpolated, or inverted piecewise-linearly and
+    clipped to [0, 1], with the log-derivative track interpolated."""
+    sp, vals = f.space, f.values
+    x, k = np.asarray(x, dtype=float), 0.0
+    if sp.is_circle:  # the fundamental branch [base, base + 1) of each lift
+        base = 0.0 if sign > 0 else f.offset
+        k = np.floor(x - base)
+        x = x - k
+        wrap = x - base >= 1.0
+        x, k = np.where(wrap, x - 1.0, x), k + wrap
+    else:
+        x = np.clip(x, 0.0, 1.0)
+    interp = GridFunction(sp, f.log_deriv.samples).interp
+    if sign > 0:
+        return np.interp(x, sp.nodes, vals) + k, interp(x)
+    idx = np.clip(np.searchsorted(vals, x) - 1, 0, sp.grid_size - 1)
+    y = sp.nodes[idx] + (x - vals[idx]) / (vals[idx + 1] - vals[idx]) * sp.h
+    y = np.clip(y, 0.0, 1.0)
+    return y + k, -interp(y)
 
 
 def assert_close(actual, oracle, rel=1e-11):

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conjtamer.diffeo as diffeo_mod
 from conjtamer import (
@@ -18,6 +18,7 @@ from conjtamer import (
     NonConvergence,
     Presentation,
     birkhoff_field,
+    build_action,
     build_diffeo,
     compose,
     conjugacy_from_log_density,
@@ -26,10 +27,12 @@ from conjtamer import (
     deroin_cdf,
     flatten_hyperbolic,
     invert,
+    parse_action_spec,
     pwl_diffeo,
     rotation,
 )
 from conjtamer.cli import main
+from conjtamer.diffeo import Primitive
 from conjtamer.space import circle, interval
 
 from helpers import (
@@ -40,6 +43,7 @@ from helpers import (
     conj_rotation_z2,
     mobius_action,
     pingpong_action,
+    track_jet,
     wobble,
 )
 
@@ -97,10 +101,43 @@ lifts = st.lists(
 @given(x=lifts)
 def test_jet_equals_value_and_log_derivative(name, x):
     f = constructions()[name]
-    assert f.is_exact
     v, ld = f.jet(x)
     assert np.array_equal(v, f.eval_lift(x))
     assert np.array_equal(ld, f.log_derivative(x))
+
+
+@lru_cache(maxsize=None)
+def track_maps():
+    si, sc = interval(64), circle(64)
+    return {
+        "track-interval": Diffeo.from_log_deriv(si, 0.4 * si.track_nodes() ** 2),
+        "track-circle": Diffeo.from_log_deriv(
+            sc, 0.2 * np.sin(2 * np.pi * sc.track_nodes()), offset=0.3
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["track-interval", "track-circle"])
+@settings(deadline=None, max_examples=60)
+@given(x=lifts)
+# at -0.7 and -2.7, x - 0.3 rounds onto an integer k with x - k below 0.3:
+# the inverse branch holds y = 0.3 there instead of a float below the offset
+@example(x=np.array([-0.7, -2.7, 1.3]))
+def test_track_map_jets_equal_the_track_evaluators(name, x):
+    f = track_maps()[name]
+    (v, ld), (ov, old) = f.jet(x), track_jet(f, x)
+    assert np.array_equal(v, ov) and np.array_equal(ld, old)
+    (v, ld), (ov, old) = f.inverse_jet(x), track_jet(f, x, -1)
+    assert np.array_equal(v, ov) and np.array_equal(ld, old)
+
+
+def test_every_plan_entry_is_a_primitive(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps(wobble(256).to_payload()))
+    text = "[space]\nkind = circle\ngrid_size = 256\n\n[group]\ntype = abelian\n" \
+        "generators = g\n\n[generators]\ng = @g.json\n"
+    action = build_action(parse_action_spec(text), base_dir=str(tmp_path))
+    for f in [*constructions().values(), *track_maps().values(), *action.gens]:
+        assert f.plan and all(isinstance(p, Primitive) for p, _ in f.plan)
 
 
 # Evaluators without a Newton loop act point by point, and Newton stops point

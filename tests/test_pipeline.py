@@ -430,6 +430,52 @@ def test_cli_pwl_with_a_jump_is_rejected(tmp_path):
     assert json.loads((out / "report.json").read_text())["failed_stage"] == "build"
 
 
+PAYLOAD_SPEC = textwrap.dedent(
+    """\
+    [space]
+    kind = circle
+    grid_size = 64
+
+    [group]
+    type = abelian
+    generators = g
+
+    [generators]
+    g = @g.json
+    """
+)
+GOOD_PAYLOAD = {"space": {"kind": "circle", "grid_size": 64}, "grid_size": 64,
+                "log_deriv": [0.0] * 64, "offset": 0.25}
+
+
+def _payload(drop=None, **edits):
+    payload = dict(GOOD_PAYLOAD, **edits)
+    payload.pop(drop, None)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        pytest.param("{not json", 2, id="invalid-json"),
+        pytest.param(_payload(drop="log_deriv"), 2, id="no-log_deriv"),
+        pytest.param(_payload(drop="space"), 2, id="no-space"),
+        pytest.param("[1, 2, 3]", 2, id="top-level-list"),
+        pytest.param(_payload(log_deriv=[0.0, 0.0]), 2, id="two-samples"),
+        pytest.param(_payload(space={"kind": "circle", "grid_size": 63}), 2, id="grid-63"),
+        pytest.param(_payload(log_deriv=[float("nan")] * 64), 1, id="non-finite"),
+    ],
+)
+def test_cli_malformed_payload_exits_with_report(tmp_path, capsys, text, code):
+    (tmp_path / "g.json").write_text(text)
+    spec = write(tmp_path, "g.spec", PAYLOAD_SPEC)
+    out = tmp_path / "out"
+    assert main(["report", "--spec", spec, "--out", str(out)]) == code
+    if code == 2:  # a spec error names the generator's line
+        assert "(line 10)" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["failed_stage"] == "build"
+
+
 SPECS = {"A3": A3_SMALL, "A4": A4_SMALL, "PINGPONG": PINGPONG_SMALL}
 
 

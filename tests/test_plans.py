@@ -63,6 +63,10 @@ def test_compose_with_inverse_is_the_empty_plan():
     assert compose(invert(h), h).plan == ()
     g = conjugated_rotation(circle(256), h, GOLDEN)
     assert compose(g, invert(g)).plan == ()
+    # a map known only by its tracks is one primitive, and cancels too
+    t = Diffeo.from_log_deriv(circle(256), h.log_deriv.samples, h.offset)
+    assert compose(t, invert(t)).plan == ()
+    assert compose(invert(t), t).plan == ()
 
 
 def test_adjacent_rotations_merge():
@@ -241,13 +245,13 @@ def _a4_deroin(tmp_path):
 
 
 def _grid_only(tmp_path):
-    # generators loaded from a payload file have no plan
+    # generators loaded from a payload file are one track primitive each
     g = conjugated_rotation(circle(256), "x + 0.1*sin(2*pi*x)", GOLDEN)
     (tmp_path / "g.json").write_text(dumps_canonical(g.to_payload()))
     text = "[space]\nkind = circle\ngrid_size = 256\n\n[group]\ntype = abelian\n" \
         "generators = g1 g2\n\n[generators]\ng1 = @g.json\ng2 = @g.json\n"
     action = build_action(parse_action_spec(text), base_dir=str(tmp_path))
-    assert all(g.plan is None for g in action.gens)
+    assert all(len(g.plan) == 1 and g.plan[0][0].angle is None for g in action.gens)
     u = 0.2 * np.cos(2 * np.pi * action.space.track_nodes())
     return action, conjugacy_from_log_density(GridFunction(action.space, u))
 
