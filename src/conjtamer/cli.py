@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "epsilon, else 0.1; ignored once alpha is set)")
     fl.add_argument("--alpha", type=float,
                     help="flattening exponent override (default: from delta)")
-    fl.add_argument("--nmax", type=int,
-                    help="least-period search bound (default 3)")
 
     rp = sub.add_parser("report",
                         help="diagnostics only: norms, relations, periodic "

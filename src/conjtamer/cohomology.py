@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, Primitive, WalkState, c1_distance
+from .diffeo import Diffeo, Primitive, WalkState, c1_distance, iterate
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
@@ -480,9 +480,4 @@ def invariant_mean_log_derivative(
         return float(np.mean(f.log_deriv(pts)))
     if x is None or n is None or n < 1:
         raise ValueError("need orbit=... or x=..., n>=1")
-    y = np.asarray([x], dtype=float)
-    acc = 0.0
-    for _ in range(int(n)):
-        y, ld = f.jet(y)
-        acc += float(ld[0])
-    return acc / float(n)
+    return float(iterate(f, [x], int(n))[1][0]) / float(n)

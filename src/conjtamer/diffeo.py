@@ -27,6 +27,7 @@ from values.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -254,6 +255,22 @@ class WalkState:
             z, ld = q.apply(z, t)
             acc = acc if ld is None else acc + ld
         return WalkState(z, acc, plan[0] if plan else None)
+
+
+def iterates(f: "Diffeo", x, n: int):
+    """(f^k(x), log D(f^k)(x)) at lifts x (interval: [0,1]) for k = 1..n,
+    from one WalkState walk of f's plan: h∘R_α∘h⁻¹ inverts h once and then
+    steps z -> z + α."""
+    plan = f.as_plan()
+    walk = WalkState.start(x, (plan,))
+    for _ in range(n):
+        walk = walk.step(plan)
+        yield walk.point()
+
+
+def iterate(f: "Diffeo", x, n: int) -> Tuple[Array, Array]:
+    """(f^n(x), log D(f^n)(x)) for n >= 1: the last of iterates."""
+    return deque(iterates(f, x, n), maxlen=1).pop()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Periodic-orbit inventory, hyperbolic-point flattening, and detection of
 resilient interval pairs.
 
+Orbits walk plans: every iterate, multiplier and rotation number comes from
+one WalkState walk of the map's plan (diffeo.iterates), so a conjugated
+rotation h∘R_α∘h⁻¹ inverts h once per walk and then steps z -> z + α.
+
 Flattening conjugates by a map whose germ at each flagged point is
 x_j ± r (t/r)^(1/alpha); the conjugated maps stay C^1 with fixed-point
 multipliers raised to the power 1/alpha.  The flattening map has infinite
@@ -18,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, Primitive, _newton
+from .diffeo import Diffeo, Primitive, _newton, iterate, iterates
 from .errors import (
     FlaggedSetNotInvariant,
     InfiniteHyperbolicSet,
@@ -33,6 +37,7 @@ Array = np.ndarray
 PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
 _SNAP_TOL = 1e-8  # distance within which an image of a flagged point is flagged
+PERIOD_CAP = 3  # least-period bound of the pipeline's inventories and flattening
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +62,6 @@ class PeriodicOrbit:
         return abs(self.log_multiplier) < PARABOLIC_TOL
 
 
-def _iterate_lift(f: Diffeo, x: Array, n: int) -> Array:
-    y = np.array(x, dtype=float)
-    for _ in range(n):
-        y = f.eval_lift(y)
-    return y
-
-
 def _point_distance(space: Space, a: float, b: float) -> float:
     d = abs(a - b)
     return min(d, 1.0 - d) if space.is_circle else d
@@ -71,12 +69,7 @@ def _point_distance(space: Space, a: float, b: float) -> float:
 
 def orbit_multiplier(f: Diffeo, x: float, period: int) -> float:
     """Df^period at x through the log-derivative chain rule."""
-    lm = 0.0
-    y = np.asarray([x], dtype=float)
-    for _ in range(period):
-        y, ld = f.jet(y)
-        lm += float(ld[0])
-    return math.exp(lm)
+    return math.exp(float(iterate(f, [x], period)[1][0]))
 
 
 def find_periodic_points(
@@ -98,8 +91,7 @@ def find_periodic_points(
             for p in orb.points
         )
 
-    for period in range(1, n_max + 1):
-        img = _iterate_lift(f, nodes, period)
+    for period, (img, _) in enumerate(iterates(f, nodes, n_max), 1):
         disp = img - nodes
         shifts = (
             range(
@@ -120,12 +112,10 @@ def find_periodic_points(
             roots.extend(float(v) for v in nodes[hit])
             flip = np.nonzero((d[:-1] * d[1:] < 0.0) & ~hit[:-1] & ~hit[1:])[0]
             if flip.size:
-                lo = nodes[flip].copy()
-                hi = nodes[flip + 1].copy()
-                dlo = d[flip].copy()
+                lo, hi, dlo = nodes[flip], nodes[flip + 1], d[flip]
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
-                    dm = _iterate_lift(f, mid, period) - mid - m
+                    dm = iterate(f, mid, period)[0] - mid - m
                     left = (dm * dlo) > 0.0
                     lo = np.where(left, mid, lo)
                     dlo = np.where(left, dm, dlo)
@@ -151,16 +141,12 @@ def find_periodic_points(
             if already_known(x):
                 continue
             orbit = [x]
-            y = np.asarray([x])
-            least = period
-            for k in range(1, period):
-                y = f.eval_lift(y)
+            for y, _ in iterates(f, [x], period - 1):
                 pt = float(y[0]) % 1.0 if space.is_circle else float(y[0])
                 if _point_distance(space, pt, x) <= merge_tol:
-                    least = k
                     break
                 orbit.append(pt)
-            if least < period:
+            if len(orbit) < period:  # a smaller least period
                 continue
             k0 = orbit.index(min(orbit))
             orbit = tuple(orbit[k0:] + orbit[:k0])
@@ -185,7 +171,7 @@ def rotation_number(
     if iters < 1:
         raise ValueError("need iters >= 1")
     x = np.arange(base_points, dtype=float) / base_points
-    y = _iterate_lift(f, x, iters)
+    y = iterate(f, x, iters)[0]
     rho = float(np.mean(y - x)) / iters
     return rho % 1.0, 1.0 / iters
 
@@ -460,7 +446,7 @@ def flatten_hyperbolic(
     action: Action,
     delta: Optional[float] = None,
     alpha: Optional[float] = None,
-    n_max: int = 3,
+    n_max: int = PERIOD_CAP,
     cap: int = 64,
 ) -> Tuple[Action, FlatteningMap, FlatteningReport]:
     """Conjugates the action so every hyperbolic periodic multiplier M of

@@ -20,6 +20,7 @@ report.json before raising so the partial run can be inspected.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -39,6 +40,7 @@ from .cohomology import (
 from .diffeo import Diffeo
 from .errors import CertificationFailure, ConjTamerError, SpecError
 from .periodic import (
+    PERIOD_CAP,
     detect_resilient,
     find_periodic_points,
     flatten_hyperbolic,
@@ -51,8 +53,6 @@ from .words import FREE, NILPOTENT, Word
 
 SCHEMA_VERSION = 2
 COMMANDS = ("tame-lipschitz", "tame-c1", "path", "detect", "flatten", "report")
-
-_PERIOD_CAP = 3  # default least-period bound for orbit inventories
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +100,18 @@ def _stage(report: dict, name: str):
         raise
 
 
-def _orbit_dicts(orbits) -> List[dict]:
-    return [
-        {
-            "points": [float(p) for p in o.points],
-            "period": o.period,
-            "multiplier": float(o.multiplier),
-            "log_multiplier": float(o.log_multiplier),
-            "parabolic": o.parabolic,
-        }
-        for o in orbits
-    ]
-
-
-def _periodic_inventory(action: Action, n_max: int = _PERIOD_CAP) -> Dict[str, list]:
+def _periodic_inventory(action: Action) -> Dict[str, list]:
     return {
-        name: _orbit_dicts(find_periodic_points(g, n_max))
+        name: [
+            {
+                "points": [float(p) for p in o.points],
+                "period": o.period,
+                "multiplier": float(o.multiplier),
+                "log_multiplier": float(o.log_multiplier),
+                "parabolic": o.parabolic,
+            }
+            for o in find_periodic_points(g, PERIOD_CAP)
+        ]
         for name, g in zip(action.names, action.gens)
     }
 
@@ -168,6 +164,8 @@ def _write_action_spec(
     for name in names:
         lines.append(f"{name} = @{gen_files[name]}")
     lines.append("")
+    pipeline = spec.params.spec_lines()
+    lines += ["[pipeline]", *pipeline, ""] if pipeline else []
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
 
@@ -175,8 +173,9 @@ def _write_action_spec(
 def _export_action(
     out_dir: str, prefix: str, spec: ActionSpec, action: Action
 ) -> Dict[str, str]:
-    """Writes one payload per generator plus a spec that re-ingests them,
-    widening relation_tolerance to what the grid-only rebuilds achieve."""
+    """Writes one payload per generator plus a spec that re-ingests them
+    with the run's parameters, widening relation_tolerance to what the
+    grid-only rebuilds achieve."""
     gen_files = {}
     for name, g in zip(action.names, action.gens):
         fname = f"{prefix}_{name}.json"
@@ -255,22 +254,19 @@ def _cmd_tame_lipschitz(
 
 
 def _periodic_flatten(
-    action: Action, report: dict, delta: Optional[float],
-    alpha: Optional[float], period_cap: int,
+    action: Action, report: dict, delta: Optional[float], alpha: Optional[float]
 ) -> Action:
     """The periodic and flatten stages: inventories the periodic orbits up
-    to period_cap and flattens the action when one of them is hyperbolic."""
+    to PERIOD_CAP and flattens the action when one of them is hyperbolic."""
     with _stage(report, "periodic"):
-        report["periodic"] = _periodic_inventory(action, period_cap)
+        report["periodic"] = _periodic_inventory(action)
 
     with _stage(report, "flatten"):
         if all(o["parabolic"] for orbits in report["periodic"].values()
                for o in orbits):
             report["flatten"] = {"skipped": True, "alpha": 1.0, "flagged": []}
             return action
-        flattened, _, flat_report = flatten_hyperbolic(
-            action, delta=delta, alpha=alpha, n_max=period_cap
-        )
+        flattened, _, flat_report = flatten_hyperbolic(action, delta=delta, alpha=alpha)
         report["flatten"] = dict(flat_report.to_dict(), skipped=False)
     return flattened
 
@@ -316,7 +312,7 @@ def _cmd_tame_c1(
     eps = _need(params.epsilon, "epsilon", "tame-c1")
     delta = params.delta if params.delta is not None else eps
 
-    flattened = _periodic_flatten(action, report, delta, params.alpha, _PERIOD_CAP)
+    flattened = _periodic_flatten(action, report, delta, params.alpha)
 
     with _stage(report, "solve"):
         sol = _solve(flattened, spec, params)
@@ -453,8 +449,7 @@ def _cmd_flatten(
     delta = params.delta
     if delta is None and params.alpha is None:
         delta = params.epsilon if params.epsilon is not None else 0.1
-    period_cap = params.nmax if params.nmax is not None else _PERIOD_CAP
-    flattened = _periodic_flatten(action, report, delta, params.alpha, period_cap)
+    flattened = _periodic_flatten(action, report, delta, params.alpha)
 
     with _stage(report, "export"):
         gen_files = _export_action(out_dir, "flat", spec, flattened)
@@ -502,6 +497,7 @@ def run_pipeline(
         raise SpecError(f"unknown command {command!r}; expected one of "
                         + ", ".join(COMMANDS))
     params = spec.params.merged(**(overrides or {}))
+    spec = dataclasses.replace(spec, params=params)  # what the exported specs carry
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {
         "schema_version": SCHEMA_VERSION,

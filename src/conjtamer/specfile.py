@@ -96,6 +96,12 @@ class PipelineParams:
                 setattr(out, k, v)
         return out
 
+    def spec_lines(self) -> List[str]:
+        """[pipeline] lines `key = repr(value)` of the non-default values."""
+        default = PipelineParams()
+        return [f"{key} = {getattr(self, a)!r}" for key, (a, *_) in _PIPELINE_KEYS.items()
+                if getattr(self, a) != getattr(default, a)]
+
     def check(self) -> None:
         """Raises SpecError for a set value outside its range; spec values
         and CLI overrides both pass through here once merged."""

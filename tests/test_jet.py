@@ -32,7 +32,7 @@ from conjtamer import (
     rotation,
 )
 from conjtamer.cli import main
-from conjtamer.diffeo import Primitive
+from conjtamer.diffeo import Primitive, iterate, iterates
 from conjtamer.space import circle, interval
 
 from helpers import (
@@ -182,6 +182,30 @@ def test_newton_jet_of_concatenation_agrees_to_rounding(name, a, b):
 # ---------------------------------------------------------------------------
 # Orbit walks against the letter-by-letter two-call loops they replaced: the
 # walks stay in plan coordinates and round differently.
+
+
+ITERATED = sorted(constructions()) + sorted(track_maps())
+
+
+@pytest.mark.parametrize("name", ITERATED)
+@settings(deadline=None, max_examples=20)
+@given(x=lifts)
+def test_iterates_equal_iterated_jets(name, x):
+    # one walk of f's plan against n calls of f.jet: bit for bit for one
+    # primitive that is no rotation, to rounding for a walk that stays in a
+    # conjugator's coordinates
+    f = {**constructions(), **track_maps()}[name]
+    exact = len(f.plan) == 1 and f.plan[0][0].angle is None
+    y, acc = x, np.zeros_like(x)
+    for v, ld in iterates(f, x, 5):
+        y, d = f.jet(y)
+        acc = acc + d
+        if exact:
+            assert np.array_equal(v, y) and np.array_equal(ld, acc)
+        else:
+            assert_close(v, y, 1e-12)
+            assert_close(ld, acc, 1e-12)
+    assert np.array_equal(iterate(f, x, 5)[0], v)
 
 
 def two_call_word_cocycle(action, letters, x):

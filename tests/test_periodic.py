@@ -18,7 +18,8 @@ from conjtamer import (
     rotation,
     rotation_number,
 )
-from conjtamer import Action, Presentation, build_action, load_action_spec
+from conjtamer import Action, Diffeo, Presentation, build_action, load_action_spec
+from conjtamer.diffeo import Primitive
 from conjtamer.periodic import (
     FlatteningMap,
     _can_chain,
@@ -83,12 +84,35 @@ def test_bisection_raises_when_a_bracket_stays_open():
     class Jump:
         space = interval(16)
 
-        def eval_lift(self, x):
-            x = np.asarray(x, dtype=float)
-            return x + np.where(x > 1e-300, 0.1, -0.1)
+        def as_plan(self):
+            jet = lambda x: (x + np.where(x > 1e-300, 0.1, -0.1), np.zeros_like(x))
+            return ((Primitive(False, jet), 1),)
 
     with pytest.raises(NonConvergence):
         find_periodic_points(Jump(), 1)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [lambda g: find_periodic_points(g, 3), lambda g: rotation_number(g, iters=1000)],
+    ids=["find_periodic_points", "rotation_number"],
+)
+def test_orbit_walk_solves_h_once(monkeypatch, measure):
+    # g = h R h^-1 walks as z -> z + alpha after one Newton inverse of h:
+    # the nodes' orbit is read at periods 1..3 (no root, no bisection), the
+    # base points' orbit after 1000 steps; iterating g.eval_lift would solve
+    # 1 + 2 + 3 and 1000 times
+    g = conj_rotation_action(256).gens[0]
+    calls = []
+    invert01 = Diffeo._invert01
+
+    def counted(self, y):
+        calls.append(np.size(y))
+        return invert01(self, y)
+
+    monkeypatch.setattr(Diffeo, "_invert01", counted)
+    measure(g)
+    assert len(calls) == 1
 
 
 def test_orbit_multiplier_chain_rule():

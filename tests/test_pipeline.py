@@ -265,6 +265,65 @@ def test_flatten_then_reingest(tmp_path):
     assert d0 == pytest.approx(np.exp(-0.1), abs=1e-3)
 
 
+# f commutes with R_1/4 and moves x = k/8 by exactly 1/4: hyperbolic orbits
+# of least period 4, none of period 3 or less
+PERIOD_FOUR = textwrap.dedent(
+    """\
+    [space]
+    kind = circle
+    grid_size = 512
+
+    [group]
+    type = abelian
+    generators = f
+
+    [generators]
+    f = x + 0.25 + 0.005*sin(8*pi*x)
+
+    [pipeline]
+    epsilon = 0.1
+    nmax = 48
+    """
+)
+
+
+@pytest.mark.parametrize("text", [A4_SMALL, PERIOD_FOUR], ids=["a4", "period-four"])
+def test_cli_flatten_stages_equal_the_tame_c1_stages(tmp_path, text):
+    # nmax = 48 is tame-c1's ball radius, not a period bound: both commands
+    # inventory the periods up to 3 and flatten what they find there
+    spec = write(tmp_path, "p.spec", text)
+    reports = {}
+    for command in ("flatten", "tame-c1"):
+        out = tmp_path / command
+        assert main([command, "--spec", spec, "--out", str(out)]) in (0, 3)
+        reports[command] = json.loads((out / "report.json").read_text())
+    for section in ("periodic", "flatten"):
+        assert reports["flatten"][section] == reports["tame-c1"][section]
+
+
+@pytest.mark.parametrize(
+    "command, exported",
+    [("tame-lipschitz", "tamed.spec"), ("tame-c1", "tamed.spec"), ("flatten", "flat.spec")],
+)
+def test_exported_spec_carries_the_run_parameters(tmp_path, command, exported):
+    spec = parse_action_spec(A4_SMALL)
+    out = tmp_path / "out"
+    overrides = {"radius": 40, "max_word_len": 3}  # a spec value, a default
+    run_pipeline(command, spec, str(out), overrides=overrides)
+    re_spec = load_action_spec(str(out / exported))
+    assert re_spec.params == spec.params.merged(**overrides)
+    assert "k_max" not in (out / exported).read_text()  # defaults stay out
+
+
+def test_cli_tame_c1_runs_on_an_exported_flat_spec(tmp_path):
+    spec = write(tmp_path, "a4.spec", A4_SMALL)
+    flat = tmp_path / "flat"
+    assert main(["flatten", "--spec", spec, "--out", str(flat)]) == 0
+    out = tmp_path / "out"
+    assert main(["tame-c1", "--spec", str(flat / "flat.spec"), "--out", str(out)]) != 2
+    assert json.loads((out / "report.json").read_text())["certify"]["epsilon"] == 0.1
+
+
 @pytest.mark.parametrize("alpha", [[], ["--alpha", "1.5"]])
 def test_cli_flatten_refuses_a_flagged_point_mapped_off_the_flagged_set(
     tmp_path, capsys, alpha
@@ -492,7 +551,6 @@ SPECS = {"A3": A3_SMALL, "A4": A4_SMALL, "PINGPONG": PINGPONG_SMALL}
         pytest.param("tame-c1", "A4", None, ["--delta", "-1"], id="tame-c1-delta--1"),
         pytest.param("tame-c1", "A4", None, ["--epsilon", "-1"], id="tame-c1-epsilon--1"),
         pytest.param("tame-c1", "A4", None, ["--epsilon", "nan"], id="tame-c1-epsilon-nan"),
-        pytest.param("flatten", "A4", None, ["--nmax", "0"], id="flatten-nmax-0"),
         pytest.param("tame-lipschitz", "A4", None, ["--lambda", "1.5"], id="lipschitz-lambda-1.5"),
         pytest.param("tame-lipschitz", "A4", None, ["--radius", "-1"], id="lipschitz-radius--1"),
         pytest.param("detect", "PINGPONG", None, ["--resolution", "-1"], id="detect-resolution--1"),
