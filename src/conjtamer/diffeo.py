@@ -7,8 +7,9 @@ entry acts first.  A primitive is an exact map with a jet x -> (value,
 log-derivative) and an inverse jet.  The inverse is in closed form for
 rotations, piecewise-linear and Möbius maps, log-density conjugacies and
 flattening conjugates; otherwise it is a Newton solve on the forward jet that
-returns the log-derivative of its last jet, seeded and bracketed by the
-inverse of the piecewise-linear value track.  A map known only by its
+returns the log-derivative of its last jet, bracketed by a cell of the value
+track and seeded by its piecewise-linear inverse, or by a one-sided power law
+on a cell that is steep at one end.  A map known only by its
 log-derivative track (from_log_deriv) is one track primitive: its values are
 the trapezoidal quadrature of the track, normalized at the endpoints
 (interval) or to degree one (circle); its jet interpolates both tracks and
@@ -127,7 +128,8 @@ def _newton(jet: Callable, y, lo, hi, x) -> Tuple[Array, Array]:
 class Primitive:
     """An exact map given on one fundamental domain by its jet, x in [0,1] ->
     (value, log-derivative), and its inverse jet, y in [base, base + 1] ->
-    (value, log-derivative of the inverse), base being the value at 0.
+    (value, log-derivative of the inverse), base being the value at 0 on
+    the circle and 0 on the interval, where only [0,1] is inverted.
     `apply` extends both to every lift: by degree one on the circle, by
     clipping to [0,1] on the interval.  A rotation is only its angle."""
 
@@ -135,7 +137,7 @@ class Primitive:
 
     def __init__(self, circle: bool, fwd=None, bwd=None, angle=None):
         self.circle, self.fwd, self.bwd, self.angle = circle, fwd, bwd, angle
-        self.base = 0.0 if fwd is None else float(fwd(np.zeros(1))[0][0])
+        self.base = float(fwd(np.zeros(1))[0][0]) if circle and fwd is not None else 0.0
 
     def apply(self, x: Array, sign: int):
         """Jet (sign 1) or inverse jet (sign -1) at lifts x; a rotation gives
@@ -166,6 +168,27 @@ def _pl_inverse(space: Space, values: Array, y: Array) -> Tuple[Array, Array]:
     idx = np.clip(np.searchsorted(values, y) - 1, 0, space.grid_size - 1)
     x = space.nodes[idx] + (y - values[idx]) / (values[idx + 1] - values[idx]) * space.h
     return x, idx
+
+
+def _power_seed(f: "Diffeo", y: Array, idx: Array, x: Array) -> Array:
+    """Newton seeds for f(x) = y in the track cells idx, x the linear seeds.
+    On a cell [lo, lo + h] of rise dv that is steeper on the left, f is
+    modelled as f(lo) + dv·((x - lo)/h)^β with β = h·Df(lo + h)/dv, which
+    matches the values at both ends and the derivative at the flat one;
+    the mirror form where it is steeper on the right.  The seed is the
+    model's root where β < ½, where a linear seed would leave Newton
+    bisecting (a Deroin CDF can behave like x^0.15 in its end cells)."""
+    values, nodes, h = f.values, f.space.nodes, f.space.h
+    ld = f.space.full_track(f.log_deriv.samples)
+    dv = values[idx + 1] - values[idx]
+    left = ld[idx] > ld[idx + 1]  # steeper on the left: flat at the right end
+    beta = h * np.exp(np.where(left, ld[idx + 1], ld[idx])) / dv
+    gate = beta < 0.5
+    if not gate.any():
+        return x
+    u = np.where(left, y - values[idx], values[idx + 1] - y) / dv
+    step = h * np.clip(u, 0.0, 1.0) ** (1.0 / beta)
+    return np.where(gate, np.where(left, nodes[idx] + step, nodes[idx + 1] - step), x)
 
 
 def _walk(plan, x: Array, ld=None) -> Tuple[Array, Array]:
@@ -429,10 +452,12 @@ class Diffeo:
 
     def _invert01(self, y: Array) -> Tuple[Array, Array]:
         """(f^{-1}(y), log D(f^{-1})(y)) for y in the fundamental branch:
-        Newton on the jet, seeded and bracketed by the inverse of the
-        piecewise-linear value track."""
+        Newton on the jet, bracketed by the cell of the piecewise-linear
+        value track and seeded by its inverse, or by a one-sided power law
+        where the cell is steep at one end (_power_seed)."""
         x, idx = _pl_inverse(self.space, self.values, y)
         nodes = self.space.nodes
+        x = _power_seed(self, y, idx, x)
         x, ld = _newton(self.jet, y, nodes[idx], nodes[idx + 1], x)
         return x, -ld
 

@@ -14,6 +14,7 @@ a conjugate walks its plan and collapses the singularity analytically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, Primitive, _newton, iterate, iterates
+from .diffeo import _NEWTON_TOL, Diffeo, Primitive, iterate, iterates
 from .errors import (
     FlaggedSetNotInvariant,
     InfiniteHyperbolicSet,
@@ -38,6 +39,14 @@ PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
 _SNAP_TOL = 1e-8  # distance within which an image of a flagged point is flagged
 PERIOD_CAP = 3  # least-period bound of the pipeline's inventories and flattening
+# Bridge inversion seeds: 64 uniform cells, refined geometrically towards
+# both ends, where a bridge of small end slope is nearly quadratic; Newton
+# from such a seed reaches rounding within 4 steps for end slopes down to 1e-9.
+_GEOMETRIC = 2.0 ** -np.arange(7, 53)
+_BRIDGE_NODES = np.sort(
+    np.concatenate([np.linspace(0.0, 1.0, 65), _GEOMETRIC, 1.0 - _GEOMETRIC])
+)
+_BRIDGE_STEPS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +220,31 @@ class _Bridge:
         d10, d11 = _hermite_dterms(s)
         return 1.0 + (self.slope_a - 1.0) * d10 + (self.slope_b - 1.0) * d11
 
+    @functools.cached_property
+    def _table(self) -> Tuple[Array, Array]:
+        """(x, bridge(x)) at the seed nodes, strictly increasing values."""
+        x = self.a + (self.b - self.a) * _BRIDGE_NODES
+        v = self.value(x)
+        keep = np.concatenate([[True], np.diff(v) > 0.0])
+        return x[keep], v[keep]
+
     def invert(self, y: Array) -> Tuple[Array, Array]:
-        """(x, log Dbridge(x)) with bridge(x) = y, by Newton on the jet."""
-        jet = lambda x: (self.value(x), np.log(self.deriv(x)))
-        return _newton(jet, y, np.full_like(y, self.a), np.full_like(y, self.b), y)
+        """(x, log Dbridge(x)) with bridge(x) = y: seeded by the inverse of
+        the piecewise-linear table, then _BRIDGE_STEPS Newton steps on the
+        cubic, each kept in the seed's table cell.  Raises NonConvergence
+        when a residual is above _NEWTON_TOL (NaN included)."""
+        xs, vs = self._table
+        k = np.clip(np.searchsorted(vs, y) - 1, 0, xs.size - 2)
+        lo, hi = xs[k], xs[k + 1]
+        x = np.clip(lo + (y - vs[k]) / (vs[k + 1] - vs[k]) * (hi - lo), lo, hi)
+        for _ in range(_BRIDGE_STEPS):
+            fx = self.value(x) - y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = np.where(fx == 0.0, x, np.clip(x - fx / self.deriv(x), lo, hi))
+        residual = float(np.max(np.abs(self.value(x) - y), initial=0.0))
+        if not residual <= _NEWTON_TOL:
+            raise NonConvergence("bridge inversion did not converge", residual)
+        return x, np.log(self.deriv(x))
 
 
 class FlatteningMap:
@@ -321,7 +351,7 @@ class FlatteningMap:
         first start or past 1 lies on the segment that straddles the fold."""
         seg = self._segment(x)
         v, ld = np.empty_like(x), np.empty_like(x)
-        for i in np.unique(seg):
+        for i in np.flatnonzero(np.bincount(seg, minlength=len(self._payload))):
             sel = seg == i
             side, pay = self._sides[i], self._payload[i]
             if not side and sign > 0:

@@ -10,7 +10,7 @@ slack from the truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,16 @@ class DeroinMeasure:
     tail_bound: float
     sphere_sizes: Tuple[int, ...]
     cdf_raw: Callable = field(repr=False)
+    _sums: dict = field(default_factory=dict, repr=False)
+
+    def raw_sums(self, g: Optional[Diffeo] = None, sign: int = 1) -> Array:
+        """The raw CDF at the nodes, or at their images under g^sign: one
+        walk of the series per point set, kept for later callers."""
+        key = None if g is None else (g, sign)
+        if key not in self._sums:
+            x = self.conjugator.space.nodes
+            self._sums[key] = self.cdf_raw(x if g is None else g.apply(x, sign)[0])
+        return self._sums[key]
 
     def mass_bound_certificate(self) -> Tuple[float, float, float]:
         """(mass, bound, measured growth constant C): mass <= 2C/(1-lam')
@@ -187,14 +197,14 @@ class TamingReport:
 
 
 def _image_partition_quotients(
-    F: Diffeo, g: Diffeo, sign: int = 1, stride: int = 1
+    measure: DeroinMeasure, g: Diffeo, sign: int = 1, stride: int = 1
 ) -> float:
     """Max difference quotient of F∘g^sign∘F^{-1} measured over the image
-    partition {F(x_i)}: mass ratio of g^sign(cell) to cell under the measure
-    with CDF F."""
-    nodes = F.space.nodes[::stride]
-    num = np.diff(F.eval_lift(g.apply(nodes, sign)[0]))
-    den = np.diff(F.eval_lift(nodes))
+    partition {F(x_i)}, x_i every stride-th node: mass ratio of g^sign(cell)
+    to cell under the measure with CDF F = raw / mass."""
+    F = lambda raw: raw[::stride] / measure.mass
+    num = np.diff(F(measure.raw_sums(g, sign)))
+    den = np.diff(F(measure.raw_sums()))
     return float(np.max(num / den))
 
 
@@ -219,10 +229,10 @@ def tame_lipschitz(
     per_gen: Dict[str, GeneratorTaming] = {}
     ok = np.isfinite(slack) and slack <= refuse_threshold
     for name, g, tg in zip(action.names, action.gens, tamed.gens):
-        lip = _image_partition_quotients(F, g)
-        lip_inv = _image_partition_quotients(F, g, -1)
-        lip_c = _image_partition_quotients(F, g, stride=2)
-        lip_inv_c = _image_partition_quotients(F, g, -1, stride=2)
+        lip = _image_partition_quotients(measure, g)
+        lip_inv = _image_partition_quotients(measure, g, -1)
+        lip_c = _image_partition_quotients(measure, g, stride=2)
+        lip_inv_c = _image_partition_quotients(measure, g, -1, stride=2)
         two_scale = abs(lip - lip_c) <= 0.05 * lip and abs(
             lip_inv - lip_inv_c
         ) <= 0.05 * lip_inv
@@ -252,13 +262,11 @@ def pushforward_check(
     """For every generator g and every grid cell I: raw mass of g^{-1}(I) must
     be <= raw mass of I / lambda + 2*tail_bound.  Returns per-generator
     max signed violation and the count of cells violating beyond float noise."""
-    nodes = action.space.nodes
-    raw_nodes = measure.cdf_raw(nodes)
-    cell_mass = np.diff(raw_nodes)
+    cell_mass = np.diff(measure.raw_sums())
     budget = cell_mass / measure.lam + 2.0 * measure.tail_bound
     out: Dict[str, dict] = {}
     for name, g in zip(action.names, action.gens):
-        pre_mass = np.diff(measure.cdf_raw(g.invert_lift(nodes)))
+        pre_mass = np.diff(measure.raw_sums(g, -1))
         violation = pre_mass - budget
         out[name] = {
             "max_violation": float(np.max(violation)),

@@ -3,6 +3,9 @@ orbit loops that use it, and Newton's non-convergence report."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from functools import lru_cache
 
@@ -351,6 +354,32 @@ def test_newton_on_a_steep_jet_returns_the_nearest_float():
             assert abs(v(xi) - yi) <= abs(v(nb) - yi)
 
 
+def test_deroin_inverse_takes_power_law_seeds(monkeypatch):
+    # the Deroin CDF of x/(2-x) behaves like x^0.15 in its first and last
+    # cells (log DF(0) = 21.6), where a linear seed leaves Newton bisecting
+    # for 30 jets; power-law seeds need at most 12.  Each root meets the
+    # tolerance, or is the float of least residual where one float moves F
+    # by more than the tolerance
+    F = deroin_cdf(mobius_action(1024), math.exp(-0.1), 40).conjugator
+    nodes = F.space.nodes
+    calls = []
+    jet = Diffeo.jet
+
+    def counted(self, x):
+        if self is F:
+            calls.append(np.size(x))
+        return jet(self, x)
+
+    monkeypatch.setattr(Diffeo, "jet", counted)
+    x = F.invert_lift(nodes)
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    res = np.abs(F.eval_lift(x) - nodes)
+    far = res > 1e-12
+    for nb in (np.nextafter(x[far], 0.0), np.nextafter(x[far], 1.0)):
+        assert np.all(res[far] <= np.abs(F.eval_lift(nb) - nodes[far]))
+
+
 def test_newton_raises_on_a_nan_residual():
     # beyond 0.5 the jet is NaN: bisection pins x at 0.75, and the NaN
     # residual must not pass for a small one
@@ -391,9 +420,26 @@ def test_cli_non_convergence_exits_one_with_failed_stage(tmp_path, monkeypatch):
 
 
 def test_cli_a4_with_small_delta_exits_zero(tmp_path, pytestconfig):
-    # at delta 0.05 the flattening bridges have slope below 1 where their
-    # inversion lands, so a one-ulp residual keeps Newton stepping past its
-    # stopping size until the budget is spent; such points are converged
+    # at delta 0.05 the flattening bridges end in slopes near 0.07, where a
+    # one-ulp residual moves x by more than Newton's stopping step; their
+    # direct inverse (table seed, fixed Newton steps on the cubic) must
+    # still meet the residual tolerance at every point it inverts
     spec = pytestconfig.rootpath / "specs" / "a4.spec"
     argv = ["tame-c1", "--spec", str(spec), "--delta", "0.05", "--nmax", "48"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def test_tame_c1_never_imports_numpy_ma(tmp_path, pytestconfig):
+    # numpy.unique imports numpy.ma (some 14 ms); no stage of a flattened
+    # C¹ taming may call it
+    spec = pytestconfig.rootpath / "specs" / "a4.spec"
+    code = (
+        "import sys\n"
+        "from conjtamer.cli import main\n"
+        "main(['tame-c1', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pytestconfig.rootpath / "src"))
+    argv = [sys.executable, "-c", code, str(spec), str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()

@@ -20,8 +20,11 @@ from conjtamer import (
 )
 from conjtamer import Action, Diffeo, Presentation, build_action, load_action_spec
 from conjtamer.diffeo import Primitive
+import conjtamer.diffeo as diffeo_mod
+import conjtamer.periodic as periodic_mod
 from conjtamer.periodic import (
     FlatteningMap,
+    _Bridge,
     _can_chain,
     _distinct_words,
     _first_chain,
@@ -244,6 +247,50 @@ def test_flatten_conjugate_fixes_flagged_points():
     g = flatten_conjugate(psi, act.gens[0])
     assert float(g(np.array([0.0]))[0]) == 0.0
     assert float(g(np.array([1.0]))[0]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "slopes",
+    [(1 / 64, 1 / 64), (0.5, 0.5), (3.0, 1 / 64), (1.0, 1.0)],
+    ids=["1/64", "1/2", "3", "identity"],
+)
+def test_bridge_inverse_round_trip(slopes):
+    # the bridge inverts without Newton-bisection: a seed from its table and
+    # a fixed number of Newton steps on the cubic reach rounding for every
+    # end slope in (0, 3]; (3, 3) would have Dbridge = 0 at the midpoint
+    bridge = _Bridge(0.25, 0.75, *slopes)
+    x = np.linspace(0.25, 0.75, 2049)
+    y = bridge.value(x)
+    back, ld = bridge.invert(y)
+    assert float(np.max(np.abs(bridge.value(back) - y))) <= 1e-12
+    assert float(np.max(np.abs(back - x))) <= 1e-12
+    assert np.array_equal(ld, np.log(bridge.deriv(back)))
+    if slopes == (1.0, 1.0):
+        assert np.array_equal(back, y) and not ld.any()
+
+
+def test_bridge_inverse_raises_on_a_nan_target():
+    with pytest.raises(NonConvergence):
+        _Bridge(0.0, 0.5, 0.25, 1.0).invert(np.array([0.1, np.nan]))
+
+
+def test_flattening_never_calls_newton(monkeypatch):
+    # psi, psi⁻¹ and the Möbius map all invert in closed form or directly;
+    # near the repelling end the germ collapse limits the round trip to 4e-11
+    calls = []
+    newton = diffeo_mod._newton
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(diffeo_mod, "_newton", counted)
+    monkeypatch.setattr(periodic_mod, "_newton", counted, raising=False)
+    flat, _, _ = flatten_hyperbolic(mobius_action(512), delta=0.05)
+    g = flat.gens[0]
+    x = np.linspace(0.0, 1.0, 1001)
+    assert float(np.max(np.abs(g.invert_lift(g.eval_lift(x)) - x))) <= 1e-10
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
