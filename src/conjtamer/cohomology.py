@@ -18,11 +18,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, Primitive, WalkState, c1_distance, iterate
+from .diffeo import Diffeo, WalkState, _exp_integrals, c1_distance, iterate
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
-    NonFinite,
     NotPeriodic,
     SizeOverflow,
 )
@@ -181,15 +180,6 @@ def _defect_refined(
     }
 
 
-def _exp_integrals(a: Array, db: Array, width) -> Array:
-    """Exact integrals of exp over intervals of the given widths on which its
-    argument rises linearly from a by db."""
-    small = np.abs(db) < 1e-12
-    safe = np.where(small, 1.0, db)
-    e = width * np.exp(a)
-    return np.where(small, e * (1.0 + 0.5 * db), e * np.expm1(safe) / safe)
-
-
 def log_density_normalizer(space: Space, samples: Array) -> float:
     """C with integral of exp(samples + C) = 1 (piecewise-linear samples)."""
     full = space.full_track(samples)
@@ -325,44 +315,10 @@ def _measure_exactness_onset(
 
 
 def conjugacy_from_log_density(u: GridFunction) -> Diffeo:
-    """phi with log Dphi = u + C, C = -log integral exp(u): phi(x) is the
-    exact integral of the exponential of the piecewise-linear u, normalized;
-    value, log-derivative and inverse all evaluate in closed form."""
-    space = u.space
-    samples = u.samples
-    if not np.all(np.isfinite(samples)):
-        raise NonFinite("log-density has non-finite samples")
-    full = space.full_track(samples)
-    cells = _exp_integrals(full[:-1], np.diff(full), space.h)
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    total = cum[-1]
-    values = cum / total
-    values[-1] = 1.0
-    ld = GridFunction(space, samples - math.log(total))
-    nodes, h, grid_size = space.nodes, space.h, space.grid_size
-    slopes = (full[1:] - full[:-1]) / h
-    small = np.abs(full[1:] - full[:-1]) < 1e-12
-
-    def jet_fn(x):
-        idx = np.clip((x * grid_size).astype(int), 0, grid_size - 1)
-        t = x - nodes[idx]
-        part = _exp_integrals(full[idx], slopes[idx] * t, t)
-        return (cum[idx] + part) / total, ld.interp(x)
-
-    def inverse_jet(y):
-        target = y * total
-        idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, grid_size - 1)
-        rem = target - cum[idx]
-        a = full[idx]
-        s = np.where(small[idx], 1.0, slopes[idx])
-        t_gen = np.log1p(s * rem * np.exp(-a)) / s
-        t_lin = rem * np.exp(-a)
-        t = np.where(small[idx], t_lin, t_gen)
-        x = nodes[idx] + np.clip(t, 0.0, h)
-        return x, -ld.interp(x)
-
-    prim = Primitive(space.is_circle, jet_fn, inverse_jet)
-    return Diffeo(space, ld, values, ((prim, 1),))
+    """phi with log Dphi = u + C, C = -log integral exp(u): the log-density
+    primitive of u (Diffeo.from_log_deriv), under the name by which
+    perfbench/traced.py times the log-density conjugacies of a run."""
+    return Diffeo.from_log_deriv(u.space, u.samples)
 
 
 # ---------------------------------------------------------------------------

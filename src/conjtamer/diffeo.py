@@ -5,19 +5,20 @@ nodes (on the circle, offset f(0) in [0,1)), and a plan: the map as a freely
 reduced word of entries (primitive, ±1) read as a composition, so the last
 entry acts first.  A primitive is an exact map with a jet x -> (value,
 log-derivative) and an inverse jet.  The inverse is in closed form for
-rotations, piecewise-linear and Möbius maps, log-density conjugacies and
+rotations, piecewise-linear and Möbius maps, log-density primitives and
 flattening conjugates; otherwise it is a Newton solve on the forward jet that
 returns the log-derivative of its last jet, bracketed by a cell of the value
 track and seeded by its piecewise-linear inverse, or by a one-sided power law
-on a cell that is steep at one end.  A map known only by its
-log-derivative track (from_log_deriv) is one track primitive: its values are
-the trapezoidal quadrature of the track, normalized at the endpoints
-(interval) or to degree one (circle); its jet interpolates both tracks and
-its inverse jet is that piecewise-linear inverse.  compose, invert and
-conjugate_action concatenate, reverse and reduce plans: P·P⁻¹ cancels and
-adjacent rotations merge.  Chains therefore evaluate without stacking
-interpolation error, and an orbit walk (WalkState) stays in a conjugator's
-coordinates: g = h∘R_α∘h⁻¹ iterates as z -> z + α, with p = h(z).
+on a cell that is steep at one end.  A map given by a log-derivative track
+(from_log_deriv: payload generators, their resampling, the conjugacies of
+cohomology solutions) is one log-density primitive: the exact integral of the
+exponential of the track's piecewise-linear interpolant, normalized at the
+endpoints (interval) or to degree one (circle), so its value slope is the exp
+of its log-derivative everywhere.  compose, invert and conjugate_action
+concatenate, reverse and reduce plans: P·P⁻¹ cancels and adjacent rotations
+merge.  Chains therefore evaluate without stacking interpolation error, and
+an orbit walk (WalkState) stays in a conjugator's coordinates: g = h∘R_α∘h⁻¹
+iterates as z -> z + α, with p = h(z).
 Serialization keeps only the grid data.
 
 Composition accumulates log-derivatives through the chain rule
@@ -160,6 +161,15 @@ def _branch(x: Array, base: float = 0.0) -> Tuple[Array, Array]:
     if wrap.any():
         y, k = np.where(wrap, y - 1.0, y), k + wrap
     return np.maximum(y, base), k  # below base where x - base rounded onto k
+
+
+def _exp_integrals(a: Array, db: Array, width) -> Array:
+    """Exact integrals of exp over intervals of the given widths on which its
+    argument rises linearly from a by db."""
+    small = np.abs(db) < 1e-12
+    safe = np.where(small, 1.0, db)
+    e = width * np.exp(a)
+    return np.where(small, e * (1.0 + 0.5 * db), e * np.expm1(safe) / safe)
 
 
 def _pl_inverse(space: Space, values: Array, y: Array) -> Tuple[Array, Array]:
@@ -306,8 +316,9 @@ class Diffeo:
     values: lift values at all grid_size+1 nodes (interval: values[0] = 0,
     values[-1] = 1; circle: values[0] = offset in [0,1), values[-1] = offset+1).
     log_deriv: GridFunction on the space's per-node track.
-    plan: the map as a reduced word of primitives, one track primitive for a
-    map known only by its tracks; the exact log_deriv.fn walks it.
+    plan: the map as a reduced word of primitives, one log-density primitive
+    for a map given by its log-derivative track; the exact log_deriv.fn
+    walks it.
     """
 
     __slots__ = ("space", "log_deriv", "values", "offset", "plan")
@@ -327,8 +338,12 @@ class Diffeo:
 
     @classmethod
     def from_log_deriv(cls, space: Space, samples, offset: float = 0.0) -> "Diffeo":
-        """The track primitive of log-derivative samples: trapezoidal
-        quadrature of their exp, then endpoint/degree normalization."""
+        """The log-density primitive of log-derivative samples: the integral
+        of the exponential of their piecewise-linear interpolant, divided by
+        its total, plus offset mod 1 on the circle, so its value slope is the
+        exp of its log-derivative everywhere; the inverse jet is in closed
+        form.  The track is shifted by c = log(total) only where |c| > 1e-12:
+        a map rebuilt from its own track keeps every bit."""
         samples = _as_array(samples)
         if samples.shape != (space.track_length,):
             raise ValueError(
@@ -337,25 +352,34 @@ class Diffeo:
             )
         if not np.all(np.isfinite(samples)):
             raise NonFinite("log-derivative samples must be finite")
-        d = np.exp(space.full_track(samples))
-        raw = np.concatenate([[0.0], np.cumsum((d[:-1] + d[1:]) * (0.5 * space.h))])
-        values = raw / raw[-1]
-        # keep the track consistent with the normalized values; skip shifts at
-        # float resolution so reconstruction from an existing track is stable
-        c = math.log(raw[-1])
+        full, nodes, h, n = space.full_track(samples), space.nodes, space.h, space.grid_size
+        rise = np.diff(full)
+        cum = np.concatenate([[0.0], np.cumsum(_exp_integrals(full[:-1], rise, h))])
+        total = cum[-1]
+        values = cum / total
+        values[-1] = 1.0
+        c = math.log(total)
         if abs(c) > 1e-12:
             samples = samples - c
-        if space.is_circle:
-            values = values + (float(offset) % 1.0)
-        track, nodes = GridFunction(space, samples), space.nodes
+        off = float(offset) % 1.0 if space.is_circle else 0.0
+        track, slopes, flat = GridFunction(space, samples), rise / h, np.abs(rise) < 1e-12
+
+        def jet_fn(x):
+            idx = np.clip((x * n).astype(int), 0, n - 1)
+            t = x - nodes[idx]
+            part = _exp_integrals(full[idx], slopes[idx] * t, t)
+            return (cum[idx] + part) / total + off, track.interp(x)
 
         def inverse_jet(y):
-            x = np.clip(_pl_inverse(space, values, y)[0], 0.0, 1.0)
+            target = (y - off) * total
+            idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, n - 1)
+            rem, a, s = target - cum[idx], full[idx], np.where(flat[idx], 1.0, slopes[idx])
+            t = np.where(flat[idx], rem * np.exp(-a), np.log1p(s * rem * np.exp(-a)) / s)
+            x = nodes[idx] + np.clip(t, 0.0, h)
             return x, -track.interp(x)
 
-        jet_fn = lambda x: (np.interp(x, nodes, values), track.interp(x))
         prim = Primitive(space.is_circle, jet_fn, inverse_jet)
-        return cls(space, track, values, ((prim, 1),))
+        return cls(space, track, values + off, ((prim, 1),))
 
     @classmethod
     def from_callables(cls, space: Space, jet_fn, inverse_jet=None) -> "Diffeo":

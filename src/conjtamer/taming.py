@@ -15,9 +15,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, WalkState
+from .diffeo import Diffeo, Primitive, WalkState
 from .errors import LambdaOutOfRange
-from .gridfn import GridFunction
 from .words import enumerate_ball
 
 Array = np.ndarray
@@ -32,14 +31,13 @@ DEFAULT_TAIL_REFUSAL = 0.02
 class DeroinMeasure:
     """Truncated weighted pushforward measure, represented by its CDF.
 
-    cdf: normalized CDF samples (exact series evaluator attached);
-    conjugator: the CDF as a diffeomorphism (log-derivative = log density);
+    conjugator: the normalized CDF as a diffeomorphism (log-derivative = log
+    density), evaluated through the series;
     mass/tail_bound are for the raw (unnormalized) series.
     """
 
     lam: float
     radius: int
-    cdf: GridFunction
     conjugator: Diffeo
     mass: float
     tail_bound: float
@@ -127,23 +125,24 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         raw = acc[:-1] - acc[-1]
         return raw, np.log(dens[:-1])
 
-    def jet_fn(x):
-        raw, log_dens = walk(x)
+    def normalized(raw, log_dens):
         return raw / mass, log_dens - np.log(mass)
 
-    conjugator = Diffeo.from_callables(space, jet_fn)
-    cdf = GridFunction(
-        space, conjugator.values[: space.track_length], lambda x: jet_fn(x)[0]
-    )
+    # one walk at the nodes gives the conjugator's tracks and raw_sums();
+    # its inverse is Newton on the jet (the CDF vanishes at 0: no shift)
+    at_nodes = walk(space.nodes)
+    prim = Primitive(space.is_circle, lambda x: normalized(*walk(x)))
+    conjugator = Diffeo._sampled(space, *normalized(*at_nodes), ((prim, 1),))
+    prim.bwd = conjugator._invert01
     return DeroinMeasure(
         lam=lam,
         radius=radius,
-        cdf=cdf,
         conjugator=conjugator,
         mass=mass,
         tail_bound=_tail_bound(lam, ball.sphere_sizes),
         sphere_sizes=ball.sphere_sizes,
         cdf_raw=lambda x: walk(x)[0],
+        _sums={None: at_nodes[0]},
     )
 
 

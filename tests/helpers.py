@@ -20,8 +20,8 @@ stack_normal_form and stack_ball are the letter-stack reducer and the ball
 BFS over letter tuples that words.py ran before the trie, kept as its oracle.
 ClosureMap and the closure_* builders are the closure-chain evaluators that
 exact diffeos carried before composition plans, kept as their oracle.
-track_jet is the evaluator of maps known only by their tracks from before
-they became one track primitive, kept as its oracle.
+log_density_conjugacy is the log-density conjugacy that cohomology built
+before Diffeo.from_log_deriv took it over, kept as its oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 
 from conjtamer import (
     Action,
+    Diffeo,
     GridFunction,
     Presentation,
     build_diffeo,
@@ -40,6 +41,7 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
+from conjtamer.diffeo import Primitive
 from conjtamer.errors import ConjTamerError
 from conjtamer.space import circle, interval
 from conjtamer.words import ABELIAN, Word, word_from_exponents
@@ -225,27 +227,52 @@ def closure_conjugate(f, phi):
     )
 
 
-def track_jet(f, x, sign=1):
-    """Jet (sign 1) or inverse jet (sign -1) of f at lifts x from its tracks
-    alone: the value track interpolated, or inverted piecewise-linearly and
-    clipped to [0, 1], with the log-derivative track interpolated."""
-    sp, vals = f.space, f.values
-    x, k = np.asarray(x, dtype=float), 0.0
-    if sp.is_circle:  # the fundamental branch [base, base + 1) of each lift
-        base = 0.0 if sign > 0 else f.offset
-        k = np.floor(x - base)
-        x = x - k
-        wrap = x - base >= 1.0
-        x, k = np.where(wrap, x - 1.0, x), k + wrap
-    else:
-        x = np.clip(x, 0.0, 1.0)
-    interp = GridFunction(sp, f.log_deriv.samples).interp
-    if sign > 0:
-        return np.interp(x, sp.nodes, vals) + k, interp(x)
-    idx = np.clip(np.searchsorted(vals, x) - 1, 0, sp.grid_size - 1)
-    y = sp.nodes[idx] + (x - vals[idx]) / (vals[idx + 1] - vals[idx]) * sp.h
-    y = np.clip(y, 0.0, 1.0)
-    return y + k, -interp(y)
+def _exp_integrals(a, db, width):
+    """Exact integrals of exp over intervals of the given widths on which its
+    argument rises linearly from a by db."""
+    small = np.abs(db) < 1e-12
+    safe = np.where(small, 1.0, db)
+    e = width * np.exp(a)
+    return np.where(small, e * (1.0 + 0.5 * db), e * np.expm1(safe) / safe)
+
+
+def log_density_conjugacy(u):
+    """phi with log Dphi = u + C, C = -log integral exp(u): phi(x) is the
+    exact integral of the exponential of the piecewise-linear u, normalized;
+    value, log-derivative and inverse all evaluate in closed form."""
+    space = u.space
+    samples = u.samples
+    full = space.full_track(samples)
+    cells = _exp_integrals(full[:-1], np.diff(full), space.h)
+    cum = np.concatenate([[0.0], np.cumsum(cells)])
+    total = cum[-1]
+    values = cum / total
+    values[-1] = 1.0
+    ld = GridFunction(space, samples - math.log(total))
+    nodes, h, grid_size = space.nodes, space.h, space.grid_size
+    slopes = (full[1:] - full[:-1]) / h
+    small = np.abs(full[1:] - full[:-1]) < 1e-12
+
+    def jet_fn(x):
+        idx = np.clip((x * grid_size).astype(int), 0, grid_size - 1)
+        t = x - nodes[idx]
+        part = _exp_integrals(full[idx], slopes[idx] * t, t)
+        return (cum[idx] + part) / total, ld.interp(x)
+
+    def inverse_jet(y):
+        target = y * total
+        idx = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, grid_size - 1)
+        rem = target - cum[idx]
+        a = full[idx]
+        s = np.where(small[idx], 1.0, slopes[idx])
+        t_gen = np.log1p(s * rem * np.exp(-a)) / s
+        t_lin = rem * np.exp(-a)
+        t = np.where(small[idx], t_lin, t_gen)
+        x = nodes[idx] + np.clip(t, 0.0, h)
+        return x, -ld.interp(x)
+
+    prim = Primitive(space.is_circle, jet_fn, inverse_jet)
+    return Diffeo(space, ld, values, ((prim, 1),))
 
 
 def assert_close(actual, oracle, rel=1e-11):

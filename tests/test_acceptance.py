@@ -274,7 +274,7 @@ def test_criterion_9_oracle_equivalences(capsys):
         total += w
         direct += w * (power(pts, -k) - power(0.0, -k))
     raw_err = float(np.max(np.abs(np.asarray(measure.cdf_raw(pts)) - direct)))
-    cdf_err = float(np.max(np.abs(measure.cdf(pts) - direct / total)))
+    cdf_err = float(np.max(np.abs(measure.conjugator(pts) - direct / total)))
 
     # (b) Heisenberg balls against a breadth-first search on integer matrices,
     # stepping only by the two metric generators

@@ -3,13 +3,13 @@ import pytest
 
 from conjtamer import (
     ConjTamerError,
+    Diffeo,
     GridFunction,
     NotPeriodic,
     SizeOverflow,
     birkhoff_field,
     birkhoff_solution,
     cocycle_defect,
-    conjugacy_from_log_density,
     empirical_measure_integral,
     invariant_mean_log_derivative,
     log_density_normalizer,
@@ -182,16 +182,14 @@ def test_constant_density_gives_identity():
     sp = interval(512)
     x = np.linspace(0, 1, 600)
     for c in (0.0, 5.0, -2.5):
-        u = GridFunction(sp, np.full(sp.track_length, c))
-        phi = conjugacy_from_log_density(u)
+        phi = Diffeo.from_log_deriv(sp, np.full(sp.track_length, c))
         assert float(np.max(np.abs(phi(x) - x))) <= 1e-12
 
 
 def test_density_of_known_map_recovers_it():
     sp = circle(4096)
     h = wobble(4096)
-    u = GridFunction(sp, np.asarray(h.log_deriv.samples))
-    phi = conjugacy_from_log_density(u)
+    phi = Diffeo.from_log_deriv(sp, h.log_deriv.samples)
     x = np.linspace(0, 1, 1500)
     assert float(np.max(np.abs(phi.eval_lift(x) - h.eval_lift(x)))) <= 1e-6
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import conjtamer.diffeo as diffeo_mod
 from conjtamer import (
@@ -24,7 +24,6 @@ from conjtamer import (
     build_action,
     build_diffeo,
     compose,
-    conjugacy_from_log_density,
     conjugate_action,
     conjugated_rotation,
     deroin_cdf,
@@ -44,9 +43,9 @@ from helpers import (
     SILVER,
     assert_close,
     conj_rotation_z2,
+    log_density_conjugacy,
     mobius_action,
     pingpong_action,
-    track_jet,
     wobble,
 )
 
@@ -65,7 +64,7 @@ def constructions():
     mob = build_diffeo("mobius(1, 0, -1, 2)", si)
     ramp = pwl_diffeo(si, ((0.0, 0.0), (0.3, 0.5), (1.0, 1.0)))
     t = sc.track_nodes()
-    phi = conjugacy_from_log_density(GridFunction(sc, 0.3 * np.sin(2 * np.pi * t)))
+    phi = Diffeo.from_log_deriv(sc, 0.3 * np.sin(2 * np.pi * t))
     flat, _, _ = flatten_hyperbolic(mobius_action(256), delta=0.1)
     return {
         "expression-circle": h,
@@ -111,7 +110,7 @@ def test_jet_equals_value_and_log_derivative(name, x):
 
 @lru_cache(maxsize=None)
 def track_maps():
-    si, sc = interval(64), circle(64)
+    si, sc = interval(256), circle(256)
     return {
         "track-interval": Diffeo.from_log_deriv(si, 0.4 * si.track_nodes() ** 2),
         "track-circle": Diffeo.from_log_deriv(
@@ -120,18 +119,56 @@ def track_maps():
     }
 
 
+tracks = st.builds(
+    lambda kind, seed, scale: (kind, np.random.default_rng(seed), scale),
+    st.sampled_from(["interval", "circle"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 3.0),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(track=tracks, x=lifts)
+def test_track_map_equals_the_log_density_oracle(track, x):
+    kind, rng, scale = track
+    sp = interval(64) if kind == "interval" else circle(64)
+    samples = scale * rng.standard_normal(sp.track_length)
+    f, oracle = Diffeo.from_log_deriv(sp, samples), log_density_conjugacy(
+        GridFunction(sp, samples)
+    )
+    assume(abs(oracle.log_deriv.samples[0] - samples[0]) > 1e-12)  # |log total|
+    assert np.array_equal(f.values, oracle.values)
+    assert np.array_equal(f.log_deriv.samples, oracle.log_deriv.samples)
+    for sign in (1, -1):
+        (v, ld), (ov, old) = f.apply(x, sign), oracle.apply(x, sign)
+        assert np.array_equal(v, ov) and np.array_equal(ld, old)
+
+
+@pytest.mark.parametrize("name", ["track-interval", "track-circle"])
+def test_track_map_slope_is_exp_of_its_log_derivative(name):
+    # centered differences inside the cells: the value jet is the integral
+    # of exp of the interpolated log-derivative track, not its quadrature
+    f = track_maps()[name]
+    h, eta = f.space.h, 1e-6
+    x = np.random.default_rng(5).uniform(0.0, 1.0, 400)
+    x = np.floor(x / h) * h + np.clip(x % h, 0.01 * h, 0.99 * h)
+    slope = (f.eval_lift(x + eta) - f.eval_lift(x - eta)) / (2 * eta)
+    assert np.max(np.abs(slope / np.exp(f.log_derivative(x)) - 1.0)) <= 1e-6
+
+
 @pytest.mark.parametrize("name", ["track-interval", "track-circle"])
 @settings(deadline=None, max_examples=60)
 @given(x=lifts)
-# at -0.7 and -2.7, x - 0.3 rounds onto an integer k with x - k below 0.3:
-# the inverse branch holds y = 0.3 there instead of a float below the offset
+# lifts on negative and past-one branches, where the circle map's inverse
+# branches start at its offset 0.3
 @example(x=np.array([-0.7, -2.7, 1.3]))
-def test_track_map_jets_equal_the_track_evaluators(name, x):
+def test_track_map_inverse_jet_inverts_its_jet(name, x):
     f = track_maps()[name]
-    (v, ld), (ov, old) = f.jet(x), track_jet(f, x)
-    assert np.array_equal(v, ov) and np.array_equal(ld, old)
-    (v, ld), (ov, old) = f.inverse_jet(x), track_jet(f, x, -1)
-    assert np.array_equal(v, ov) and np.array_equal(ld, old)
+    v, ld = f.jet(x)
+    back, inv_ld = f.inverse_jet(v)
+    expected = x if f.space.is_circle else np.clip(x, 0.0, 1.0)
+    np.testing.assert_allclose(back, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inv_ld, -ld, rtol=0, atol=1e-12)
 
 
 def test_every_plan_entry_is_a_primitive(tmp_path):

@@ -6,11 +6,10 @@ import pytest
 
 from conjtamer import (
     CertificationFailure,
-    GridFunction,
+    Diffeo,
     SpecError,
     birkhoff_solution,
     build_action,
-    conjugacy_from_log_density,
     load_action_spec,
     parse_action_spec,
     path_of_conjugates,
@@ -365,7 +364,7 @@ def test_path_phi_rebuilds_every_sample_bit_for_bit(tmp_path):
     assert sorted(u) == [1.0, 2.0, 3.0, 4.0]
     for s in samples:
         want = (1.0 - s.s) * u[s.n] + s.s * u[s.n + 1]
-        phi = conjugacy_from_log_density(GridFunction(action.space, want))
+        phi = Diffeo.from_log_deriv(action.space, want)
         assert s.phi.to_payload() == phi.to_payload()
         assert path_phi(str(out / "path.jsonl"), s.t).to_payload() == phi.to_payload()
     with pytest.raises(ValueError, match="not a sample"):
@@ -447,7 +446,8 @@ def test_cli_path_with_nmax_one_is_the_sample_at_one(tmp_path):
     assert (line["t"], line["n"], line["s"], line["c1_step"]) == (1.0, 1, 0.0, None)
     u1 = birkhoff_solution(build_action(parse_action_spec(A3_SMALL)), 1).u
     phi = path_phi(str(out / "path.jsonl"), 1.0)
-    np.testing.assert_allclose(phi.values, conjugacy_from_log_density(u1).values, atol=1e-12)
+    want = Diffeo.from_log_deriv(u1.space, u1.samples)
+    np.testing.assert_allclose(phi.values, want.values, atol=1e-12)
 
 
 def test_cli_grid_override(tmp_path):

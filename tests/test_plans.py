@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conjtamer import (
     Diffeo,
-    GridFunction,
     birkhoff_solution,
     build_action,
     build_diffeo,
     compose,
-    conjugacy_from_log_density,
     conjugate_action,
     conjugated_rotation,
     deroin_cdf,
@@ -63,7 +61,7 @@ def test_compose_with_inverse_is_the_empty_plan():
     assert compose(invert(h), h).plan == ()
     g = conjugated_rotation(circle(256), h, GOLDEN)
     assert compose(g, invert(g)).plan == ()
-    # a map known only by its tracks is one primitive, and cancels too
+    # a map given by its log-derivative track is one primitive, and cancels too
     t = Diffeo.from_log_deriv(circle(256), h.log_deriv.samples, h.offset)
     assert compose(t, invert(t)).plan == ()
     assert compose(invert(t), t).plan == ()
@@ -228,14 +226,15 @@ def test_mobius_inverse_is_closed_form():
 def _a3_z2(tmp_path):
     # g1 and g2 share the primitive of h, so h⁻¹∘phi⁻¹ is walked once
     action = build_action(load_action_spec(str(SPECS / "a3_z2.spec")), 256)
-    return action, conjugacy_from_log_density(birkhoff_solution(action, 3).u)
+    u = birkhoff_solution(action, 3).u
+    return action, Diffeo.from_log_deriv(u.space, u.samples)
 
 
 def _heisenberg(tmp_path):
     # c = x has an empty plan: phi·phi⁻¹ cancels and c stays the identity
     action = build_action(load_action_spec(str(SPECS / "heisenberg_proj.spec")), 256)
     u = 0.3 * np.sin(2 * np.pi * action.space.track_nodes())
-    return action, conjugacy_from_log_density(GridFunction(action.space, u))
+    return action, Diffeo.from_log_deriv(action.space, u)
 
 
 def _a4_deroin(tmp_path):
@@ -245,7 +244,7 @@ def _a4_deroin(tmp_path):
 
 
 def _grid_only(tmp_path):
-    # generators loaded from a payload file are one track primitive each
+    # generators loaded from a payload file are one log-density primitive each
     g = conjugated_rotation(circle(256), "x + 0.1*sin(2*pi*x)", GOLDEN)
     (tmp_path / "g.json").write_text(dumps_canonical(g.to_payload()))
     text = "[space]\nkind = circle\ngrid_size = 256\n\n[group]\ntype = abelian\n" \
@@ -253,7 +252,7 @@ def _grid_only(tmp_path):
     action = build_action(parse_action_spec(text), base_dir=str(tmp_path))
     assert all(len(g.plan) == 1 and g.plan[0][0].angle is None for g in action.gens)
     u = 0.2 * np.cos(2 * np.pi * action.space.track_nodes())
-    return action, conjugacy_from_log_density(GridFunction(action.space, u))
+    return action, Diffeo.from_log_deriv(action.space, u)
 
 
 def _plan_key(plan):

@@ -8,6 +8,8 @@ from conjtamer import (
     tame_lipschitz,
 )
 
+from conjtamer.diffeo import WalkState
+
 from helpers import mobius_action, rigid_rotations, trivial_action
 
 LAM = float(np.exp(-0.1))
@@ -54,6 +56,25 @@ def test_cdf_matches_direct_series():
     )
     np.testing.assert_allclose(m.cdf_raw(x), direct, rtol=0, atol=1e-9)
     assert m.mass == pytest.approx(float(sum(lam ** abs(k) for k in range(-radius, radius + 1))), abs=1e-9)
+
+
+def test_one_walk_at_the_nodes_feeds_tracks_and_raw_sums(monkeypatch):
+    sizes = []
+    start = WalkState.start.__func__
+
+    def counted(cls, x, plans=()):
+        sizes.append(np.size(x))
+        return start(cls, x, plans)
+
+    monkeypatch.setattr(WalkState, "start", classmethod(counted))
+    for act in (mobius_action(256), rigid_rotations(256)):
+        nodes = act.space.nodes
+        sizes.clear()
+        m = deroin_cdf(act, 0.8, 4)
+        raw = m.raw_sums()
+        assert sizes.count(nodes.size + 1) == 1  # the series walks x and 0
+        assert np.array_equal(m.conjugator.values[:-1], raw[:-1] / m.mass)
+        assert np.array_equal(raw, m.cdf_raw(nodes))
 
 
 def test_mass_bound_certificate():
