@@ -128,7 +128,7 @@ class Action:
 
     def conjugated(self, phi: Diffeo) -> "Action":
         """The action with every generator replaced by phi ∘ g ∘ phi^{-1}:
-        the plans' shared first entries (phi⁻¹, a shared h⁻¹) walk once."""
+        the head the plans share (phi, and a shared h) is inverted once."""
         return Action(self.space, self.presentation, conjugate_maps(self.gens, phi))
 
     def __repr__(self):

@@ -18,7 +18,7 @@ of its log-derivative everywhere.  compose, invert and conjugate_action
 concatenate, reverse and reduce plans: P·P⁻¹ cancels and adjacent rotations
 merge.  Chains therefore evaluate without stacking interpolation error, and
 an orbit walk (WalkState) stays in a conjugator's coordinates: g = h∘R_α∘h⁻¹
-iterates as z -> z + α, with p = h(z).
+iterates as z -> z + α, with p = h(z), as does φ∘g∘φ⁻¹ (one inverse of φ∘h).
 Serialization keeps only the grid data.
 
 Composition accumulates log-derivatives through the chain rule
@@ -129,16 +129,15 @@ def _newton(jet: Callable, y, lo, hi, x) -> Tuple[Array, Array]:
 class Primitive:
     """An exact map given on one fundamental domain by its jet, x in [0,1] ->
     (value, log-derivative), and its inverse jet, y in [base, base + 1] ->
-    (value, log-derivative of the inverse), base being the value at 0 on
-    the circle and 0 on the interval, where only [0,1] is inverted.
+    (value, log-derivative of the inverse), base being the value at 0 on the
+    circle, given by the constructor, and 0 on the interval, inverted on [0,1].
     `apply` extends both to every lift: by degree one on the circle, by
     clipping to [0,1] on the interval.  A rotation is only its angle."""
 
     __slots__ = ("circle", "fwd", "bwd", "base", "angle")
 
-    def __init__(self, circle: bool, fwd=None, bwd=None, angle=None):
-        self.circle, self.fwd, self.bwd, self.angle = circle, fwd, bwd, angle
-        self.base = float(fwd(np.zeros(1))[0][0]) if circle and fwd is not None else 0.0
+    def __init__(self, circle: bool, fwd=None, bwd=None, angle=None, base=0.0):
+        self.circle, self.fwd, self.bwd, self.angle, self.base = circle, fwd, bwd, angle, base
 
     def apply(self, x: Array, sign: int):
         """Jet (sign 1) or inverse jet (sign -1) at lifts x; a rotation gives
@@ -242,68 +241,73 @@ def _shifted(plan, k: int) -> tuple:
     return _reduce(plan[:i] + ((Primitive(True, angle=float(k)), 1),) + plan[i:])
 
 
+def _head(plans) -> tuple:
+    """The longest prefix H, not of rotations alone, such that every plan
+    but an empty one (an identity letter) reads H·Q·H⁻¹; () if none."""
+    plans = [plan for plan in plans if plan] or [()]
+    w, k = plans[0], 0
+    while all(k < len(p) // 2 and p[k] == w[k] and p[~k] == (w[k][0], -w[k][1]) for p in plans):
+        k += 1
+    return w[:k] if any(p.angle is None for p, _ in w[:k]) else ()
+
+
 class WalkState:
-    """Points p = head(z) that a word reaches from points x, kept in the
-    coordinates z of the head, the outermost entry of the last plan walked:
-    a next plan that starts with head⁻¹ resumes from z, so g = h∘R_α∘h⁻¹
-    walks as z -> z + α.  acc is log D(word)(x) less log D(head)(z)."""
+    """Points p = H(z) that a word reaches from points x, kept in the
+    coordinates z of a head H, a plan prefix: g = h∘R_α∘h⁻¹ walks as
+    z -> z + α with H = h, and so does φ∘g∘φ⁻¹ with H = φ·h.  acc is
+    log D(word)(x) less log DH(z), None while nothing is added to it."""
 
     __slots__ = ("z", "acc", "head", "_point")
 
-    def __init__(self, z: Array, acc: Array, head=None, point=None):
+    def __init__(self, z: Array, acc, head=(), point=None):
         self.z, self.acc, self.head, self._point = z, acc, head, point
 
     @classmethod
     def start(cls, x, plans=()) -> "WalkState":
-        """The empty word at x, in P's coordinates when every plan that is
-        not empty (an identity letter) starts with the same P⁻¹ (P no
-        rotation): one inverse of P for the points."""
+        """The empty word at x, in the coordinates of the head H that the
+        plans share (_head): one walk of H⁻¹ for the points."""
         x = _as_array(x)
-        firsts = {plan[-1] for plan in plans if plan}
-        p, s = firsts.pop() if len(firsts) == 1 else (None, 1)
-        if s > 0 or p.angle is not None:
-            return cls(x, np.zeros_like(x))
-        z, ld = p.apply(x, s)
-        return cls(z, ld, (p, 1), (x, np.zeros_like(x)))
+        head = _head(plans)
+        z, acc = _walk(tuple((p, -s) for p, s in reversed(head)), x) if head else (x, None)
+        return cls(z, acc, head, (x, np.zeros_like(x)))
 
     def point(self) -> Tuple[Array, Array]:
-        """(p, log D(word)(x)): one jet of the head, kept for the next step."""
+        """(p, log D(word)(x)): one walk of the head, kept for the next step."""
         if self._point is None:
-            p, s = self.head or (None, 0)
-            v, ld = (self.z, None) if p is None else p.apply(self.z, s)
-            self._point = (v, self.acc if ld is None else self.acc + ld)
+            self._point = _walk(self.head, self.z, self.acc)
         return self._point
 
     def step(self, plan) -> "WalkState":
-        """The walk after one more letter, given by its plan; an identity
-        letter (empty plan) leaves it as it is."""
+        """The walk after one more letter, given by its plan (empty: left as
+        it is).  A plan H·Q·H⁻¹ walks Q alone from z, any other plan walks
+        from the point; the plan's own head (_head) is the next head."""
         if not plan:
             return self
-        p, s = self.head or (None, 0)
-        if plan[-1] == (p, -s):
-            z, acc, plan = self.z, self.acc, plan[:-1]
-        else:
-            z, acc = self.point()
-        for q, t in reversed(plan[1:]):
-            z, ld = q.apply(z, t)
-            acc = acc if ld is None else acc + ld
-        return WalkState(z, acc, plan[0] if plan else None)
+        head = _head((plan,))
+        resume = head[: len(self.head)] == self.head
+        z, acc = (self.z, self.acc) if resume else self.point()
+        z, acc = _walk(plan[len(head) : len(plan) - len(self.head) * resume], z, acc)
+        return WalkState(z, acc, head)
 
 
-def iterates(f: "Diffeo", x, n: int):
-    """(f^k(x), log D(f^k)(x)) at lifts x (interval: [0,1]) for k = 1..n,
-    from one WalkState walk of f's plan: h∘R_α∘h⁻¹ inverts h once and then
-    steps z -> z + α."""
+def _walks(f: "Diffeo", x, n: int):
+    """The walks of f^k at lifts x (interval: [0,1]) for k = 1..n, steps of
+    one WalkState walk of f's plan: h∘R_α∘h⁻¹ and its conjugate φ∘h∘R_α∘h⁻¹∘φ⁻¹
+    invert h, or φ·h, once and then step z -> z + α."""
     plan = f.as_plan()
     walk = WalkState.start(x, (plan,))
     for _ in range(n):
-        walk = walk.step(plan)
-        yield walk.point()
+        yield (walk := walk.step(plan))
+
+
+def iterates(f: "Diffeo", x, n: int):
+    """(f^k(x), log D(f^k)(x)) for k = 1..n, one point per walk (_walks)."""
+    return (walk.point() for walk in _walks(f, x, n))
 
 
 def iterate(f: "Diffeo", x, n: int) -> Tuple[Array, Array]:
-    """(f^n(x), log D(f^n)(x)) for n >= 1: the last of iterates."""
-    return deque(iterates(f, x, n), maxlen=1).pop()
+    """(f^n(x), log D(f^n)(x)) for n >= 1: the point of the last walk alone."""
+    return deque(_walks(f, x, n), maxlen=1).pop().point()
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ class Diffeo:
             x = nodes[idx] + np.clip(t, 0.0, h)
             return x, -track.interp(x)
 
-        prim = Primitive(space.is_circle, jet_fn, inverse_jet)
+        prim = Primitive(space.is_circle, jet_fn, inverse_jet, base=off)
         return cls(space, track, values + off, ((prim, 1),))
 
     @classmethod
@@ -386,9 +390,11 @@ class Diffeo:
         """The one-primitive plan of jet_fn and inverse_jet (see Primitive).
         Without inverse_jet, Newton on the jet inverts, seeded by the track."""
         prim = Primitive(space.is_circle, jet_fn, inverse_jet)
-        f = cls.from_plan(space, ((prim, 1),))
+        values, ld = _walk(((prim, 1),), space.nodes)
+        prim.base = float(values[0]) if space.is_circle else 0.0
+        f = cls._sampled(space, values, ld, ((prim, 1),))
         if inverse_jet is None:
-            shift = round(prim.base - f.offset)  # the integer from_plan took off
+            shift = math.floor(prim.base)  # the integer _sampled took off
             prim.bwd = lambda y: f._invert01(y - shift)
         return f
 
@@ -571,23 +577,14 @@ def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
 
 
 def conjugate_maps(maps: Sequence[Diffeo], phi: Diffeo) -> List[Diffeo]:
-    """phi ∘ f ∘ phi^{-1} for each f, the plan phi·f·phi⁻¹ reduced.  The
-    entries that every plan but the empty one ends with act first (phi⁻¹,
-    and h⁻¹ for maps h∘R∘h⁻¹): unless they are all rotations, they are
-    walked once at the nodes and each plan continues from there."""
-    nodes = phi.space.nodes
+    """phi ∘ f ∘ phi^{-1} for each f, the plan phi·f·phi⁻¹ reduced, walked at
+    the nodes from one WalkState: the head that the plans share (phi, and h
+    for maps h∘R∘h⁻¹) is inverted once."""
     for f in maps:
         phi.space.check_same(f.space)
     plans = [_reduce(phi.as_plan() + f.as_plan() + phi.as_plan(-1)) for f in maps]
-    ends = [plan[::-1] for plan in plans if plan] or [()]
-    k = next((i for i, e in enumerate(zip(*ends)) if len(set(e)) > 1), min(map(len, ends)))
-    if all(p.angle is not None for p, _ in ends[0][:k]):
-        k = 0  # a shared zero log-derivative would turn a -0.0 into 0.0
-    state = _walk(ends[0][k - 1 :: -1], nodes) if k else (nodes, None)
-    return [
-        Diffeo._sampled(phi.space, *(_walk(p[: len(p) - k], *state) if p else _walk(p, nodes)), p)
-        for p in plans
-    ]
+    start = WalkState.start(phi.space.nodes, plans)
+    return [Diffeo._sampled(phi.space, *start.step(p).point(), p) for p in plans]
 
 
 def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:

@@ -2,8 +2,8 @@
 resilient interval pairs.
 
 Orbits walk plans: every iterate, multiplier and rotation number comes from
-one WalkState walk of the map's plan (diffeo.iterates), so a conjugated
-rotation h∘R_α∘h⁻¹ inverts h once per walk and then steps z -> z + α.
+one WalkState walk of the map's plan (diffeo.iterates): h∘R_α∘h⁻¹ and its
+conjugate φ∘h∘R_α∘h⁻¹∘φ⁻¹ invert h, or φ∘h, once per walk, then step z -> z + α.
 
 Flattening conjugates by a map whose germ at each flagged point is
 x_j ± r (t/r)^(1/alpha); the conjugated maps stay C^1 with fixed-point
@@ -327,6 +327,7 @@ class FlatteningMap:
         self.prim = Primitive(
             space.is_circle, lambda x: self._jet(x, 1), lambda y: self._jet(y, -1)
         )
+        self.prim.base = float(self._jet(np.zeros(1), 1)[0][0]) if space.is_circle else 0.0
 
     # -- evaluation ----------------------------------------------------------
 
@@ -371,12 +372,13 @@ class FlatteningMap:
                     )
         return v, ld
 
-    def _germ_center(self, x: Array) -> Tuple[Array, Array]:
-        """(center, side) of the segment of each lift x: the lifted flagged
-        point of a germ and its side ±1, or (nan, 0) on a bridge."""
+    def _germ_center(self, x: Array) -> Tuple[Array, Array, Array]:
+        """(center, side, cell) of each lift x: the lifted flagged point and
+        side ±1 of its germ, or (nan, 0) on a bridge, and its lifted segment."""
         k = np.floor(x) if self.space.is_circle else 0.0
         seg = self._segment(x - k)
-        return self._centers[seg] + k, self._sides[seg]
+        cell = seg + len(self._starts) * (k - np.min(k, initial=0)).astype(int)
+        return self._centers[seg] + k, self._sides[seg], cell
 
     def __repr__(self):
         return (
@@ -411,7 +413,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
 
     def jet(s: int) -> Callable:
         def conjugated(x: Array) -> Tuple[Array, Array]:
-            c, side = psi._germ_center(x)
+            c, side, cell = psi._germ_center(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 y, ld_y = psi.prim.apply(x, -1)
                 w, ld_g = g.apply(y, s)
@@ -420,8 +422,9 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 at = np.flatnonzero(side)
                 if at.size == 0:
                     return v, ld
-                centers, pos = np.unique(c[at], return_inverse=True)
-                gc, lm = (a[pos] for a in g.apply(centers, s))
+                rep = np.full(cell.max() + 1, at[0])  # a germ point per cell: no sort
+                rep[cell[at]] = at
+                gc, lm = (a[cell[at]] for a in g.apply(c[rep], s))
                 side = side[at]
                 z_x = np.abs(x[at] - c[at])
                 z_y = psi._germ_inv(z_x)

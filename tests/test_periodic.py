@@ -19,7 +19,7 @@ from conjtamer import (
     rotation_number,
 )
 from conjtamer import Action, Diffeo, Presentation, build_action, load_action_spec
-from conjtamer.diffeo import Primitive
+from conjtamer.diffeo import Primitive, WalkState, iterate
 import conjtamer.diffeo as diffeo_mod
 import conjtamer.periodic as periodic_mod
 from conjtamer.periodic import (
@@ -116,6 +116,46 @@ def test_orbit_walk_solves_h_once(monkeypatch, measure):
     monkeypatch.setattr(Diffeo, "_invert01", counted)
     measure(g)
     assert len(calls) == 1
+
+
+def _conjugated_generator():
+    """g1 of conj_rotation_z2(512) conjugated by a log-density primitive phi:
+    the plan phi·h·R·h⁻¹·phi⁻¹, with h a Newton-inverted expression."""
+    sp = circle(512)
+    phi = Diffeo.from_log_deriv(sp, 0.3 * np.sin(2 * np.pi * sp.track_nodes()), 0.1)
+    return conj_rotation_z2(512).gens[0], conj_rotation_z2(512).conjugated(phi).gens[0], phi
+
+
+def test_conjugated_orbit_walk_solves_h_once(monkeypatch):
+    # phi·h·R·h⁻¹·phi⁻¹ walks as z -> z + alpha in the coordinates of the
+    # head phi·h: one Newton solve of h for the whole walk, not one per step
+    _, g, _ = _conjugated_generator()
+    calls = []
+    newton = diffeo_mod._newton
+
+    def counted(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(diffeo_mod, "_newton", counted)
+    rho, _ = rotation_number(g, iters=2000)
+    assert len(calls) == 1
+    assert rho == pytest.approx(GOLDEN, abs=1e-3)
+    assert WalkState.start(np.zeros(1), [g.as_plan()]).head == g.plan[:2]
+
+
+def test_conjugated_iterates_are_conjugate_iterates():
+    # phi g^n phi⁻¹ = (phi g phi⁻¹)^n, through plain map evaluation of phi,
+    # phi⁻¹ and the chain rule; no walk shares a head with the other
+    g, cg, phi = _conjugated_generator()
+    x = np.linspace(0.0, 1.0, 17)
+    y, ld_y = phi.inverse_jet(x)
+    for n in range(1, 51):
+        gy, ld_g = iterate(g, y, n)
+        v, ld_v = phi.jet(gy)
+        got, ld = iterate(cg, x, n)
+        np.testing.assert_allclose(got, v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ld, ld_y + ld_g + ld_v, rtol=0, atol=1e-12)
 
 
 def test_orbit_multiplier_chain_rule():

@@ -1,5 +1,6 @@
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +425,20 @@ def test_cli_certification_failure_exit_three(tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert report["certify"]["certified"] is False
+
+
+def test_cli_tame_c1_refuses_multipliers_beyond_epsilon(tmp_path):
+    # flattening a4 with delta 0.15 leaves log multipliers of ±0.15 against
+    # epsilon 0.1; a multiplier is a conjugacy invariant, so no conjugate
+    # meets epsilon and the run must not certify, whatever its final sup
+    spec = Path(__file__).resolve().parent.parent / "specs" / "a4.spec"
+    out = tmp_path / "out"
+    argv = ["tame-c1", "--spec", str(spec), "--grid", "512", "--delta", "0.15"]
+    assert main(argv + ["--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["certify"]["multipliers_within_epsilon"] is False
+    assert report["certify"]["certified"] is False
+    assert report["certified"] is False
 
 
 def test_cli_overrides_apply(tmp_path):

@@ -75,6 +75,7 @@ def test_one_walk_at_the_nodes_feeds_tracks_and_raw_sums(monkeypatch):
         assert sizes.count(nodes.size + 1) == 1  # the series walks x and 0
         assert np.array_equal(m.conjugator.values[:-1], raw[:-1] / m.mass)
         assert np.array_equal(raw, m.cdf_raw(nodes))
+        assert 2 not in sizes  # the base at 0 is known: no walk on [0, 0]
 
 
 def test_mass_bound_certificate():
