@@ -5,13 +5,12 @@ conjugating diffeomorphisms (including interpolated paths of conjugates).
 Ball averages carry an exact re-evaluator so that defects and telescoping
 identities can be checked off-grid without interpolation error.  A solve
 measures u and its defects in one ball pass over its distinct points (nodes,
-midpoints, their generator images: 4096-point blocks); a ball sum walks the
-ball once, in plan coordinates.
+midpoints, their generator images), split into blocks of 4096 to 8191 points
+(one block below that); a ball sum walks the ball once, in plan coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,8 +31,10 @@ from .words import ABELIAN, Presentation, select_shell_radii
 Array = np.ndarray
 
 _FIELD_CAP = 4 * 10**7  # max (n^d) * points entries in a vectorized ball sum
-# points per ball pass of a solve: bigger blocks made glibc malloc grow and trim
-# the heap for each temporary (full-size a3_z2 solve: 11.3 s in one block, 8.9 s)
+# a solve's ball pass runs in x.size // _BLOCK blocks (one at least) of _BLOCK to
+# 2·_BLOCK - 1 points, so no temporary reaches glibc's 128 KB mmap threshold;
+# bigger blocks made malloc grow and trim the heap for each temporary (full-size
+# a3_z2 solve: 11.3 s in one block, 8.9 s)
 _BLOCK = 4096
 
 
@@ -190,8 +191,9 @@ def _measured_solution(
     action: Action, field: Callable, construction: str, extras: Optional[dict] = None
 ) -> CohomSolution:
     """u = field + C, with C normalizing exp(u), and its defects, from one
-    pass of `field` (on points reduced into the space, in _BLOCK-point blocks)
-    over the nodes, the midpoints and their images under every generator."""
+    pass of `field` (on points reduced into the space, in blocks of _BLOCK to
+    2·_BLOCK - 1 points) over the nodes, the midpoints and their images
+    under every generator."""
     space = action.space
     tn = space.track_nodes()
     mid = tn + 0.5 * space.h
@@ -199,7 +201,7 @@ def _measured_solution(
     jets = [g.jet(p) for p in (tn, mid) for g in action.gens]
     points = [tn, mid] + [v for v, _ in jets]
     x = space.reduce(np.concatenate(points))
-    blocks = np.array_split(x, math.ceil(x.size / _BLOCK))
+    blocks = np.array_split(x, max(1, x.size // _BLOCK))
     values = np.concatenate([field(b) for b in blocks])
     c = log_density_normalizer(space, values[: tn.size])
     u = GridFunction(space, values[: tn.size], field) + c

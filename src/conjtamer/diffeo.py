@@ -537,7 +537,7 @@ def build_diffeo(definition, space: Space) -> Diffeo:
 
     def jet_fn(x):
         v, d = expr.jet(x)
-        if np.any(~np.isfinite(d)) or np.any(d <= 0):
+        if not (np.isfinite(d).all() and (d > 0).all()):
             raise NonMonotone(f"{expr.text!r} has non-positive derivative")
         return _as_array(v), np.log(d)
 

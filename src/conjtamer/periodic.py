@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,15 +189,6 @@ def rotation_number(
 # Flattening.
 
 
-def _hermite_terms(s: Array) -> Tuple[Array, Array]:
-    """(h10, h11) cubic Hermite terms multiplying the endpoint slopes."""
-    return s * (1.0 - s) ** 2, s * s * (s - 1.0)
-
-
-def _hermite_dterms(s: Array) -> Tuple[Array, Array]:
-    return (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
-
-
 @dataclass(frozen=True)
 class _Bridge:
     """Monotone C^1 cubic fixing both endpoints with prescribed slopes.
@@ -209,22 +200,23 @@ class _Bridge:
     slope_a: float
     slope_b: float
 
-    def value(self, x: Array) -> Array:
-        h = self.b - self.a
+    def jet(self, x: Array) -> Tuple[Array, Array]:
+        """(bridge(x), Dbridge(x)) from one s = (x - a)/(b - a): the cubic
+        Hermite terms s(1-s)^2, s^2(s-1) and their derivatives times the
+        endpoint slopes less one."""
+        h, ma, mb = self.b - self.a, self.slope_a - 1.0, self.slope_b - 1.0
         s = (x - self.a) / h
-        t10, t11 = _hermite_terms(s)
-        return x + h * ((self.slope_a - 1.0) * t10 + (self.slope_b - 1.0) * t11)
-
-    def deriv(self, x: Array) -> Array:
-        s = (x - self.a) / (self.b - self.a)
-        d10, d11 = _hermite_dterms(s)
-        return 1.0 + (self.slope_a - 1.0) * d10 + (self.slope_b - 1.0) * d11
+        u, s3 = 1.0 - s, 3.0 * s
+        return (
+            x + h * (ma * (s * u**2) + mb * (s * s * (s - 1.0))),
+            1.0 + ma * (u * (1.0 - s3)) + mb * (s * (s3 - 2.0)),
+        )
 
     @functools.cached_property
     def _table(self) -> Tuple[Array, Array]:
         """(x, bridge(x)) at the seed nodes, strictly increasing values."""
         x = self.a + (self.b - self.a) * _BRIDGE_NODES
-        v = self.value(x)
+        v = self.jet(x)[0]
         keep = np.concatenate([[True], np.diff(v) > 0.0])
         return x[keep], v[keep]
 
@@ -237,14 +229,16 @@ class _Bridge:
         k = np.clip(np.searchsorted(vs, y) - 1, 0, xs.size - 2)
         lo, hi = xs[k], xs[k + 1]
         x = np.clip(lo + (y - vs[k]) / (vs[k + 1] - vs[k]) * (hi - lo), lo, hi)
-        for _ in range(_BRIDGE_STEPS):
-            fx = self.value(x) - y
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = np.where(fx == 0.0, x, np.clip(x - fx / self.deriv(x), lo, hi))
-        residual = float(np.max(np.abs(self.value(x) - y), initial=0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_BRIDGE_STEPS):
+                v, d = self.jet(x)
+                fx = v - y
+                x = np.where(fx == 0.0, x, np.minimum(np.maximum(x - fx / d, lo), hi))
+        v, d = self.jet(x)
+        residual = float(np.max(np.abs(v - y), initial=0.0))
         if not residual <= _NEWTON_TOL:
             raise NonConvergence("bridge inversion did not converge", residual)
-        return x, np.log(self.deriv(x))
+        return x, np.log(d)
 
 
 class FlatteningMap:
@@ -324,61 +318,70 @@ class FlatteningMap:
         self._sides = np.asarray([k for _, k, _ in segs], dtype=int)
         self._payload = [p for _, _, p in segs]
         self._centers = np.asarray([p if k else np.nan for _, k, p in segs])
+        base = float(self._forward(np.zeros(1))[0][0]) if space.is_circle else 0.0
         self.prim = Primitive(
-            space.is_circle, lambda x: self._jet(x, 1), lambda y: self._jet(y, -1)
+            space.is_circle, self._forward, lambda y: self._inverse(y)[:2], base=base
         )
-        self.prim.base = float(self._jet(np.zeros(1), 1)[0][0]) if space.is_circle else 0.0
 
     # -- evaluation ----------------------------------------------------------
 
     def _segment(self, x0: Array) -> Array:
-        return np.clip(
-            np.searchsorted(self._starts, x0, side="right") - 1,
-            0,
-            len(self._starts) - 1,
-        )
+        i = np.searchsorted(self._starts, x0, side="right") - 1
+        return np.clip(i, 0, len(self._starts) - 1)
 
-    def _germ(self, z: Array) -> Array:
-        r = self.radius
-        return r * np.power(np.maximum(z, 0.0) / r, self._q)
+    def _germ(self, z: Array, power: float) -> Array:
+        """r (z/r)^power for an offset z from a flagged point: the offset of
+        its image under psi for power 1/alpha, under psi^{-1} for alpha."""
+        return self.radius * np.power(np.maximum(z, 0.0) / self.radius, power)
 
-    def _germ_inv(self, u: Array) -> Array:
-        r = self.radius
-        return r * np.power(np.maximum(u, 0.0) / r, self.alpha)
+    def _germ_log_deriv(self, z: Array) -> Array:
+        """log Dpsi at offset z from a flagged point (+inf at z = 0 when alpha > 1)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return math.log(self._q) + (self._q - 1.0) * (np.log(z) - math.log(self.radius))
 
-    def _jet(self, x: Array, sign: int) -> Tuple[Array, Array]:
-        """(psi, log Dpsi) for sign 1, (psi^{-1}, log Dpsi^{-1}) for sign -1,
-        on the fundamental domain of Primitive.apply: a point before the
-        first start or past 1 lies on the segment that straddles the fold."""
+    def _bridges(self, seg: Array) -> Iterator[Tuple[Array, "_Bridge"]]:
+        """(mask, bridge) of each bridge segment that seg holds."""
+        for i in np.flatnonzero(np.bincount(seg, minlength=len(self._payload))):
+            if not self._sides[i]:
+                yield seg == i, self._payload[i]
+
+    def _forward(self, x: Array) -> Tuple[Array, Array]:
+        """(psi, log Dpsi) on the fundamental domain of Primitive.apply: a
+        point before the first start or past 1 lies on the segment that
+        straddles the fold."""
         seg = self._segment(x)
         v, ld = np.empty_like(x), np.empty_like(x)
-        for i in np.flatnonzero(np.bincount(seg, minlength=len(self._payload))):
-            sel = seg == i
-            side, pay = self._sides[i], self._payload[i]
-            if not side and sign > 0:
-                v[sel], ld[sel] = pay.value(x[sel]), np.log(pay.deriv(x[sel]))
-            elif not side:
-                v[sel], ld_b = pay.invert(x[sel])
-                ld[sel] = -ld_b
-            else:
-                z = np.abs(x[sel] - pay)
-                z_img = self._germ(z) if sign > 0 else self._germ_inv(z)
-                v[sel] = pay + side * z_img
-                z_src = z if sign > 0 else z_img  # offset on psi's source side
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ld[sel] = sign * (
-                        math.log(self._q)
-                        + (self._q - 1.0) * (np.log(z_src) - math.log(self.radius))
-                    )
+        for sel, bridge in self._bridges(seg):
+            v[sel], d = bridge.jet(x[sel])
+            ld[sel] = np.log(d)
+        at = np.flatnonzero(self._sides[seg])
+        c, side = self._centers[seg[at]], self._sides[seg[at]]
+        z = np.abs(x[at] - c)
+        v[at], ld[at] = c + side * self._germ(z, self._q), self._germ_log_deriv(z)
         return v, ld
 
-    def _germ_center(self, x: Array) -> Tuple[Array, Array, Array]:
-        """(center, side, cell) of each lift x: the lifted flagged point and
-        side ±1 of its germ, or (nan, 0) on a bridge, and its lifted segment."""
-        k = np.floor(x) if self.space.is_circle else 0.0
-        seg = self._segment(x - k)
+    def _inverse(self, x: Array):
+        """(psi^{-1}, log Dpsi^{-1}, germ) at lifts x, one segment lookup
+        each.  germ = (at, side, c, z_x, z_y, cell): the points on a germ,
+        its side ±1 and lifted flagged point c, the offsets z_x = |x - c|
+        and z_y = |psi^{-1}(x) - c|, and the lifted segment; the image of
+        a germ point is c + side z_y."""
+        k = np.floor(x) if self.space.is_circle else np.zeros_like(x)
+        x0 = x - k
+        seg = self._segment(x0)
+        y, ld = np.empty_like(x), np.empty_like(x)
+        for sel, bridge in self._bridges(seg):
+            y[sel], ld_b = bridge.invert(x0[sel])
+            ld[sel] = -ld_b
+        y += k
+        at = np.flatnonzero(self._sides[seg])
+        seg, k = seg[at], k[at]
+        side, c = self._sides[seg], self._centers[seg] + k
+        z_x = np.abs(x[at] - c)
+        z_y = self._germ(z_x, self.alpha)
+        y[at], ld[at] = c + side * z_y, -self._germ_log_deriv(z_y)
         cell = seg + len(self._starts) * (k - np.min(k, initial=0)).astype(int)
-        return self._centers[seg] + k, self._sides[seg], cell
+        return y, ld, (at, side, c, z_x, z_y, cell)
 
     def __repr__(self):
         return (
@@ -388,17 +391,18 @@ class FlatteningMap:
 
 
 def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
-    """psi ∘ g ∘ psi^{-1} as an honest C^1 diffeomorphism: a walk of the
-    plan psi·g·psi⁻¹, whose values on the germs are then replaced where the
-    walk cannot resolve them.  A point x on the germ of a flagged point c,
-    with offsets z = |x - c| and z_y = |psi^{-1}(x) - c|, takes the exact
+    """psi ∘ g ∘ psi^{-1} as an honest C^1 diffeomorphism, its jet (g^{-1}
+    for g in the inverse jet) one pass in which each point x finds its
+    segment of psi once.  On the germ of a flagged point c, psi^{-1}(x) is
+    c ± z_y with z_y = r (z/r)^alpha from z = |x - c|; x takes the exact
     linear collapse g(c) ± m^(1/alpha) z with log-derivative (1/alpha) log m,
-    m = Dg(c), when z_y < 1e-9; when g(psi^{-1}(x)) lies within r of g(c) it
-    takes the germ at g(c), which differences out the periodic-point root
-    error.  Raises FlaggedSetNotInvariant when alpha > 1 and g maps a
-    flagged point farther than 1e-8 from every flagged point: Dpsi^{-1}
-    vanishes there and Dpsi at its image is finite, so the conjugate would
-    have derivative 0."""
+    m = Dg(c), when z_y < 1e-9, and when g(psi^{-1}(x)) lies within r of g(c)
+    the germ at g(c), which differences out the periodic-point root error.
+    Only the other points, on a bridge or leaving their germ, evaluate psi:
+    they keep the value of the plan psi·g·psi⁻¹.  Raises
+    FlaggedSetNotInvariant when alpha > 1 and g maps a flagged point farther
+    than 1e-8 from every flagged point: Dpsi^{-1} vanishes there and Dpsi at
+    its image is finite, so the conjugate would have derivative 0."""
     space = g.space
     q, r = psi._q, psi.radius
     if psi.alpha > 1.0:
@@ -413,30 +417,25 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
 
     def jet(s: int) -> Callable:
         def conjugated(x: Array) -> Tuple[Array, Array]:
-            c, side, cell = psi._germ_center(x)
             with np.errstate(divide="ignore", invalid="ignore"):
-                y, ld_y = psi.prim.apply(x, -1)
+                y, ld_y, (at, side, c, z_x, z_y, cell) = psi._inverse(x)
                 w, ld_g = g.apply(y, s)
-                v, ld_v = psi.prim.apply(w, 1)
-                ld = ld_v + ld_g + ld_y
-                at = np.flatnonzero(side)
-                if at.size == 0:
-                    return v, ld
-                rep = np.full(cell.max() + 1, at[0])  # a germ point per cell: no sort
-                rep[cell[at]] = at
-                gc, lm = (a[cell[at]] for a in g.apply(c[rep], s))
-                side = side[at]
-                z_x = np.abs(x[at] - c[at])
-                z_y = psi._germ_inv(z_x)
-                z_gy = np.maximum((w[at] - gc) * side, 0.0)
-                lin, inside = z_y < _GERM_LIN, z_gy <= r
-                v_in = gc + side * psi._germ(z_gy)
-                ld_in = ld_g[at] + (q - 1.0) * (
-                    np.log(np.maximum(z_gy, 1e-300)) - np.log(z_y)
-                )
-                v_lin = gc + side * np.exp(q * lm) * z_x
-                v[at] = np.where(lin, v_lin, np.where(inside, v_in, v[at]))
-                ld[at] = np.where(lin, q * lm, np.where(inside, ld_in, ld[at]))
+                v, ld = np.empty_like(x), np.empty_like(x)
+                keep = np.ones(x.size, dtype=bool)  # points that keep the plan's value
+                if at.size:
+                    rep = np.zeros(cell.max() + 1, dtype=int)  # a germ point per cell: no sort
+                    rep[cell] = np.arange(at.size)
+                    gc, lm = (a[cell] for a in g.apply(c[rep], s))
+                    z_gy = np.maximum((w[at] - gc) * side, 0.0)
+                    lin, inside = z_y < _GERM_LIN, z_gy <= r
+                    v_lin = gc + side * np.exp(q * lm) * z_x
+                    v[at] = np.where(lin, v_lin, gc + side * psi._germ(z_gy, q))
+                    ld_in = (q - 1.0) * (np.log(np.maximum(z_gy, 1e-300)) - np.log(z_y))
+                    ld[at] = np.where(lin, q * lm, ld_g[at] + ld_in)
+                    keep[at] = ~(lin | inside)
+                kept = np.flatnonzero(keep)
+                v[kept], ld_v = psi.prim.apply(w[kept], 1)
+                ld[kept] = ld_v + ld_g[kept] + ld_y[kept]
             return v, ld
 
         return conjugated
@@ -506,15 +505,7 @@ def flatten_hyperbolic(
         )
     if not flagged:
         psi = FlatteningMap(action.space, (), 1.0 if alpha is None else alpha)
-        report = FlatteningReport(
-            alpha=psi.alpha,
-            radius=psi.radius,
-            flagged=(),
-            orbits=[],
-            log_multipliers_before={},
-            log_multipliers_after={},
-        )
-        return action, psi, report
+        return action, psi, FlatteningReport(psi.alpha, psi.radius, (), [], {}, {})
     if alpha is None:
         alpha = max(
             1.0,

@@ -300,11 +300,12 @@ def test_bridge_inverse_round_trip(slopes):
     # end slope in (0, 3]; (3, 3) would have Dbridge = 0 at the midpoint
     bridge = _Bridge(0.25, 0.75, *slopes)
     x = np.linspace(0.25, 0.75, 2049)
-    y = bridge.value(x)
+    y = bridge.jet(x)[0]
     back, ld = bridge.invert(y)
-    assert float(np.max(np.abs(bridge.value(back) - y))) <= 1e-12
+    v, d = bridge.jet(back)
+    assert float(np.max(np.abs(v - y))) <= 1e-12
     assert float(np.max(np.abs(back - x))) <= 1e-12
-    assert np.array_equal(ld, np.log(bridge.deriv(back)))
+    assert np.array_equal(ld, np.log(d))
     if slopes == (1.0, 1.0):
         assert np.array_equal(back, y) and not ld.any()
 
@@ -331,6 +332,164 @@ def test_flattening_never_calls_newton(monkeypatch):
     x = np.linspace(0.0, 1.0, 1001)
     assert float(np.max(np.abs(g.invert_lift(g.eval_lift(x)) - x))) <= 1e-10
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The one-pass flattened jet against the formulation it replaced: psi⁻¹, g
+# and psi at every point, one segment at a time, then the germ values
+# replaced.
+
+
+def bridge_value(b, x):
+    s = (x - b.a) / (b.b - b.a)
+    t10, t11 = s * (1.0 - s) ** 2, s * s * (s - 1.0)
+    return x + (b.b - b.a) * ((b.slope_a - 1.0) * t10 + (b.slope_b - 1.0) * t11)
+
+
+def bridge_deriv(b, x):
+    s = (x - b.a) / (b.b - b.a)
+    d10, d11 = (1.0 - s) * (1.0 - 3.0 * s), s * (3.0 * s - 2.0)
+    return 1.0 + (b.slope_a - 1.0) * d10 + (b.slope_b - 1.0) * d11
+
+
+def two_pass_psi_jet(psi, x, sign):
+    """psi (sign 1) or psi⁻¹ (sign -1) on the fundamental domain, one
+    segment at a time; a bridge inverts by Newton steps on its value and
+    derivative evaluated apart."""
+    seg = psi._segment(x)
+    v, ld = np.empty_like(x), np.empty_like(x)
+    r, q = psi.radius, psi._q
+
+    def germ(z, power):
+        return r * np.power(np.maximum(z, 0.0) / r, power)
+
+    for i in np.flatnonzero(np.bincount(seg, minlength=len(psi._payload))):
+        sel = seg == i
+        side, pay = psi._sides[i], psi._payload[i]
+        value, deriv = (lambda t: bridge_value(pay, t)), (lambda t: bridge_deriv(pay, t))
+        if not side and sign > 0:
+            v[sel], ld[sel] = value(x[sel]), np.log(deriv(x[sel]))
+        elif not side:
+            y = x[sel]
+            xs, vs = pay._table
+            k = np.clip(np.searchsorted(vs, y) - 1, 0, xs.size - 2)
+            lo, hi = xs[k], xs[k + 1]
+            t = np.clip(lo + (y - vs[k]) / (vs[k + 1] - vs[k]) * (hi - lo), lo, hi)
+            for _ in range(periodic_mod._BRIDGE_STEPS):
+                fx = value(t) - y
+                t = np.where(fx == 0.0, t, np.clip(t - fx / deriv(t), lo, hi))
+            v[sel], ld[sel] = t, -np.log(deriv(t))
+        else:
+            z = np.abs(x[sel] - pay)
+            z_img = germ(z, q) if sign > 0 else germ(z, psi.alpha)
+            v[sel] = pay + side * z_img
+            z_src = z if sign > 0 else z_img
+            ld[sel] = sign * (math.log(q) + (q - 1.0) * (np.log(z_src) - math.log(r)))
+    return v, ld
+
+
+def two_pass_conjugate(psi, g, s):
+    """The jet of psi∘g^s∘psi⁻¹ in the two-pass formulation."""
+    prim = Primitive(
+        psi.space.is_circle,
+        lambda x: two_pass_psi_jet(psi, x, 1),
+        lambda y: two_pass_psi_jet(psi, y, -1),
+        base=psi.prim.base,
+    )
+    q, r = psi._q, psi.radius
+
+    def conjugated(x):
+        k = np.floor(x) if psi.space.is_circle else 0.0
+        seg = psi._segment(x - k)
+        cell = seg + len(psi._starts) * (k - np.min(k, initial=0)).astype(int)
+        c, side = psi._centers[seg] + k, psi._sides[seg]
+        y, ld_y = prim.apply(x, -1)
+        w, ld_g = g.apply(y, s)
+        v, ld_v = prim.apply(w, 1)
+        ld = ld_v + ld_g + ld_y
+        at = np.flatnonzero(side)
+        if at.size == 0:
+            return v, ld
+        rep = np.full(cell.max() + 1, at[0])
+        rep[cell[at]] = at
+        gc, lm = (a[cell[at]] for a in g.apply(c[rep], s))
+        side = side[at]
+        z_x = np.abs(x[at] - c[at])
+        z_y = r * np.power(np.maximum(z_x, 0.0) / r, psi.alpha)
+        z_gy = np.maximum((w[at] - gc) * side, 0.0)
+        lin, inside = z_y < 1e-9, z_gy <= r
+        v_in = gc + side * (r * np.power(np.maximum(z_gy, 0.0) / r, q))
+        ld_in = ld_g[at] + (q - 1.0) * (np.log(np.maximum(z_gy, 1e-300)) - np.log(z_y))
+        v_lin = gc + side * np.exp(q * lm) * z_x
+        v[at] = np.where(lin, v_lin, np.where(inside, v_in, v[at]))
+        ld[at] = np.where(lin, q * lm, np.where(inside, ld_in, ld[at]))
+        return v, ld
+
+    return conjugated
+
+
+def flattening_probe(psi, grid):
+    """Points of [0, 1] that reach every branch of the flattened jet: the
+    nodes, the midpoints, random points, offsets from the flagged points
+    below and above the linearization threshold, and the germ edges."""
+    nodes = np.linspace(0.0, 1.0, grid + 1)
+    offsets = np.array([0.0, 1e-300, 1e-15, 1e-12, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2])
+    near = [c + sign * offsets for c in psi.nodes for sign in (1.0, -1.0)]
+    edges = [c + sign * psi.radius * np.array([1 - 1e-12, 1.0, 1 + 1e-12])
+             for c in psi.nodes for sign in (1.0, -1.0)]
+    rng = np.random.default_rng(17)
+    x = np.concatenate([nodes, nodes[:-1] + 0.5 / grid, rng.uniform(0.0, 1.0, 2000), *near, *edges])
+    return np.clip(x, 0.0, 1.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", [256, 512])
+@pytest.mark.parametrize("delta", [0.05, 0.1])
+def test_flattened_jet_matches_two_pass_formulation(grid, delta):
+    # every bit on the interval, forward and inverse: the one-pass jet finds
+    # each segment once, takes psi⁻¹ of a germ point from the offset that
+    # its germ value uses, and evaluates psi only where the value is kept
+    act = mobius_action(grid)
+    flat, psi, _ = flatten_hyperbolic(act, delta=delta)
+    ((prim, _),) = flat.gens[0].plan
+    x = flattening_probe(psi, grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, jet in ((1, prim.fwd), (-1, prim.bwd)):
+            v, ld = jet(x)
+            v_ref, ld_ref = two_pass_conjugate(psi, act.gens[0], s)(x)
+            assert same_bits(v, v_ref) and same_bits(ld, ld_ref)
+
+
+def circle_flattening():
+    sp = circle(512)
+    act = Action(
+        sp, Presentation.zd(1, ("f",)), {"f": build_diffeo("x + 0.05*sin(2*pi*x)", sp)}
+    )
+    return flatten_hyperbolic(act, delta=0.1)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: flatten_hyperbolic(mobius_action(512), delta=0.1), circle_flattening],
+    ids=["interval", "circle"],
+)
+def test_flattened_jet_is_batch_independent(make):
+    # a point's value never depends on the others in its batch: the jet of
+    # a concatenation is the concatenation of the jets, germ cells and all
+    flat, psi, _ = make()
+    g = flat.gens[0]
+    x = flattening_probe(psi, 512)
+    if psi.space.is_circle:
+        x = np.concatenate([x - 1.0, x, x + 1.0])
+    x = np.random.default_rng(3).permutation(x)
+    parts = np.array_split(x, [7, 8, 400, 1500, 1501])
+    for s in (1, -1):
+        v, ld = g.apply(x, s)
+        pieces = [g.apply(p, s) for p in parts]
+        assert same_bits(v, np.concatenate([p[0] for p in pieces]))
+        assert same_bits(ld, np.concatenate([p[1] for p in pieces]))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def flattened_mobius():
 @pytest.mark.parametrize(
     "make, n, block",
     [(flattened_mobius, 8, None), (lambda: conj_rotation_z2(256), 6, None),
-     (lambda: conj_rotation_z2(256), 6, 700), (lambda: rotations_z(3), 3, None)],
+     (lambda: conj_rotation_z2(256), 6, 500), (lambda: rotations_z(3), 3, None)],
     ids=["z-flattened-mobius", "z2", "z2-in-three-blocks", "z3"],
 )
 def test_birkhoff_solution_matches_six_pass_measurement(make, n, block, monkeypatch):
@@ -161,30 +161,69 @@ def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
         assert np.array_equal(w, y) and np.array_equal(c, acc)
 
 
-def test_birkhoff_solution_steps_the_ball_once(monkeypatch):
-    action = conj_rotation_z2(256)
-    passes, inversions = [], []
-    rows, invert01 = cohomology._ball_rows, Diffeo._invert01
+def count_field_passes(monkeypatch) -> list:
+    """The sizes of the blocks that a solve's ball field is called on."""
+    passes, rows = [], cohomology._ball_rows
 
     def counted_rows(act, n, x, **kwargs):
         passes.append(x.size)
         return rows(act, n, x, **kwargs)
 
+    monkeypatch.setattr(cohomology, "_ball_rows", counted_rows)
+    return passes
+
+
+def test_birkhoff_solution_steps_the_ball_once(monkeypatch):
+    action = conj_rotation_z2(256)
+    passes, inversions = count_field_passes(monkeypatch), []
+    invert01 = Diffeo._invert01
+
     def counted_invert01(self, y):
         inversions.append(np.size(y))
         return invert01(self, y)
 
-    monkeypatch.setattr(cohomology, "_ball_rows", counted_rows)
     monkeypatch.setattr(Diffeo, "_invert01", counted_invert01)
     n, d, nodes = 5, action.rank, 256
     birkhoff_solution(action, n)
     # one ball pass over the nodes, the midpoints and their d images at once,
-    # in one block of at most 4096 points; h is inverted once for each of the
+    # in one block, as they are fewer than 2·4096; h is inverted once for each of the
     # 2d generator jets at the nodes and the midpoints, and once for the pass
     # (the six-pass measurement stepped the ball 6(n^2 - 1) + d times)
     batch = (d + 1) * 2 * nodes
     assert passes == [batch]
     assert sorted(inversions) == [nodes] * (2 * d) + [batch]
+
+
+@pytest.mark.parametrize(
+    "make", [flattened_mobius, lambda: conj_rotation_z2(256)], ids=["z-flattened-mobius", "z2"]
+)
+def test_solve_blocks_change_no_bit(make, monkeypatch):
+    # a point's ball field does not depend on the other points of its block:
+    # a pass in many blocks and a pass in one measure the same bits
+    action = make()
+    passes = count_field_passes(monkeypatch)
+    sols = []
+    for block in (97, 10**9):
+        monkeypatch.setattr(cohomology, "_BLOCK", block)
+        passes.clear()
+        sols.append(birkhoff_solution(action, 6))
+        # x.size // _BLOCK blocks, each of _BLOCK to 2·_BLOCK - 1 points
+        assert len(passes) == max(1, sum(passes) // block)
+        assert all(min(block, sum(passes)) <= p < 2 * block for p in passes)
+    many, one = sols
+    assert many.u.samples.tobytes() == one.u.samples.tobytes()
+    assert many.defect_per_generator == one.defect_per_generator
+    assert many.defect_locations == one.defect_locations
+    assert many.defect_refined == one.defect_refined
+
+
+def test_bench_size_interval_pass_is_one_block(monkeypatch):
+    # grid 1024: 1025 nodes, 1024 midpoints and their images make 4098
+    # points, one block (the ceil(4098 / 4096) split walked two of 2049)
+    flat, _, _ = flatten_hyperbolic(mobius_action(1024), delta=0.1)
+    passes = count_field_passes(monkeypatch)
+    birkhoff_solution(flat, 4)
+    assert passes == [4098]
 
 
 def test_path_sample_solves_h_once(monkeypatch):
