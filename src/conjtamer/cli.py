@@ -2,7 +2,7 @@
 
     conjtamer tame-lipschitz --spec a4.spec --lambda 0.9048 --radius 40 --out out/
     conjtamer tame-c1        --spec a4.spec --epsilon 0.1
-    conjtamer path           --spec a3_z2.spec --nmax 24 --steps 8
+    conjtamer path           --spec a4.spec --nmax 16 --steps 8
     conjtamer detect         --spec pingpong.spec --resilient -L 4 --resolution 0.01
     conjtamer flatten        --spec a4.spec --delta 0.1
     conjtamer report         --spec a3.spec
@@ -76,10 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "default: the least measured constant)")
 
     pa = sub.add_parser("path",
-                        help="sample the conjugacy path of averaging "
-                        "solutions and its C1 gaps")
+                        help="flatten as tame-c1 does, then sample the "
+                        "conjugacy path of averaging solutions (abelian)")
     common(pa)
-    pa.add_argument("--nmax", type=int, help="path endpoint (default 24)")
+    pa.add_argument("--nmax", type=int,
+                    help="path endpoint, tame-c1's ball radius (default 16)")
     pa.add_argument("--steps", "--path-steps", dest="steps", type=int,
                     help="samples per unit of t (default 8)")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -417,6 +417,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
 
     def jet(s: int) -> Callable:
         def conjugated(x: Array) -> Tuple[Array, Array]:
+            shape, x = x.shape, x.reshape(-1)  # a 0-d point maps to a 0-d point
             with np.errstate(divide="ignore", invalid="ignore"):
                 y, ld_y, (at, side, c, z_x, z_y, cell) = psi._inverse(x)
                 w, ld_g = g.apply(y, s)
@@ -436,7 +437,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
                 kept = np.flatnonzero(keep)
                 v[kept], ld_v = psi.prim.apply(w[kept], 1)
                 ld[kept] = ld_v + ld_g[kept] + ld_y[kept]
-            return v, ld
+            return v.reshape(shape), ld.reshape(shape)
 
         return conjugated
 
@@ -457,14 +458,7 @@ class FlatteningReport:
             "alpha": self.alpha,
             "radius": self.radius,
             "flagged": list(self.flagged),
-            "orbits": [
-                {
-                    "points": list(o.points),
-                    "period": o.period,
-                    "multiplier": o.multiplier,
-                }
-                for o in self.orbits
-            ],
+            "orbits": [asdict(o) for o in self.orbits],
             "log_multipliers_before": {
                 f"{k:.12g}": v for k, v in self.log_multipliers_before.items()
             },
@@ -478,19 +472,22 @@ def flatten_hyperbolic(
     action: Action,
     delta: Optional[float] = None,
     alpha: Optional[float] = None,
-    n_max: int = PERIOD_CAP,
+    orbits: Optional[Sequence[Sequence[PeriodicOrbit]]] = None,
     cap: int = 64,
 ) -> Tuple[Action, FlatteningMap, FlatteningReport]:
     """Conjugates the action so every hyperbolic periodic multiplier M of
     period N satisfies |log M|/alpha <= N*delta, taking
-    alpha = max(1, max |log M| / (N*delta)) unless given.  Raises
-    InfiniteHyperbolicSet when more than cap points are flagged, and
+    alpha = max(1, max |log M| / (N*delta)) unless given.  orbits holds
+    each generator's periodic orbits, as the pipeline's periodic stage
+    found them; without it each generator is inventoried up to PERIOD_CAP.
+    Raises InfiniteHyperbolicSet when more than cap points are flagged, and
     FlaggedSetNotInvariant when alpha > 1 and a generator moves a flagged
     point off the flagged set (see flatten_conjugate)."""
     if delta is None and alpha is None:
         raise ValueError("need delta or alpha")
-    per_gen = [find_periodic_points(g, n_max) for g in action.gens]
-    hyper = [o for orbits in per_gen for o in orbits if not o.parabolic]
+    if orbits is None:
+        orbits = [find_periodic_points(g, PERIOD_CAP) for g in action.gens]
+    hyper = [o for gen_orbits in orbits for o in gen_orbits if not o.parabolic]
     flagged: List[float] = []
     for o in hyper:
         for p in o.points:
@@ -516,8 +513,8 @@ def flatten_hyperbolic(
     flattened = Action(action.space, action.presentation, flat_gens)
     before: Dict[float, float] = {}
     after: Dict[float, float] = {}
-    for orbits, g_new in zip(per_gen, flat_gens):
-        for o in orbits:
+    for gen_orbits, g_new in zip(orbits, flat_gens):
+        for o in gen_orbits:
             if o.parabolic:
                 continue
             before[o.points[0]] = o.log_multiplier

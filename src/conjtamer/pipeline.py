@@ -1,14 +1,17 @@
 """Pipeline commands behind the conjtamer CLI.
 
 Every command parses a spec, builds the action and writes deterministic
-artifacts into an output directory:
+artifacts into an output directory.  tame-c1, flatten and path then run one
+prefix, the periodic and flatten stages (_periodic_flatten), and solve on,
+export or sample the ball averages of the action it returns.  Artifacts:
 
   report.json     always: schema_version 2, stage-by-stage record
   <prefix>_*.json serialized generators, re-ingestable via @name.json
   *.spec          a spec file reproducing the transformed action
   path.jsonl      (path) one conjugacy-path sample per line, written as it
                   is built: t, n, s and the defect gaps; integer t adds the
-                  ball average u_t, from which path_phi rebuilds any phi_t
+                  flattened action's ball average u_t, from which path_phi
+                  rebuilds any phi_t
   plot.csv        (path) t, c1_gap and per-generator defect columns
   detect.json     (detect) the resilience witness, or null
 
@@ -41,6 +44,7 @@ from .diffeo import Diffeo
 from .errors import CertificationFailure, ConjTamerError, SpecError
 from .periodic import (
     PERIOD_CAP,
+    PeriodicOrbit,
     detect_resilient,
     find_periodic_points,
     flatten_hyperbolic,
@@ -49,7 +53,7 @@ from .periodic import (
 from .space import Space
 from .specfile import ActionSpec, PipelineParams, build_action
 from .taming import pushforward_check, tame_lipschitz
-from .words import FREE, NILPOTENT, Word
+from .words import ABELIAN, FREE, NILPOTENT, Word
 
 SCHEMA_VERSION = 2
 COMMANDS = ("tame-lipschitz", "tame-c1", "path", "detect", "flatten", "report")
@@ -100,19 +104,16 @@ def _stage(report: dict, name: str):
         raise
 
 
-def _periodic_inventory(action: Action) -> Dict[str, list]:
+def _periodic_inventory(action: Action) -> Dict[str, List[PeriodicOrbit]]:
+    return {name: find_periodic_points(g, PERIOD_CAP)
+            for name, g in zip(action.names, action.gens)}
+
+
+def _orbit_records(inventory: Dict[str, List[PeriodicOrbit]]) -> Dict[str, list]:
     return {
-        name: [
-            {
-                "points": [float(p) for p in o.points],
-                "period": o.period,
-                "multiplier": float(o.multiplier),
-                "log_multiplier": float(o.log_multiplier),
-                "parabolic": o.parabolic,
-            }
-            for o in find_periodic_points(g, PERIOD_CAP)
-        ]
-        for name, g in zip(action.names, action.gens)
+        name: [dict(dataclasses.asdict(o), log_multiplier=o.log_multiplier,
+                    parabolic=o.parabolic) for o in orbits]
+        for name, orbits in inventory.items()
     }
 
 
@@ -253,20 +254,23 @@ def _cmd_tame_lipschitz(
         )
 
 
-def _periodic_flatten(
-    action: Action, report: dict, delta: Optional[float], alpha: Optional[float]
-) -> Action:
-    """The periodic and flatten stages: inventories the periodic orbits up
-    to PERIOD_CAP and flattens the action when one of them is hyperbolic."""
+def _periodic_flatten(action: Action, report: dict, params: PipelineParams) -> Action:
+    """The C¹ prefix of tame-c1, flatten and path: the periodic stage
+    inventories the orbits up to PERIOD_CAP, and the flatten stage flattens
+    them with those orbits when one is hyperbolic, to the per-period budget
+    delta (else epsilon, else 0.1) unless alpha is given."""
     with _stage(report, "periodic"):
-        report["periodic"] = _periodic_inventory(action)
+        inventory = _periodic_inventory(action)
+        report["periodic"] = _orbit_records(inventory)
 
     with _stage(report, "flatten"):
-        if all(o["parabolic"] for orbits in report["periodic"].values()
-               for o in orbits):
+        if all(o.parabolic for orbits in inventory.values() for o in orbits):
             report["flatten"] = {"skipped": True, "alpha": 1.0, "flagged": []}
             return action
-        flattened, _, flat_report = flatten_hyperbolic(action, delta=delta, alpha=alpha)
+        delta = next(v for v in (params.delta, params.epsilon, 0.1) if v is not None)
+        flattened, _, flat_report = flatten_hyperbolic(
+            action, delta, params.alpha, orbits=list(inventory.values())
+        )
         report["flatten"] = dict(flat_report.to_dict(), skipped=False)
     return flattened
 
@@ -281,8 +285,7 @@ def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSol
             k_max=params.k_max,
             delta=params.delta if params.delta is not None else 0.1,
         )
-    n = params.nmax if params.nmax is not None else 16
-    return birkhoff_solution(action, n)
+    return birkhoff_solution(action, params.nmax)
 
 
 def _solution_dict(sol: CohomSolution) -> dict:
@@ -310,9 +313,7 @@ def _cmd_tame_c1(
         raise SpecError("tame-c1 needs an abelian or nilpotent group; "
                         "use detect for free actions")
     eps = _need(params.epsilon, "epsilon", "tame-c1")
-    delta = params.delta if params.delta is not None else eps
-
-    flattened = _periodic_flatten(action, report, delta, params.alpha)
+    flattened = _periodic_flatten(action, report, params)
 
     with _stage(report, "solve"):
         sol = _solve(flattened, spec, params)
@@ -333,7 +334,7 @@ def _cmd_tame_c1(
         final_sup = max(report["conjugate"]["sup_log_deriv"].values())
         final_orbits = _periodic_inventory(final)
         multiplier_ok = all(
-            abs(o["log_multiplier"]) < o["period"] * eps * (1.0 + 1e-6)
+            abs(o.log_multiplier) < o.period * eps * (1.0 + 1e-6)
             for orbits in final_orbits.values()
             for o in orbits
         )
@@ -342,7 +343,7 @@ def _cmd_tame_c1(
             "defect": defect,
             "slack": slack,
             "final_sup_log_deriv": final_sup,
-            "final_periodic": final_orbits,
+            "final_periodic": _orbit_records(final_orbits),
             "multipliers_within_epsilon": multiplier_ok,
             # a multiplier is a conjugacy invariant; final_sup and defect are
             # grid suprema of one field at different sample sets, so the sup
@@ -372,8 +373,11 @@ def _cmd_path(
     spec: ActionSpec, action: Action, params: PipelineParams,
     out_dir: str, report: dict,
 ) -> None:
-    n_max = params.nmax if params.nmax is not None else 24
+    if spec.group_type != ABELIAN:
+        raise SpecError("path needs an abelian group")
+    n_max = params.nmax
     steps = params.steps if params.steps is not None else 8
+    flattened = _periodic_flatten(action, report, params)
     names = action.names
     space = {"kind": action.space.kind, "grid_size": action.space.grid_size}
     step_sups: List[float] = []
@@ -381,7 +385,7 @@ def _cmd_path(
     # the checks and the ball pass run first; then each sample is written as
     # soon as it is built, so a sample that fails leaves the ones before it
     with _stage(report, "path"):
-        samples = path_of_conjugates(action, n_max, steps)
+        samples = path_of_conjugates(flattened, n_max, steps)
         with open(os.path.join(out_dir, "path.jsonl"), "w") as fh, \
                 open(os.path.join(out_dir, "plot.csv"), "w") as csv:
             csv.write("t,c1_gap" + "".join(f",defect_{n}" for n in names) + "\n")
@@ -446,10 +450,7 @@ def _cmd_flatten(
     spec: ActionSpec, action: Action, params: PipelineParams,
     out_dir: str, report: dict,
 ) -> None:
-    delta = params.delta
-    if delta is None and params.alpha is None:
-        delta = params.epsilon if params.epsilon is not None else 0.1
-    flattened = _periodic_flatten(action, report, delta, params.alpha)
+    flattened = _periodic_flatten(action, report, params)
 
     with _stage(report, "export"):
         gen_files = _export_action(out_dir, "flat", spec, flattened)
@@ -464,7 +465,7 @@ def _cmd_report(
     with _stage(report, "diagnose"):
         report["sup_log_deriv"] = _sup_log_deriv(action)
         report["relations"] = validate_relations(action, raise_on_fail=False)
-        report["periodic"] = _periodic_inventory(action)
+        report["periodic"] = _orbit_records(_periodic_inventory(action))
         if action.space.is_circle:
             rot = {}
             for name, g in zip(action.names, action.gens):

@@ -81,7 +81,7 @@ class PipelineParams:
     epsilon: Optional[float] = None
     delta: Optional[float] = None
     alpha: Optional[float] = None
-    nmax: Optional[int] = None
+    nmax: int = 16  # tame-c1's abelian ball radius and path's endpoint
     steps: Optional[int] = None
     max_word_len: int = 4
     resolution: Optional[float] = None

@@ -268,6 +268,23 @@ def test_flatten_circle_map_with_a_flagged_point_on_the_fold():
     assert float(np.max(np.abs(g.invert_lift(g.eval_lift(x)) - x))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "space, text",
+    [(interval(512), "mobius(1, 0, -1, 2)"), (circle(512), "x + 0.05*sin(2*pi*x)")],
+    ids=["interval", "circle"],
+)
+def test_flattened_generator_maps_a_0d_point_to_a_0d_point(space, text):
+    # as every Diffeo does: both jets of a flattened generator take a scalar
+    # and give scalars, equal to the one-point batch
+    act = Action(space, Presentation.zd(1, ("f",)), {"f": build_diffeo(text, space)})
+    g = flatten_hyperbolic(act, delta=0.1)[0].gens[0]
+    assert np.shape(g.eval_lift(0.5)) == ()
+    for jet in (g.jet, g.inverse_jet):
+        v, ld = jet(0.5)
+        assert np.shape(v) == np.shape(ld) == ()
+        assert (v, ld) == tuple(a[0] for a in jet(np.array([0.5])))
+
+
 def test_flatten_at_alpha_one_leaves_every_map_alone():
     # psi is the identity at alpha 1, so a flagged set that the other
     # generator moves is no obstruction and every conjugate is g itself

@@ -11,6 +11,7 @@ from conjtamer import (
     SpecError,
     birkhoff_solution,
     build_action,
+    flatten_hyperbolic,
     load_action_spec,
     parse_action_spec,
     path_of_conjugates,
@@ -18,6 +19,8 @@ from conjtamer import (
     run_pipeline,
 )
 from conjtamer.cli import main
+import conjtamer.periodic as periodic_mod
+import conjtamer.pipeline as pipeline_mod
 from conjtamer.diffeo import log_deriv_sup
 
 TRIVIAL = textwrap.dedent(
@@ -289,16 +292,78 @@ PERIOD_FOUR = textwrap.dedent(
 
 @pytest.mark.parametrize("text", [A4_SMALL, PERIOD_FOUR], ids=["a4", "period-four"])
 def test_cli_flatten_stages_equal_the_tame_c1_stages(tmp_path, text):
-    # nmax = 48 is tame-c1's ball radius, not a period bound: both commands
-    # inventory the periods up to 3 and flatten what they find there
+    # nmax = 48 is tame-c1's ball radius, not a period bound: the three
+    # commands inventory the periods up to 3 and flatten what they find there
     spec = write(tmp_path, "p.spec", text)
     reports = {}
-    for command in ("flatten", "tame-c1"):
+    for command, *flags in (["flatten"], ["tame-c1"], ["path", "--nmax", "4", "--steps", "1"]):
         out = tmp_path / command
-        assert main([command, "--spec", spec, "--out", str(out)]) in (0, 3)
+        assert main([command, "--spec", spec, "--out", str(out)] + flags) in (0, 3)
         reports[command] = json.loads((out / "report.json").read_text())
     for section in ("periodic", "flatten"):
         assert reports["flatten"][section] == reports["tame-c1"][section]
+        assert reports["path"][section] == reports["tame-c1"][section]
+
+
+# x + 0.05 sin(2 pi x) has hyperbolic fixed points at 0 and 1/2
+CIRCLE_HYPERBOLIC = textwrap.dedent(
+    """\
+    [space]
+    kind = circle
+    grid_size = 512
+
+    [group]
+    type = abelian
+    generators = f
+
+    [generators]
+    f = x + 0.05*sin(2*pi*x)
+
+    [pipeline]
+    epsilon = 0.1
+    delta = 0.1
+    nmax = 8
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "text", [A4_SMALL, A3_SMALL, CIRCLE_HYPERBOLIC], ids=["a4", "z2", "circle-flattening"]
+)
+def test_path_ends_where_the_tame_c1_solve_ends(tmp_path, text):
+    # one prefix: the path's last sample conjugates the action that tame-c1
+    # solves on by tame-c1's solution u_nmax, up to the ball's summation order
+    spec = write(tmp_path, "p.spec", text)
+    assert main(["tame-c1", "--spec", spec, "--out", str(tmp_path / "c1")]) in (0, 3)
+    assert main(["path", "--spec", spec, "--out", str(tmp_path / "path"), "--steps", "1"]) == 0
+    c1 = json.loads((tmp_path / "c1" / "report.json").read_text())
+    path = json.loads((tmp_path / "path" / "report.json").read_text())["path"]
+    assert path["final_c1_gap"] == pytest.approx(c1["solve"]["defect"], rel=0, abs=1e-12)
+    assert path["final_c1_gap_track"] == pytest.approx(
+        c1["certify"]["final_sup_log_deriv"], rel=0, abs=1e-12
+    )
+
+
+def test_flattening_tame_c1_inventories_each_action_once(tmp_path, monkeypatch):
+    # the periodic stage hands its orbits to the flatten stage; certify
+    # inventories the final action: 2 inventories per generator, not 3
+    calls = []
+    real = periodic_mod.find_periodic_points
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(periodic_mod, "find_periodic_points", counting)
+    monkeypatch.setattr(pipeline_mod, "find_periodic_points", counting)
+    text = A4_SMALL.replace("generators = f", "generators = f g").replace(
+        "f = mobius(1, 0, -1, 2)", "f = mobius(1, 0, -1, 2)\ng = mobius(1, 0, -3, 4)"
+    )
+    spec = write(tmp_path, "z2.spec", text)
+    out = tmp_path / "out"
+    assert main(["tame-c1", "--spec", spec, "--out", str(out), "--grid", "256", "--nmax", "4"]) in (0, 3)
+    assert json.loads((out / "report.json").read_text())["flatten"]["skipped"] is False
+    assert len(calls) == 2 * 2
 
 
 @pytest.mark.parametrize(
@@ -352,11 +417,23 @@ def test_path_outputs(tmp_path):
     assert report["path"]["samples"] == len(lines)
 
 
-def test_path_phi_rebuilds_every_sample_bit_for_bit(tmp_path):
-    spec = parse_action_spec(A3_SMALL)
+@pytest.mark.parametrize("text", [PINGPONG_SMALL, HEISENBERG_SMALL], ids=["free", "nilpotent"])
+def test_cli_path_refuses_non_abelian_groups_before_the_prefix(tmp_path, capsys, text):
+    spec = write(tmp_path, "p.spec", text)
     out = tmp_path / "out"
-    run_pipeline("path", spec, str(out))
-    action = build_action(spec)
+    assert main(["path", "--spec", spec, "--out", str(out)]) == 2
+    assert "path needs an abelian group" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["stage_order"] == ["build"] and report["certified"] is False
+
+
+@pytest.mark.parametrize("text", [A3_SMALL, A4_SMALL], ids=["z2", "a4-flattened"])
+def test_path_phi_rebuilds_every_sample_bit_for_bit(tmp_path, text):
+    spec = parse_action_spec(text)
+    out = tmp_path / "out"
+    run_pipeline("path", spec, str(out), overrides={"nmax": 4, "steps": 2})
+    # the path conjugates the flattened action (a4; z2 has nothing to flatten)
+    action = flatten_hyperbolic(build_action(spec), delta=0.1)[0]
     samples = list(path_of_conjugates(action, 4, 2))
     lines = [json.loads(line) for line in (out / "path.jsonl").read_text().splitlines()]
     assert [line["t"] for line in lines] == [s.t for s in samples]
