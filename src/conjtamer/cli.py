@@ -7,6 +7,9 @@
     conjtamer flatten        --spec a4.spec --delta 0.1
     conjtamer report         --spec a3.spec
 
+Parameter flags come from specfile._PIPELINE_KEYS, show the PipelineParams
+defaults and override the spec's [pipeline] values.
+
 Exit codes: 0 success (detect returns 0 whether or not a witness exists),
 2 spec/usage error or out-of-range parameter (report.json still written once
 the spec parses), 3 certification failure (report.json still written),
@@ -16,14 +19,31 @@ the spec parses), 3 certification failure (report.json still written),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import List, Optional
 
 from .errors import CertificationFailure, ConjTamerError, SpecError
-from .pipeline import run_pipeline
-from .specfile import PipelineParams, load_action_spec
+from .pipeline import CERTIFYING, run_pipeline
+from .specfile import _PIPELINE_KEYS, PipelineParams, load_action_spec
+
+# command -> (help, the [pipeline] keys it takes as flags)
+_COMMANDS = {
+    "tame-lipschitz": ("conjugate to uniformly small Lipschitz constants via a "
+                       "word-averaged measure", ("lambda", "radius")),
+    "tame-c1": ("flatten hyperbolic periodic points, solve the additive cocycle "
+                "equation and certify sup|log D|",
+                ("epsilon", "delta", "alpha", "nmax", "k_max", "shell_index",
+                 "growth_constant")),
+    "path": ("flatten as tame-c1 does, then sample the conjugacy path of "
+             "averaging solutions (abelian)", ("nmax", "steps")),
+    "detect": ("search short words for a resilient crossed-interval pattern",
+               ("max_word_len", "resolution")),
+    "flatten": ("conjugate hyperbolic periodic multipliers down to a "
+                "per-period budget", ("delta", "alpha")),
+    "report": ("diagnostics only: norms, relations, periodic inventory, "
+               "rotation numbers", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,90 +54,33 @@ def build_parser() -> argparse.ArgumentParser:
         "probe obstructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    defaults = PipelineParams()
+    for command, (help_text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--spec", required=True, metavar="FILE",
                         help="action spec file")
         sp.add_argument("--grid", type=int, metavar="N",
                         help="override [space] grid_size")
         sp.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default: out)")
-
-    tl = sub.add_parser("tame-lipschitz",
-                        help="conjugate to uniformly small Lipschitz "
-                        "constants via a word-averaged measure")
-    common(tl)
-    tl.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,
-                    help="series weight in (0, 1/growth) (required here "
-                    "or in the spec)")
-    tl.add_argument("--radius", "--ball-radius", dest="radius", type=int,
-                    help="word-length truncation radius (default 40)")
-
-    tc = sub.add_parser("tame-c1",
-                        help="flatten hyperbolic periodic points, solve the "
-                        "additive cocycle equation and certify sup|log D|")
-    common(tc)
-    tc.add_argument("--epsilon", type=float,
-                    help="certification target (required here or in the spec)")
-    tc.add_argument("--delta", type=float,
-                    help="post-flattening multiplier budget per period "
-                    "(default: epsilon); on a nilpotent group also the "
-                    "exactness-onset threshold of the solve (default 0.1)")
-    tc.add_argument("--alpha", type=float,
-                    help="flattening exponent override (default: from delta)")
-    tc.add_argument("--nmax", type=int,
-                    help="averaging ball radius (abelian solve, default 16)")
-    tc.add_argument("--k-max", dest="k_max", type=int,
-                    help="shell search cap (nilpotent solve, default 8)")
-    tc.add_argument("--shell-index", dest="shell_index", type=int,
-                    help="which admissible shell to average over (default 0)")
-    tc.add_argument("--growth-constant", dest="growth_constant", type=float,
-                    help="ball growth constant override (nilpotent solve; "
-                    "default: the least measured constant)")
-
-    pa = sub.add_parser("path",
-                        help="flatten as tame-c1 does, then sample the "
-                        "conjugacy path of averaging solutions (abelian)")
-    common(pa)
-    pa.add_argument("--nmax", type=int,
-                    help="path endpoint, tame-c1's ball radius (default 16)")
-    pa.add_argument("--steps", "--path-steps", dest="steps", type=int,
-                    help="samples per unit of t (default 8)")
-
-    de = sub.add_parser("detect",
-                        help="search short words for a resilient "
-                        "crossed-interval pattern")
-    common(de)
-    de.add_argument("--resilient", action="store_true",
-                    help="look for a resilient pair (the default and only "
-                    "detector)")
-    de.add_argument("-L", dest="max_word_len", type=int, metavar="LEN",
-                    help="maximum word length (default 4)")
-    de.add_argument("--resolution", type=float,
-                    help="minimum chain margin (default 0.01)")
-
-    fl = sub.add_parser("flatten",
-                        help="conjugate hyperbolic periodic multipliers "
-                        "down to a per-period budget")
-    common(fl)
-    fl.add_argument("--delta", type=float,
-                    help="per-period multiplier budget (default: the spec's "
-                    "epsilon, else 0.1; ignored once alpha is set)")
-    fl.add_argument("--alpha", type=float,
-                    help="flattening exponent override (default: from delta)")
-
-    rp = sub.add_parser("report",
-                        help="diagnostics only: norms, relations, periodic "
-                        "inventory, rotation numbers")
-    common(rp)
-
+        if command == "detect":
+            sp.add_argument("--resilient", action="store_true",
+                            help="look for a resilient pair (the default and "
+                            "only detector)")
+        for key in keys:
+            attr, cast, _, _, flags, help_key = _PIPELINE_KEYS[key]
+            default = getattr(defaults, attr)
+            if default is not None:
+                help_key += f" (default {default})"
+            sp.add_argument(*flags, dest=attr, type=cast, metavar=key.upper(),
+                            help=help_key)
     return parser
 
 
 def _summary_lines(report: dict) -> List[str]:
     command = report["command"]
     status = ""
-    if command in ("tame-lipschitz", "tame-c1"):
+    if command in CERTIFYING:
         status = " (certified)" if report.get("certified") else " (NOT certified)"
     lines = [f"{command}: wrote report.json{status}"]
     if command == "tame-lipschitz" and "taming" in report:
@@ -154,11 +117,8 @@ def _summary_lines(report: dict) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(PipelineParams)
-        if getattr(args, f.name, None) is not None
-    }
+    overrides = {a: getattr(args, a) for a, *_ in _PIPELINE_KEYS.values()
+                 if getattr(args, a, None) is not None}
     try:
         spec = load_action_spec(args.spec)
         if args.grid is not None:

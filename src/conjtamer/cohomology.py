@@ -232,13 +232,13 @@ def nilpotent_average_solution(
     presentation: Presentation,
     shell_index: int,
     growth_constant: Optional[float] = None,
-    k_max: int = 12,
+    k_max: int = 8,
     delta: float = 0.1,
 ) -> CohomSolution:
     """u = average of log Df over the full ball B(k), k taken from the
     admissible shell radii; the defect bound is decomposed into the
     small-exponent term C*N0*max|c|/k and the large-exponent term M*C*delta
-    from the bounded-generation argument."""
+    from the bounded-generation argument (N0: exactness onset at delta)."""
     selection = select_shell_radii(presentation, k_max, growth_constant)
     if not selection.radii:
         raise NoAdmissibleRadius(

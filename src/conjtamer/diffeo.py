@@ -234,10 +234,11 @@ def _reduce(plan) -> tuple:
 
 def _shifted(plan, k: int) -> tuple:
     """The plan followed by x -> x + k, k an integer: k joins the first
-    rotation, as integer shifts commute with every circle primitive."""
+    rotation, as integer shifts commute with every circle primitive, else
+    sits mid-plan, so that a plan φ·f·φ⁻¹ keeps its head φ (_head)."""
     if not k:
         return plan
-    i = next((i for i, (p, _) in enumerate(plan) if p.angle is not None), 0)
+    i = next((i for i, (p, _) in enumerate(plan) if p.angle is not None), len(plan) // 2)
     return _reduce(plan[:i] + ((Primitive(True, angle=float(k)), 1),) + plan[i:])
 
 

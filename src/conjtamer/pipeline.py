@@ -57,6 +57,7 @@ from .words import ABELIAN, FREE, NILPOTENT, Word
 
 SCHEMA_VERSION = 2
 COMMANDS = ("tame-lipschitz", "tame-c1", "path", "detect", "flatten", "report")
+CERTIFYING = ("tame-lipschitz", "tame-c1")  # the commands that write certified
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +214,9 @@ def _cmd_tame_lipschitz(
     out_dir: str, report: dict,
 ) -> None:
     lam = _need(params.lam, "lambda", "tame-lipschitz")
-    radius = params.radius if params.radius is not None else 40
 
     with _stage(report, "tame"):
-        tamed, taming, measure = tame_lipschitz(action, lam, radius)
+        tamed, taming, measure = tame_lipschitz(action, lam, params.radius)
         mass, mass_bound, growth_c = measure.mass_bound_certificate()
         report["taming"] = taming.to_dict()
         report["measure"] = {
@@ -280,10 +280,9 @@ def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSol
         return nilpotent_average_solution(
             action,
             action.presentation,
-            params.shell_index if params.shell_index is not None else 0,
+            params.shell_index,
             growth_constant=params.growth_constant,
             k_max=params.k_max,
-            delta=params.delta if params.delta is not None else 0.1,
         )
     return birkhoff_solution(action, params.nmax)
 
@@ -375,8 +374,6 @@ def _cmd_path(
 ) -> None:
     if spec.group_type != ABELIAN:
         raise SpecError("path needs an abelian group")
-    n_max = params.nmax
-    steps = params.steps if params.steps is not None else 8
     flattened = _periodic_flatten(action, report, params)
     names = action.names
     space = {"kind": action.space.kind, "grid_size": action.space.grid_size}
@@ -385,7 +382,7 @@ def _cmd_path(
     # the checks and the ball pass run first; then each sample is written as
     # soon as it is built, so a sample that fails leaves the ones before it
     with _stage(report, "path"):
-        samples = path_of_conjugates(flattened, n_max, steps)
+        samples = path_of_conjugates(flattened, params.nmax, params.steps)
         with open(os.path.join(out_dir, "path.jsonl"), "w") as fh, \
                 open(os.path.join(out_dir, "plot.csv"), "w") as csv:
             csv.write("t,c1_gap" + "".join(f",defect_{n}" for n in names) + "\n")
@@ -402,8 +399,8 @@ def _cmd_path(
 
     with _stage(report, "export"):
         report["path"] = {
-            "n_max": n_max,
-            "steps_per_unit": steps,
+            "n_max": params.nmax,
+            "steps_per_unit": params.steps,
             "samples": count,
             "final_c1_gap": s.c1_gap,
             "final_c1_gap_track": s.c1_gap_track,
@@ -430,16 +427,13 @@ def _cmd_detect(
     spec: ActionSpec, action: Action, params: PipelineParams,
     out_dir: str, report: dict,
 ) -> None:
-    max_len = params.max_word_len
-    resolution = params.resolution if params.resolution is not None else 0.01
-
     with _stage(report, "detect"):
-        witness = detect_resilient(action, max_len, resolution)
+        witness = detect_resilient(action, params.max_word_len, params.resolution)
         payload = witness.to_dict() if witness is not None else None
         _write_json(os.path.join(out_dir, "detect.json"), payload)
         report["detect"] = {
-            "max_word_len": max_len,
-            "resolution": resolution,
+            "max_word_len": params.max_word_len,
+            "resolution": params.resolution,
             "found": witness is not None,
             "witness": payload,
         }
@@ -523,7 +517,8 @@ def run_pipeline(
         finish()
         raise
     except ConjTamerError:
-        report["certified"] = False
+        if command in CERTIFYING:
+            report["certified"] = False
         finish()
         raise
     finish()

@@ -24,7 +24,8 @@ pwl(x0:y0, x1:y1, ...) for piecewise-linear interpolation, or @file.json for
 a serialized diffeomorphism.  Nilpotent groups list rewriting rules like
 "b a -> a b c^-1" plus a bounded_generation constant; build_action checks
 the rules for confluence by critical pairs, which covers words of every
-length.
+length.  _PIPELINE_KEYS declares each [pipeline] key and its CLI flags once;
+PipelineParams holds the defaults, which exported specs leave out.
 """
 
 from __future__ import annotations
@@ -57,37 +58,51 @@ def _positive(v) -> bool:
     return 0.0 < v < math.inf
 
 
-# [pipeline] key -> (PipelineParams attribute, cast, range check, range text)
+# key -> (PipelineParams attribute, cast, range check, range text, CLI flags,
+# help; a help without a PipelineParams default says what unset means)
 _PIPELINE_KEYS = {
-    "lambda": ("lam", float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "radius": ("radius", int, lambda v: v >= 0, ">= 0"),
-    "epsilon": ("epsilon", float, _positive, "finite and > 0"),
-    "delta": ("delta", float, _positive, "finite and > 0"),
-    "alpha": ("alpha", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
-    "nmax": ("nmax", int, lambda v: v >= 1, ">= 1"),
-    "steps": ("steps", int, lambda v: v >= 1, ">= 1"),
-    "max_word_len": ("max_word_len", int, lambda v: v >= 1, ">= 1"),
-    "resolution": ("resolution", float, _positive, "finite and > 0"),
-    "growth_constant": ("growth_constant", float, _positive, "finite and > 0"),
-    "k_max": ("k_max", int, lambda v: v >= 1, ">= 1"),
-    "shell_index": ("shell_index", int, lambda v: v >= 0, ">= 0"),
+    "lambda": ("lam", float, lambda v: 0.0 < v < 1.0, "in (0, 1)", ("--lambda",),
+               "series weight in (0, 1/growth) (required here or in the spec)"),
+    "radius": ("radius", int, lambda v: v >= 0, ">= 0", ("--radius", "--ball-radius"),
+               "word-length truncation radius"),
+    "epsilon": ("epsilon", float, _positive, "finite and > 0", ("--epsilon",),
+                "certification target (required here or in the spec)"),
+    "delta": ("delta", float, _positive, "finite and > 0", ("--delta",), "per-period "
+              "flattening budget (default: epsilon, else 0.1; unused once alpha is set)"),
+    "alpha": ("alpha", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1",
+              ("--alpha",), "flattening exponent (default: derived from delta)"),
+    "nmax": ("nmax", int, lambda v: v >= 1, ">= 1", ("--nmax",),
+             "ball radius of the abelian solve and endpoint of path"),
+    "steps": ("steps", int, lambda v: v >= 1, ">= 1", ("--steps", "--path-steps"),
+              "path samples per unit of t"),
+    "max_word_len": ("max_word_len", int, lambda v: v >= 1, ">= 1", ("-L",),
+                     "maximum word length"),
+    "resolution": ("resolution", float, _positive, "finite and > 0", ("--resolution",),
+                   "minimum chain margin"),
+    "growth_constant": ("growth_constant", float, _positive, "finite and > 0",
+                        ("--growth-constant",), "ball growth constant of the "
+                        "nilpotent solve (default: the least measured constant)"),
+    "k_max": ("k_max", int, lambda v: v >= 1, ">= 1", ("--k-max",),
+              "shell search cap of the nilpotent solve"),
+    "shell_index": ("shell_index", int, lambda v: v >= 0, ">= 0", ("--shell-index",),
+                    "which admissible shell the nilpotent solve averages over"),
 }
 
 
 @dataclass
 class PipelineParams:
     lam: Optional[float] = None
-    radius: Optional[int] = None
+    radius: int = 40
     epsilon: Optional[float] = None
     delta: Optional[float] = None
     alpha: Optional[float] = None
-    nmax: int = 16  # tame-c1's abelian ball radius and path's endpoint
-    steps: Optional[int] = None
+    nmax: int = 16
+    steps: int = 8
     max_word_len: int = 4
-    resolution: Optional[float] = None
+    resolution: float = 0.01
     growth_constant: Optional[float] = None
     k_max: int = 8
-    shell_index: Optional[int] = None
+    shell_index: int = 0
 
     def merged(self, **overrides) -> "PipelineParams":
         out = PipelineParams(**self.__dict__)
@@ -105,7 +120,7 @@ class PipelineParams:
     def check(self) -> None:
         """Raises SpecError for a set value outside its range; spec values
         and CLI overrides both pass through here once merged."""
-        for key, (attr, _, ok, text) in _PIPELINE_KEYS.items():
+        for key, (attr, _, ok, text, *_) in _PIPELINE_KEYS.items():
             v = getattr(self, attr)
             if v is not None and not ok(v):
                 raise SpecError(f"{key} must be {text}, got {v!r}")
@@ -283,7 +298,7 @@ def parse_action_spec(text: str) -> ActionSpec:
     for key, (value, ln) in pipe_kv.items():
         if key not in _PIPELINE_KEYS:
             raise SpecError(f"unknown pipeline parameter {key!r}", line=ln)
-        attr, cast, _, _ = _PIPELINE_KEYS[key]
+        attr, cast, *_ = _PIPELINE_KEYS[key]
         try:
             setattr(params, attr, cast(value))
         except ValueError:

@@ -24,7 +24,7 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
-from conjtamer.diffeo import WalkState
+from conjtamer.diffeo import WalkState, iterate
 from conjtamer.pipeline import dumps_canonical
 from conjtamer.space import circle, interval
 
@@ -123,6 +123,24 @@ def test_integer_shift_joins_the_rotation():
     g = conjugated_rotation(sp, wobble(256), 1.375)
     assert 0.0 <= g.offset < 1.0
     assert len(g.plan) == 3 and angles(g.plan) == [0.375]
+
+
+def test_integer_shift_keeps_the_conjugating_head():
+    # phi∘f∘phi⁻¹ with f(0) in [0.995, 1): the conjugate's lift at 0 lands
+    # in [1, 2) and the shift back sits mid-plan, after phi, so walks keep
+    # phi as their head
+    sp = circle(512)
+    f = build_diffeo("x + 0.995 + 0.05*sin(2*pi*x)/(2*pi)", sp)
+    phi = Diffeo.from_log_deriv(sp, 0.3 * np.sin(2 * np.pi * sp.track_nodes()), 0.7)
+    g = conjugate_action(f, phi)
+    assert angles(g.plan) == [-1.0]
+    assert WalkState.start(sp.nodes, (g.plan,)).head == g.plan[:1]
+    x, ld = iterate(g, sp.nodes, 50)
+    y, acc = sp.nodes, 0.0
+    for _ in range(50):
+        y, d = g.apply(y)
+        acc = acc + d
+    assert np.max(np.abs(x - y)) < 1e-12 and np.max(np.abs(ld - acc)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
