@@ -7,17 +7,19 @@ identities can be checked off-grid without interpolation error.  A solve
 measures u and its defects in one ball pass over its distinct points (nodes,
 midpoints, their generator images), split into blocks of 4096 to 8191 points
 (one block below that); a ball sum walks the ball once, in plan coordinates.
+A path sample reads the exact log D of its conjugates off one ball pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, WalkState, _exp_integrals, c1_distance, iterate
+from .diffeo import Diffeo, WalkState, _exp_integrals, iterate
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
@@ -344,45 +346,55 @@ class PathSample:
     path_conjugacy(..., n, s) and u = u_t at integer t (None in between).
 
     c1_gap: max over generators of the sup of the interpolated defect field
-    (equals sup|log D(conjugated generator)| up to grid interpolation, and
-    matches defect(u_n) exactly at integer t).  c1_step records the per-
-    generator C1 distance to the previous sample (None on the first)."""
+    at the nodes (matches defect(u_n) exactly at integer t); c1_gap_track:
+    that of |log D(phi g phi⁻¹)|, exactly, at phi(nodes).  c1_step records
+    per generator the C⁰ and log-derivative distances to the previous sample
+    (None on the first), at the same nodes y: of phi(g y) - phi(y) and of
+    log D(phi g phi⁻¹)(phi y).  conjugated is built on first read."""
 
     t: float
     n: int
     s: float
     u: Optional[Array]
     phi: Diffeo
-    conjugated: Action
+    action: Action = field(repr=False)
     c1_gap: float
     c1_gap_track: float
     gap_per_generator: Dict[str, float] = field(default_factory=dict)
     c1_step: Optional[Dict[str, Tuple[float, float]]] = None
+
+    @cached_property
+    def conjugated(self) -> Action:
+        return self.action.conjugated(self.phi)
 
 
 def path_of_conjugates(
     action: Action, n_max: int, steps_per_unit: int
 ) -> Iterator[PathSample]:
     """Samples t in {1, 1+1/steps, ..., n_max} of the path phi_t built from
-    v_t = (1-s) u_n + s u_{n+1} + C_t; each sample carries the conjugated
-    action and the interpolated defect gap.  The checks and the ball pass
-    run on the call; the samples are then built one at a time as they are
-    iterated, each keeping only the previous one's tracks for c1_step."""
+    v_t = (1-s) u_n + s u_{n+1} + C_t.  The checks and one ball pass over the
+    nodes y and their images g(y) run on the call; with u_n,PL the piecewise-
+    linear interpolant of u_n, E_n = u_n,PL∘g - u_n + log Dg gives, C_t
+    cancelling, log D(phi_t g phi_t⁻¹)(phi_t y) = (1-s) E_n + s E_{n+1}.  The
+    samples are built as they are iterated, from these fields and one jet
+    of phi_t at the images: no Newton solve, no conjugated action."""
     if n_max < 1 or steps_per_unit < 1:
         raise ValueError("need n_max >= 1 and steps_per_unit >= 1")
-    space = action.space
+    space, names = action.space, action.names
     tn = space.track_nodes()
     _check_ball_sum(action, n_max, tn.size)
-    points = np.concatenate([tn] + [g.eval_lift(tn) for g in action.gens])
+    images = np.stack([g.eval_lift(tn) for g in action.gens])
     log_derivs = np.stack([g.log_deriv.samples for g in action.gens])
 
     # one ball pass over the nodes and their images: row n gives u_n at both
     u_samp: List[Optional[Array]] = [None]
     d_fields: List[Optional[Array]] = [None]
-    for n, row in enumerate(_ball_rows(action, n_max, points), 1):
+    e_fields: List[Optional[Array]] = [None]
+    for n, row in enumerate(_ball_rows(action, n_max, np.append(tn, images)), 1):
         u_n, *u_images = np.split(row / float(n**action.rank), action.rank + 1)
         u_samp.append(u_n)
         d_fields.append(u_n - np.stack(u_images) - log_derivs)
+        e_fields.append(GridFunction(space, u_n).interp(images) - u_n + log_derivs)
 
     def samples() -> Iterator[PathSample]:
         prev = None
@@ -391,20 +403,22 @@ def path_of_conjugates(
             if n >= n_max > 1:
                 n, s = n_max - 1, 1.0
             t, phi = n + s, path_conjugacy(space, u_samp, n, s)
-            cur, gap = action.conjugated(phi), _blend(d_fields, n, s)
+            gap, track = _blend(d_fields, n, s), _blend(e_fields, n, s)
+            moves, step = phi.eval_lift(images) - phi.values[: tn.size], None
+            if prev is not None:
+                c0 = moves - prev[0]
+                if space.is_circle:  # less the mean integer shift
+                    c0 -= np.round(np.mean(c0, axis=1, keepdims=True))
+                dlog = np.abs(track - prev[1]).max(1)
+                step = {k: (float(a), float(b)) for k, a, b in zip(names, np.abs(c0).max(1), dlog)}
             yield PathSample(
-                t, n, s, u_samp[int(t)] if t % 1 == 0 else None, phi, cur,
+                t, n, s, u_samp[int(t)] if t % 1 == 0 else None, phi, action,
                 c1_gap=float(np.max(np.abs(gap))),
-                c1_gap_track=max(g.log_deriv.sup_abs() for g in cur.gens),
-                gap_per_generator={
-                    name: float(np.max(np.abs(gap[i]))) for i, name in enumerate(action.names)
-                },
-                c1_step=None if prev is None else {
-                    name: c1_distance(pg, cg)
-                    for name, pg, cg in zip(action.names, prev.gens, cur.gens)
-                },
+                c1_gap_track=float(np.max(np.abs(track))),
+                gap_per_generator=dict(zip(names, np.abs(gap).max(1).tolist())),
+                c1_step=step,
             )
-            prev = cur
+            prev = moves, track
 
     return samples()
 

@@ -566,17 +566,6 @@ def invert(f: Diffeo) -> Diffeo:
     return Diffeo.from_plan(f.space, f.as_plan(-1))
 
 
-def c1_distance(f: Diffeo, g: Diffeo) -> tuple[float, float]:
-    """(sup node distance of lifts mod integer shift, sup log-derivative gap)."""
-    f.space.check_same(g.space)
-    d = f.values - g.values
-    if f.space.is_circle:
-        d = d - round(float(np.mean(d)))
-    c0 = float(np.max(np.abs(d)))
-    dlog = float(np.max(np.abs(f.log_deriv.samples - g.log_deriv.samples)))
-    return c0, dlog
-
-
 def conjugate_maps(maps: Sequence[Diffeo], phi: Diffeo) -> List[Diffeo]:
     """phi ∘ f ∘ phi^{-1} for each f, the plan phi·f·phi⁻¹ reduced, walked at
     the nodes from one WalkState: the head that the plans share (phi, and h

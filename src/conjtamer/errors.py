@@ -59,10 +59,6 @@ class RelationViolation(ConjTamerError):
         )
 
 
-class LambdaOutOfRange(ConjTamerError):
-    """The geometric weight must satisfy 0 < lambda < 1 (and lambda*growth < 1)."""
-
-
 class NoAdmissibleRadius(ConjTamerError):
     """No ball radius passed the shell-size admissibility test."""
 
@@ -98,6 +94,10 @@ class SpecError(ConjTamerError):
         if line is not None:
             loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
         super().__init__(message + loc)
+
+
+class LambdaOutOfRange(SpecError):
+    """0 < lambda < 1, and lambda*(2r - 1) < 1 on a free group of rank r."""
 
 
 class CertificationFailure(ConjTamerError):

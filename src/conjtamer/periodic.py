@@ -38,7 +38,7 @@ Array = np.ndarray
 PARABOLIC_TOL = 1e-6  # |log multiplier| below this counts as parabolic
 _GERM_LIN = 1e-9  # offset below which the germ arithmetic is linearized
 _SNAP_TOL = 1e-8  # distance within which an image of a flagged point is flagged
-PERIOD_CAP = 3  # least-period bound of the pipeline's inventories and flattening
+PERIOD_CAP = 3  # least-period bound of the pipeline's circle inventories and flattening
 # Bridge inversion seeds: 64 uniform cells, refined geometrically towards
 # both ends, where a bridge of small end slope is nearly quadratic; Newton
 # from such a seed reaches rounding within 4 steps for end slopes down to 1e-9.
@@ -87,8 +87,10 @@ def find_periodic_points(
     """All periodic orbits of least period <= n_max, one record per orbit,
     sorted by (period, smallest point).  Powers that are identity-like on the
     grid (sup |f^N - id| below tol) contribute no orbits: every point would
-    be periodic and no finite inventory exists."""
+    be periodic and no finite inventory exists.  An increasing map of [0, 1]
+    has fixed points alone: on the interval one iterate is walked."""
     space = f.space
+    n_max = n_max if space.is_circle else min(n_max, 1)
     nodes = space.nodes
     merge_tol = 2.0 / space.grid_size
     accepted: List[PeriodicOrbit] = []

@@ -67,14 +67,8 @@ CERTIFYING = ("tame-lipschitz", "tame-c1")  # the commands that write certified
 def _numpy_default(obj):
     """numpy arrays and scalars as their Python counterparts (float64 is a
     float subclass and never reaches this hook)."""
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

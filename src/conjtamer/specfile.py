@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .action import Action, validate_relations
@@ -105,11 +105,7 @@ class PipelineParams:
     shell_index: int = 0
 
     def merged(self, **overrides) -> "PipelineParams":
-        out = PipelineParams(**self.__dict__)
-        for k, v in overrides.items():
-            if v is not None:
-                setattr(out, k, v)
-        return out
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
     def spec_lines(self) -> List[str]:
         """[pipeline] lines `key = repr(value)` of the non-default values."""

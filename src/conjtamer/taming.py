@@ -9,7 +9,7 @@ slack from the truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .action import Action
 from .diffeo import Diffeo, Primitive, WalkState
 from .errors import LambdaOutOfRange
-from .words import enumerate_ball
+from .words import FREE, enumerate_ball
 
 Array = np.ndarray
 
@@ -91,6 +91,9 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         raise LambdaOutOfRange(f"need 0 < lambda < 1, got {lam}")
     if radius < 0:
         raise LambdaOutOfRange(f"need radius >= 0, got {radius}")
+    r = len(action.presentation.metric_generators)  # free spheres grow by 2r - 1
+    if action.presentation.kind == FREE and lam * (2 * r - 1) >= 1.0:
+        raise LambdaOutOfRange(f"need lambda*(2r - 1) < 1 on a free group, r = {r}, got {lam}")
     space = action.space
     ball = enumerate_ball(action.presentation, radius)
     # BFS layers are contiguous: element i lies on the sphere of its layer
@@ -157,14 +160,7 @@ class GeneratorTaming:
     lip_uniform_grid: float  # diagnostic: quotients of the tamed track itself
 
     def to_dict(self) -> dict:
-        return {
-            "lip": self.lip,
-            "lip_inv": self.lip_inv,
-            "lip_coarse": self.lip_coarse,
-            "lip_inv_coarse": self.lip_inv_coarse,
-            "two_scale_ok": self.two_scale_ok,
-            "lip_uniform_grid": self.lip_uniform_grid,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "name"}
 
 
 @dataclass

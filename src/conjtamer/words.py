@@ -26,7 +26,8 @@ from .errors import ConjTamerError, SizeOverflow, UnknownGenerator
 
 Letter = Tuple[int, int]  # (generator index, +1 or -1)
 
-DEFAULT_BALL_CAP = 10**7
+# bounds the memory of a refused ball: a free ball of 1.06 M words took 668 MB
+DEFAULT_BALL_CAP = 10**6
 _MAX_REWRITES = 100000
 
 ABELIAN = "abelian"
@@ -319,8 +320,13 @@ def enumerate_ball(
     inverses, BFS layer by layer, deduplicated on trie node ids (exponent
     vectors for an abelian presentation); each layer is sorted by its words'
     letters.  A frontier element is extended by one reduced push, and each
-    element's Word is built once."""
+    element's Word is built once.  Past cap elements it raises SizeOverflow:
+    a free ball before the walk, having 1 + 2r((2r - 1)^k - 1)/(2r - 2)."""
     alphabet = [(g, s) for g in presentation.metric_generators for s in (1, -1)]
+    r = len(alphabet) // 2
+    if presentation.kind == FREE:  # 2r(2r - 1)^(j - 1) reduced words at radius j >= 1
+        if 1 + (2 * k if r == 1 else r * ((2 * r - 1) ** k - 1) // (r - 1)) > cap:
+            raise SizeOverflow(f"a free ball of radius {k} has more than {cap} elements")
     if presentation.kind == ABELIAN:
         start: Hashable = (0,) * presentation.rank
         step = lambda e, lt: e[: lt[0]] + (e[lt[0]] + lt[1],) + e[lt[0] + 1 :]
@@ -342,10 +348,10 @@ def enumerate_ball(
                 nxt = step(state, letter)
                 if nxt not in seen and nxt not in layer:
                     layer[nxt] = (parent_idx, letter)
+                    if len(elements) + len(layer) > cap:
+                        raise SizeOverflow(f"ball exceeds cap {cap} at radius {len(sphere_sizes)}")
         words = {state: word_of(state) for state in layer}
         frontier = sorted(layer, key=lambda state: words[state].letters)
-        if len(elements) + len(frontier) > cap:
-            raise SizeOverflow(f"ball exceeds cap {cap} at radius {len(sphere_sizes)}")
         for state in frontier:
             seen[state] = len(elements)
             elements.append(words[state])

@@ -5,7 +5,6 @@ from conjtamer import (
     Diffeo,
     NonMonotone,
     build_diffeo,
-    c1_distance,
     compose,
     conjugate_action,
     identity,
@@ -159,16 +158,6 @@ def test_conjugation_with_grid_backed_map():
     lhs = conj.log_derivative(phi(x))
     rhs = phi.log_derivative(g(x)) + g.log_derivative(x) - phi.log_derivative(x)
     assert sup(lhs - rhs) <= 10.0 / sp.grid_size
-
-
-def test_c1_distance_zero_on_equal_maps():
-    f = wobble(512)
-    d0, d1 = c1_distance(f, f)
-    assert d0 == 0.0 and d1 == 0.0
-    g = rotation(circle(512), 0.1)
-    d0, d1 = c1_distance(g, identity(circle(512)))
-    assert d0 == pytest.approx(0.1, abs=1e-12)
-    assert d1 == 0.0
 
 
 # ---------------------------------------------------------------------------

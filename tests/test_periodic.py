@@ -59,6 +59,19 @@ def test_mobius_fixed_points_and_multipliers():
     assert not orbits[0].parabolic and not orbits[1].parabolic
 
 
+def test_interval_inventory_walks_fixed_points_only(monkeypatch):
+    # an increasing map of [0, 1] has no orbit of least period above 1: the
+    # nodes walk one iterate whatever n_max is
+    f = mobius_action(1024).gens[0]
+    walked = []
+    real = periodic_mod.iterates
+    monkeypatch.setattr(
+        periodic_mod, "iterates", lambda g, x, n: walked.append((np.size(x), n)) or real(g, x, n)
+    )
+    assert find_periodic_points(f, 3) == find_periodic_points(f, 1)
+    assert [n for size, n in walked if size == f.space.grid_size + 1] == [1, 1]
+
+
 def test_identity_like_powers_are_excluded():
     sp = circle(256)
     assert find_periodic_points(identity(sp), 2) == []

@@ -1,5 +1,6 @@
 import json
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from conjtamer import (
     CertificationFailure,
     Diffeo,
+    GridFunction,
     SpecError,
+    birkhoff_field,
     birkhoff_solution,
     build_action,
     flatten_hyperbolic,
@@ -349,15 +352,44 @@ CIRCLE_HYPERBOLIC = textwrap.dedent(
 def test_path_ends_where_the_tame_c1_solve_ends(tmp_path, text):
     # one prefix: the path's last sample conjugates the action that tame-c1
     # solves on by tame-c1's solution u_nmax, up to the ball's summation order
+    # and its gap track is |log D| of that sample's conjugates at phi(nodes)
     spec = write(tmp_path, "p.spec", text)
     assert main(["tame-c1", "--spec", spec, "--out", str(tmp_path / "c1")]) in (0, 3)
     assert main(["path", "--spec", spec, "--out", str(tmp_path / "path"), "--steps", "1"]) == 0
     c1 = json.loads((tmp_path / "c1" / "report.json").read_text())
     path = json.loads((tmp_path / "path" / "report.json").read_text())["path"]
     assert path["final_c1_gap"] == pytest.approx(c1["solve"]["defect"], rel=0, abs=1e-12)
-    assert path["final_c1_gap_track"] == pytest.approx(
-        c1["certify"]["final_sup_log_deriv"], rel=0, abs=1e-12
+    loaded = load_action_spec(spec)
+    action = pipeline_mod._periodic_flatten(build_action(loaded), {"stage_order": []}, loaded.params)
+    last = list(path_of_conjugates(action, loaded.params.nmax, 1))[-1]
+    m = action.space.track_length
+    track = max(
+        float(np.max(np.abs(g.jet(last.phi.values[:m])[1]))) for g in last.conjugated.gens
     )
+    assert path["final_c1_gap_track"] == pytest.approx(track, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text", [A3_SMALL, A4_SMALL, CIRCLE_HYPERBOLIC], ids=["z2", "a4", "circle-flattening"]
+)
+def test_path_gap_track_differs_from_the_gap_by_the_interpolation_of_u(text):
+    # log D(phi_t g phi_t⁻¹)(phi_t y) reads u_t piecewise linearly at g(y),
+    # where the defect field reads the ball average exactly: the two sups
+    # differ by at most the blended max |u_PL - u| at the images g(nodes)
+    spec = parse_action_spec(text)
+    action = pipeline_mod._periodic_flatten(build_action(spec), {"stage_order": []}, spec.params)
+    nmax, tn = spec.params.nmax, action.space.track_nodes()
+    images = np.concatenate([g.eval_lift(tn) for g in action.gens])
+    rows = birkhoff_field(action, nmax, np.concatenate([tn, images]))
+    err = [None]
+    for n in range(1, nmax + 1):
+        u = rows[n] / float(n**action.rank)
+        u_pl = GridFunction(action.space, u[: tn.size]).interp(images)
+        err.append(float(np.max(np.abs(u_pl - u[tn.size :]))))
+    assert max(err[1:]) > 0.0
+    for s in path_of_conjugates(action, nmax, spec.params.steps):
+        bound = (1.0 - s.s) * err[s.n] + s.s * err[min(s.n + 1, nmax)]
+        assert abs(s.c1_gap_track - s.c1_gap) <= bound + 1e-12
 
 
 def test_flattening_tame_c1_inventories_each_action_once(tmp_path, monkeypatch):
@@ -534,6 +566,21 @@ def test_cli_tame_c1_refuses_multipliers_beyond_epsilon(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["certify"]["multipliers_within_epsilon"] is False
     assert report["certify"]["certified"] is False
+    assert report["certified"] is False
+
+
+@pytest.mark.parametrize("lam, code", [(0.9, 2), (0.25, 1)])
+def test_cli_tame_lipschitz_refuses_a_free_ball_before_building_it(tmp_path, lam, code):
+    # the free pair's spheres grow by 3: lambda 0.9 makes the series diverge
+    # (an out-of-range parameter), and at lambda 0.25 the radius-40 ball has
+    # about 2.4e19 words, far past the cap; both refuse before any walk
+    spec = Path(__file__).resolve().parent.parent / "specs" / "pingpong.spec"
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    argv = ["tame-lipschitz", "--spec", str(spec), "--lambda", str(lam)]
+    assert main(argv + ["--out", str(out)]) == code
+    assert time.monotonic() - t0 < 2.0
+    report = json.loads((out / "report.json").read_text())
     assert report["certified"] is False
 
 

@@ -227,22 +227,31 @@ def test_bench_size_interval_pass_is_one_block(monkeypatch):
 
 
 def test_path_sample_solves_h_once(monkeypatch):
-    # the conjugated generators phi·h·R_i·h⁻¹·phi⁻¹ end with the same
-    # h⁻¹·phi⁻¹, walked once per sample (one Newton solve of h per
-    # generator before); the ball pass runs on the call, not on iteration
+    # the ball pass inverts h on the call, once per walk; a sample is then
+    # arithmetic on the pass's fields and one forward jet of its phi: no
+    # Newton solve, no conjugated action (built only when read)
     action = conj_rotation_z2(256)
-    calls = []
-    invert01 = Diffeo._invert01
+    calls, built = [], []
+    invert01, init = Diffeo._invert01, Action.__init__
 
     def counted(self, y):
         calls.append(np.size(y))
         return invert01(self, y)
 
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(Diffeo, "_invert01", counted)
+    monkeypatch.setattr(Action, "__init__", counted_init)
     samples = path_of_conjugates(action, 4, 2)
+    assert calls
     calls.clear()
-    assert len(list(samples)) == 7
-    assert calls == [257] * 7  # at the grid nodes, endpoint included
+    samples = list(samples)
+    assert len(samples) == 7
+    assert calls == [] and built == []
+    samples[-1].conjugated
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conjtamer import (
     word_realize,
 )
 from conjtamer.errors import ConjTamerError, UnknownGenerator
+import conjtamer.words as words_mod
 from conjtamer.words import select_shell_radii
 
 from helpers import mobius_action, rigid_rotations, stack_ball, stack_normal_form
@@ -289,7 +290,7 @@ def test_positive_ball_large_membership():
 
 def test_positive_ball_cap():
     with pytest.raises(SizeOverflow):
-        enumerate_positive_ball(2, 3300)  # 3300^2 > 10^7
+        enumerate_positive_ball(2, 3300)  # 3300^2 > 10^6
 
 
 def test_ball_sizes_z1_z2():
@@ -299,6 +300,36 @@ def test_ball_sizes_z1_z2():
     assert len(enumerate_ball(p2, 2)) == 13
     for k in range(1, 5):
         assert len(enumerate_ball(p2, k)) == 2 * k * k + 2 * k + 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_ball_size_is_known_before_the_walk(rank, monkeypatch):
+    # reduced words: 2r(2r - 1)^(j - 1) on the sphere of radius j >= 1
+    p = Presentation.free([f"g{i}" for i in range(rank)])
+    for k in range(1, 6):
+        size = len(enumerate_ball(p, k))
+        assert size == 1 + sum(2 * rank * (2 * rank - 1) ** (j - 1) for j in range(1, k + 1))
+        enumerate_ball(p, k, cap=size)
+        with pytest.raises(SizeOverflow):
+            enumerate_ball(p, k, cap=size - 1)
+
+    def no_walk(*args):
+        raise AssertionError("the ball was walked")
+
+    monkeypatch.setattr(p, "_extend", no_walk)
+    with pytest.raises(SizeOverflow):
+        enumerate_ball(p, 40 if rank > 1 else 10**6)
+
+
+def test_ball_cap_is_checked_per_element(monkeypatch):
+    # Z² balls of radius 2 and 3 have 13 and 25 elements: under a cap of 13,
+    # radius 3 refuses at its first new element, before any of its words
+    built = []
+    real = words_mod.word_from_exponents
+    monkeypatch.setattr(words_mod, "word_from_exponents", lambda e: built.append(e) or real(e))
+    with pytest.raises(SizeOverflow):
+        enumerate_ball(Presentation.zd(2, ("a", "b")), 3, cap=13)
+    assert len(built) == 12
 
 
 def test_ball_sizes_nondecreasing_and_spheres_consistent():
