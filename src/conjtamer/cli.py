@@ -12,8 +12,10 @@ defaults and override the spec's [pipeline] values.
 
 Exit codes: 0 success (detect returns 0 whether or not a witness exists),
 2 spec/usage error or out-of-range parameter (report.json still written once
-the spec parses), 3 certification failure (report.json still written),
-1 any other pipeline error (e.g. a Newton inversion that does not converge).
+the spec parses; a key outside specfile's tables, a value that does not cast
+or a repeated name is refused at its line, before any report), 3 certification
+failure (report.json still written), 1 any other pipeline error (e.g. a Newton
+inversion that does not converge).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gridfn import GridFunction
 from .space import Space
-from .words import ABELIAN, Presentation, select_shell_radii
+from .words import ABELIAN, select_shell_radii
 
 Array = np.ndarray
 
@@ -38,6 +38,9 @@ _FIELD_CAP = 4 * 10**7  # max (n^d) * points entries in a vectorized ball sum
 # bigger blocks made malloc grow and trim the heap for each temporary (full-size
 # a3_z2 solve: 11.3 s in one block, 8.9 s)
 _BLOCK = 4096
+# the nilpotent solve's exactness-onset threshold; it enters only the a-priori
+# defect_bound, and the pipeline's delta (the flattening budget) never sets it
+EXACTNESS_DELTA = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +234,15 @@ def birkhoff_solution(action: Action, n: int) -> CohomSolution:
 
 def nilpotent_average_solution(
     action: Action,
-    presentation: Presentation,
     shell_index: int,
     growth_constant: Optional[float] = None,
     k_max: int = 8,
-    delta: float = 0.1,
 ) -> CohomSolution:
-    """u = average of log Df over the full ball B(k), k taken from the
-    admissible shell radii; the defect bound is decomposed into the
-    small-exponent term C*N0*max|c|/k and the large-exponent term M*C*delta
-    from the bounded-generation argument (N0: exactness onset at delta)."""
+    """u = average of log Df over the full ball B(k), k taken from the admissible
+    shell radii of action.presentation; the defect bound is decomposed into the
+    small-exponent term C*N0*max|c|/k and the large-exponent term M*C*delta from
+    the bounded-generation argument (N0: exactness onset at delta = EXACTNESS_DELTA)."""
+    presentation = action.presentation
     selection = select_shell_radii(presentation, k_max, growth_constant)
     if not selection.radii:
         raise NoAdmissibleRadius(
@@ -271,15 +273,15 @@ def nilpotent_average_solution(
     c_used = selection.measured[k - 1]
     m_bound = presentation.bounded_generation or 1
     n_cap = max(2, m_bound * k)
-    n0 = _measure_exactness_onset(action, presentation, delta, n_cap)
+    n0 = _measure_exactness_onset(action, n_cap)
     max_gen_c = max(g.log_deriv.sup_abs() for g in action.gens)
     small_term = c_used * n0 * max_gen_c / k
-    large_term = m_bound * c_used * delta
+    large_term = m_bound * c_used * EXACTNESS_DELTA
     extras = {
         "shell_radius": k,
         "growth_constant": float(c_used),
         "bounded_generation_m": m_bound,
-        "delta": delta,
+        "delta": EXACTNESS_DELTA,
         "n0": n0,
         "max_generator_cocycle": max_gen_c,
         "max_ball_cocycle": max_word_c,
@@ -293,23 +295,20 @@ def nilpotent_average_solution(
     )
 
 
-def _measure_exactness_onset(
-    action: Action, presentation: Presentation, delta: float, n_cap: int
-) -> int:
-    """Smallest N0 such that |(1/n) log D(g^n)| < delta on the grid for every
-    metric generator and all n in [N0, n_cap]; n_cap when never reached.
-    The walks of g^n and g^-n all start from one WalkState in the letters'
-    shared coordinates."""
-    plans = [
-        action.gens[j].as_plan(s) for j in presentation.metric_generators for s in (1, -1)
-    ]
+def _measure_exactness_onset(action: Action, n_cap: int) -> int:
+    """Smallest N0 such that |(1/n) log D(g^n)| < EXACTNESS_DELTA on the grid
+    for every metric generator and all n in [N0, n_cap]; n_cap when never
+    reached.  The walks of g^n and g^-n all start from one WalkState in the
+    letters' shared coordinates."""
+    metric = action.presentation.metric_generators
+    plans = [action.gens[j].as_plan(s) for j in metric for s in (1, -1)]
     start = WalkState.start(action.space.track_nodes(), plans)
     worst = 1
     for plan in plans:
         walk = start
         for n in range(1, n_cap + 1):
             walk = walk.step(plan)
-            if float(np.max(np.abs(walk.point()[1]))) / n >= delta:
+            if float(np.max(np.abs(walk.point()[1]))) / n >= EXACTNESS_DELTA:
                 worst = max(worst, n + 1)
     return worst
 

@@ -27,7 +27,7 @@ import dataclasses
 import json
 import os
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -51,9 +51,9 @@ from .periodic import (
     rotation_number,
 )
 from .space import Space
-from .specfile import ActionSpec, PipelineParams, build_action
+from .specfile import ActionSpec, PipelineParams, build_action, format_action_spec
 from .taming import pushforward_check, tame_lipschitz
-from .words import ABELIAN, FREE, NILPOTENT, Word
+from .words import ABELIAN, FREE, NILPOTENT
 
 SCHEMA_VERSION = 2
 COMMANDS = ("tame-lipschitz", "tame-c1", "path", "detect", "flatten", "report")
@@ -123,49 +123,6 @@ def _sup_log_deriv(action: Action) -> Dict[str, float]:
 # Re-ingestable spec output.
 
 
-def _rule_text(rule, names: Sequence[str]) -> str:
-    lhs, rhs = rule
-    return f"{Word(lhs).display(names)} -> {Word(rhs).display(names)}"
-
-
-def _write_action_spec(
-    path: str,
-    spec: ActionSpec,
-    gen_files: Dict[str, str],
-    relation_tolerance: float,
-) -> None:
-    names = spec.generator_names
-    lines = [
-        "[space]",
-        f"kind = {spec.space_kind}",
-        f"grid_size = {spec.grid_size}",
-        "",
-        "[group]",
-        f"type = {spec.group_type}",
-        "generators = " + " ".join(names),
-    ]
-    if spec.group_type != "abelian" and spec.rules:
-        quoted = ", ".join(f'"{_rule_text(r, names)}"' for r in spec.rules)
-        lines.append(f"rules = {quoted}")
-    if spec.bounded_generation is not None:
-        lines.append(f"bounded_generation = {spec.bounded_generation}")
-    if spec.metric_generators is not None:
-        lines.append(
-            "metric_generators = "
-            + " ".join(names[i] for i in spec.metric_generators)
-        )
-    lines.append(f"relation_tolerance = {relation_tolerance!r}")
-    lines.append("")
-    lines.append("[generators]")
-    for name in names:
-        lines.append(f"{name} = @{gen_files[name]}")
-    lines.append("")
-    pipeline = spec.params.spec_lines()
-    lines += ["[pipeline]", *pipeline, ""] if pipeline else []
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-
-
 def _export_action(
     out_dir: str, prefix: str, spec: ActionSpec, action: Action
 ) -> Dict[str, str]:
@@ -186,9 +143,9 @@ def _export_action(
     deviations = validate_relations(rebuilt, raise_on_fail=False)
     measured = max(deviations.values()) if deviations else 0.0
     tol = max(spec.relation_tolerance, 4.0 * measured)
-    _write_action_spec(
-        os.path.join(out_dir, f"{prefix}.spec"), spec, gen_files, tol
-    )
+    with open(os.path.join(out_dir, f"{prefix}.spec"), "w") as fh:
+        fh.write(format_action_spec(dataclasses.replace(spec, relation_tolerance=tol),
+                                    {name: "@" + f for name, f in gen_files.items()}))
     return gen_files
 
 
@@ -273,7 +230,6 @@ def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSol
     if spec.group_type == NILPOTENT:
         return nilpotent_average_solution(
             action,
-            action.presentation,
             params.shell_index,
             growth_constant=params.growth_constant,
             k_max=params.k_max,

@@ -24,8 +24,12 @@ pwl(x0:y0, x1:y1, ...) for piecewise-linear interpolation, or @file.json for
 a serialized diffeomorphism.  Nilpotent groups list rewriting rules like
 "b a -> a b c^-1" plus a bounded_generation constant; build_action checks
 the rules for confluence by critical pairs, which covers words of every
-length.  _PIPELINE_KEYS declares each [pipeline] key and its CLI flags once;
-PipelineParams holds the defaults, which exported specs leave out.
+length.  _ACTION_KEYS declares each [space] and [group] key once, with its
+cast and export text, and ActionSpec holds their defaults; _PIPELINE_KEYS
+declares each [pipeline] key and its CLI flags once, and PipelineParams holds
+the defaults, which exported specs leave out.  parse_action_spec reads and
+format_action_spec writes every section through these tables; a key outside
+them or a value that does not cast is a SpecError at its line.
 """
 
 from __future__ import annotations
@@ -40,10 +44,8 @@ from .action import Action, validate_relations
 from .diffeo import Diffeo, build_diffeo, conjugated_rotation, pwl_diffeo
 from .errors import ConjTamerError, SpecError
 from .expressions import compile_expression
-from .space import Space
-from .words import ABELIAN, FREE, NILPOTENT, Presentation
-
-_SECTIONS = ("space", "group", "generators", "pipeline")
+from .space import CIRCLE, INTERVAL, Space
+from .words import ABELIAN, FREE, NILPOTENT, Presentation, Word
 
 
 @dataclass
@@ -124,11 +126,11 @@ class PipelineParams:
 
 @dataclass
 class ActionSpec:
-    space_kind: str
-    grid_size: int
-    group_type: str
     generator_names: Tuple[str, ...]
     generator_defs: Dict[str, GeneratorDef]
+    space_kind: str = INTERVAL
+    grid_size: int = 4096
+    group_type: str = ABELIAN
     rules: List[Tuple[Tuple, Tuple]] = field(default_factory=list)
     bounded_generation: Optional[int] = None
     metric_generators: Optional[Tuple[int, ...]] = None
@@ -152,10 +154,10 @@ def _split_top_level(text: str, sep: str = ",") -> List[str]:
     return parts
 
 
-def _parse_rule(rule: str, names: Sequence[str], line: int):
+def _parse_rule(rule: str, names: Sequence[str]):
     """'b a -> a b c^-1' as a pair of letter tuples."""
     if "->" not in rule:
-        raise SpecError(f"rule needs '->': {rule!r}", line=line)
+        raise ValueError(f"rule needs '->': {rule!r}")
     lhs_text, rhs_text = rule.split("->", 1)
 
     def side(txt: str):
@@ -163,11 +165,11 @@ def _parse_rule(rule: str, names: Sequence[str], line: int):
         for tok in txt.split():
             name, _, exp = tok.partition("^")
             if name not in names:
-                raise SpecError(f"unknown generator {name!r} in rule", line=line)
+                raise ValueError(f"unknown generator {name!r} in rule")
             try:
                 e = int(exp) if exp else 1
             except ValueError:
-                raise SpecError(f"bad exponent in rule token {tok!r}", line=line)
+                raise ValueError(f"bad exponent in rule token {tok!r}")
             if e == 0:
                 continue
             sign = 1 if e > 0 else -1
@@ -176,20 +178,91 @@ def _parse_rule(rule: str, names: Sequence[str], line: int):
 
     lhs = side(lhs_text)
     if not lhs:
-        raise SpecError(f"rule needs a non-empty left-hand side: {rule!r}", line=line)
+        raise ValueError(f"rule needs a non-empty left-hand side: {rule!r}")
     return lhs, side(rhs_text)
 
 
+def _parse_rules(text: str, names: Sequence[str]) -> list:
+    chunks = (chunk.strip() for chunk in text.split('"'))
+    return [_parse_rule(chunk, names) for chunk in chunks if chunk not in ("", ",")]
+
+
+def _rules_text(rules, spec: ActionSpec) -> Optional[str]:
+    if spec.group_type == ABELIAN or not rules:
+        return None  # parsing synthesizes the abelian rules
+
+    def side(letters) -> str:  # the empty word as nothing, which parses back
+        return Word(letters).display(spec.generator_names) if letters else ""
+
+    return ", ".join(f'"{side(lhs)} -> {side(rhs)}"' for lhs, rhs in rules)
+
+
+def _distinct(text: str) -> List[str]:
+    tokens = text.split()
+    repeated = sorted({t for t in tokens if tokens.count(t) > 1})
+    if repeated:
+        raise ValueError(f"repeated name {' '.join(repeated)}")
+    return tokens
+
+
+def _metric_generators(text: str, names: Sequence[str]) -> Tuple[int, ...]:
+    tokens = _distinct(text)
+    for tok in tokens:
+        if tok not in names:
+            raise ValueError(f"unknown generator {tok!r}")
+    return tuple(names.index(tok) for tok in tokens)
+
+
+def _one_of(*options: str):
+    def cast(text: str, names) -> str:
+        if text.lower() not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got {text!r}")
+        return text.lower()
+    return cast
+
+
+def _text(value, spec: ActionSpec) -> str:
+    return str(value)
+
+
+# [space] and [group] key -> (ActionSpec field, cast from the text and the
+# generator names, export text from the value and the spec, None to leave the
+# key out).  Keys are cast in this order, generators before the keys that name
+# generators; a key given twice keeps its last value, but every rules line
+# adds its rules.  ActionSpec holds the defaults.
+_ACTION_KEYS = {
+    "space": {
+        "kind": ("space_kind", _one_of(INTERVAL, CIRCLE), _text),
+        "grid_size": ("grid_size", lambda text, names: int(text), _text),
+    },
+    "group": {
+        "type": ("group_type", _one_of(ABELIAN, NILPOTENT, FREE), _text),
+        "generators": ("generator_names", lambda text, names: tuple(_distinct(text)),
+                       lambda names, spec: " ".join(names)),
+        "rules": ("rules", _parse_rules, _rules_text),
+        "bounded_generation": ("bounded_generation", lambda text, names: int(text), _text),
+        "metric_generators": ("metric_generators", _metric_generators,
+                              lambda idx, spec: " ".join(spec.generator_names[i] for i in idx)),
+        "relation_tolerance": ("relation_tolerance", lambda text, names: float(text), _text),
+    },
+}
+_SECTION_KEYS = dict(_ACTION_KEYS, pipeline=_PIPELINE_KEYS)
+
+
+def _cast(cast, key: str, value: str, line: int, *names):
+    try:
+        return cast(value, *names)
+    except ValueError as exc:
+        raise SpecError(f"{key}: {exc}", line=line)
+
+
 def parse_action_spec(text: str) -> ActionSpec:
-    """Parses spec text; errors carry the offending line (and column for
-    expression syntax errors)."""
+    """Parses spec text; a key outside its section's table and a value that
+    does not cast are refused at their line (expression syntax errors carry
+    the column too)."""
     section = None
-    space_kv: Dict[str, str] = {}
-    group_kv: Dict[str, Tuple[str, int]] = {}
+    given: Dict[str, Dict[str, List[Tuple[str, int]]]] = {s: {} for s in _SECTION_KEYS}
     gen_defs: Dict[str, GeneratorDef] = {}
-    gen_order: List[str] = []
-    pipe_kv: Dict[str, Tuple[str, int]] = {}
-    rule_lines: List[Tuple[str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -198,7 +271,7 @@ def parse_action_spec(text: str) -> ActionSpec:
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _SECTION_KEYS and name != "generators":
                 raise SpecError(f"unknown section [{name}]", line=lineno)
             section = name
             continue
@@ -209,48 +282,40 @@ def parse_action_spec(text: str) -> ActionSpec:
         key, value = (s.strip() for s in stripped.split("=", 1))
         if not key:
             raise SpecError("empty key", line=lineno)
-        if section == "space":
-            space_kv[key.lower()] = value
-        elif section == "group":
-            if key.lower() == "rules":
-                for chunk in value.split('"'):
-                    chunk = chunk.strip()
-                    if chunk and chunk != ",":
-                        rule_lines.append((chunk, lineno))
-            else:
-                group_kv[key.lower()] = (value, lineno)
-        elif section == "generators":
-            if key in gen_defs:
-                raise SpecError(f"duplicate generator {key!r}", line=lineno)
-            if value.startswith("@"):
-                form = "file"
-            elif value.startswith("conj(") and value.endswith(")"):
-                form = "conj"
-            elif value.startswith("pwl(") and value.endswith(")"):
-                form = "pwl"
-            else:
-                form = "expression"
-            col = raw.index(value, raw.index("=") + 1) + 1
-            gen_defs[key] = GeneratorDef(form, value, lineno, col)
-            gen_order.append(key)
+        if section != "generators":
+            key = key.lower()
+            if key not in _SECTION_KEYS[section]:
+                raise SpecError(f"unknown [{section}] key {key!r}", line=lineno)
+            given[section].setdefault(key, []).append((value, lineno))
+            continue
+        if key in gen_defs:
+            raise SpecError(f"duplicate generator {key!r}", line=lineno)
+        if value.startswith("@"):
+            form = "file"
+        elif value.startswith("conj(") and value.endswith(")"):
+            form = "conj"
+        elif value.startswith("pwl(") and value.endswith(")"):
+            form = "pwl"
         else:
-            pipe_kv[key.lower()] = (value, lineno)
+            form = "expression"
+        col = raw.index(value, raw.index("=") + 1) + 1
+        gen_defs[key] = GeneratorDef(form, value, lineno, col)
 
-    kind = space_kv.get("kind", "interval").lower()
-    if kind not in ("interval", "circle"):
-        raise SpecError(f"space kind must be interval or circle, got {kind!r}")
-    try:
-        grid_size = int(space_kv.get("grid_size", "4096"))
-    except ValueError:
-        raise SpecError(f"bad grid_size {space_kv['grid_size']!r}")
+    # generators defaults to the order of the definitions
+    fields: Dict[str, object] = {"generator_names": tuple(gen_defs)}
+    for section, keys in _ACTION_KEYS.items():
+        for key, (attr, cast, _) in keys.items():
+            occurrences = given[section].get(key, [])
+            for value, ln in occurrences if key == "rules" else occurrences[-1:]:
+                v = _cast(cast, key, value, ln, fields["generator_names"])
+                fields[attr] = fields.get(attr, []) + v if key == "rules" else v
+    params = PipelineParams()
+    for key, occurrences in given["pipeline"].items():
+        attr, cast, *_ = _PIPELINE_KEYS[key]
+        setattr(params, attr, _cast(cast, key, *occurrences[-1]))
+    spec = ActionSpec(generator_defs=gen_defs, params=params, **fields)
 
-    gtype = group_kv.get("type", ("abelian", 0))[0].lower()
-    if gtype not in (ABELIAN, NILPOTENT, FREE):
-        raise SpecError(f"group type must be abelian, nilpotent or free: {gtype!r}")
-    if "generators" in group_kv:
-        names = tuple(group_kv["generators"][0].split())
-    else:
-        names = tuple(gen_order)
+    names = spec.generator_names
     if not names:
         raise SpecError("no generators declared")
     for n in names:
@@ -259,59 +324,29 @@ def parse_action_spec(text: str) -> ActionSpec:
     for n in gen_defs:
         if n not in names:
             raise SpecError(f"generator {n!r} defined but not declared")
-
-    rules = [_parse_rule(r, names, ln) for r, ln in rule_lines]
-    if gtype == NILPOTENT and not rules:
+    if not spec.rules and spec.group_type == NILPOTENT:
         raise SpecError("nilpotent groups need rules")
-    if gtype == ABELIAN and not rules:
-        rules = list(Presentation.zd(len(names), names).rules)
+    if not spec.rules and spec.group_type == ABELIAN:
+        spec.rules = list(Presentation.zd(len(names), names).rules)
+    return spec
 
-    bounded = None
-    if "bounded_generation" in group_kv:
-        v, ln = group_kv["bounded_generation"]
-        try:
-            bounded = int(v)
-        except ValueError:
-            raise SpecError(f"bad bounded_generation {v!r}", line=ln)
-    metric: Optional[Tuple[int, ...]] = None
-    if "metric_generators" in group_kv:
-        v, ln = group_kv["metric_generators"]
-        idxs = []
-        for tok in v.split():
-            if tok not in names:
-                raise SpecError(f"unknown metric generator {tok!r}", line=ln)
-            idxs.append(names.index(tok))
-        metric = tuple(idxs)
-    rel_tol = 1e-6
-    if "relation_tolerance" in group_kv:
-        v, ln = group_kv["relation_tolerance"]
-        try:
-            rel_tol = float(v)
-        except ValueError:
-            raise SpecError(f"bad relation_tolerance {v!r}", line=ln)
 
-    params = PipelineParams()
-    for key, (value, ln) in pipe_kv.items():
-        if key not in _PIPELINE_KEYS:
-            raise SpecError(f"unknown pipeline parameter {key!r}", line=ln)
-        attr, cast, *_ = _PIPELINE_KEYS[key]
-        try:
-            setattr(params, attr, cast(value))
-        except ValueError:
-            raise SpecError(f"bad value for {key}: {value!r}", line=ln)
-
-    return ActionSpec(
-        space_kind=kind,
-        grid_size=grid_size,
-        group_type=gtype,
-        generator_names=names,
-        generator_defs=gen_defs,
-        rules=rules,
-        bounded_generation=bounded,
-        metric_generators=metric,
-        relation_tolerance=rel_tol,
-        params=params,
-    )
+def format_action_spec(spec: ActionSpec, definitions: Dict[str, str]) -> str:
+    """Spec text that parse_action_spec reads back to spec: the [space] and
+    [group] keys through _ACTION_KEYS, definitions[name] for each generator,
+    and the [pipeline] values that differ from the defaults."""
+    sections: Dict[str, List[str]] = {}
+    for section, keys in _ACTION_KEYS.items():
+        sections[section] = []
+        for key, (attr, _, export) in keys.items():
+            value = getattr(spec, attr)
+            text = None if value is None else export(value, spec)
+            if text is not None:
+                sections[section].append(f"{key} = {text}")
+    sections["generators"] = [f"{n} = {definitions[n]}" for n in spec.generator_names]
+    sections["pipeline"] = spec.params.spec_lines()
+    return "\n\n".join("\n".join([f"[{s}]", *lines])
+                       for s, lines in sections.items() if lines) + "\n"
 
 
 def _const_value(text: str, line: int) -> float:
@@ -379,18 +414,14 @@ def _build_generator(d: GeneratorDef, space: Space, base_dir: str, conj_h) -> Di
         raise SpecError(exc.message, line=d.line, col=col)
 
 
-def build_action(
-    spec: ActionSpec,
-    grid_override: Optional[int] = None,
-    base_dir: str = ".",
-) -> Action:
+def build_action(spec: ActionSpec, *, base_dir: str = ".") -> Action:
     """Builds and validates the action: the grid size is a valid one,
     bounded_generation is >= 1 and relation_tolerance finite and >= 0, every
     generator passes diffeo validation, nilpotent rewriting rules pass the
     critical-pair confluence check, and every relation holds within
     relation_tolerance."""
     try:
-        space = Space(spec.space_kind, grid_override or spec.grid_size)
+        space = Space(spec.space_kind, spec.grid_size)
     except ValueError as exc:
         raise SpecError(str(exc))
     bounded, rel_tol = spec.bounded_generation, spec.relation_tolerance

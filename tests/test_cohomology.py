@@ -168,7 +168,7 @@ def test_nilpotent_solution_on_commuting_rotations():
             "c": build_diffeo("x", sp),
         },
     )
-    sol = nilpotent_average_solution(act, p, shell_index=0, k_max=4)
+    sol = nilpotent_average_solution(act, shell_index=0, k_max=4)
     assert sol.construction.startswith("nilpotent-shell")
     assert sol.defect <= 1e-12
     assert "shell_radius" in sol.extras

@@ -1,6 +1,7 @@
 """Composition plans: the free reduction of compose, invert and
 conjugate_action, and plan evaluators against the closure-chain oracle."""
 
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def test_conjugated_rotations_cancel_their_conjugator():
 
 
 def test_a3_z2_conj_generators_share_their_h_primitive():
-    action = build_action(load_action_spec(str(SPECS / "a3_z2.spec")), 256)
+    action = build_action(replace(load_action_spec(str(SPECS / "a3_z2.spec")), grid_size=256))
     g1, g2 = action.gens
     assert g1.plan[0][0] is g2.plan[0][0]
     assert g1.plan[-1] == (g1.plan[0][0], -1)
@@ -243,21 +244,21 @@ def test_mobius_inverse_is_closed_form():
 
 def _a3_z2(tmp_path):
     # g1 and g2 share the primitive of h, so h⁻¹∘phi⁻¹ is walked once
-    action = build_action(load_action_spec(str(SPECS / "a3_z2.spec")), 256)
+    action = build_action(replace(load_action_spec(str(SPECS / "a3_z2.spec")), grid_size=256))
     u = birkhoff_solution(action, 3).u
     return action, Diffeo.from_log_deriv(u.space, u.samples)
 
 
 def _heisenberg(tmp_path):
     # c = x has an empty plan: phi·phi⁻¹ cancels and c stays the identity
-    action = build_action(load_action_spec(str(SPECS / "heisenberg_proj.spec")), 256)
+    action = build_action(replace(load_action_spec(str(SPECS / "heisenberg_proj.spec")), grid_size=256))
     u = 0.3 * np.sin(2 * np.pi * action.space.track_nodes())
     return action, Diffeo.from_log_deriv(action.space, u)
 
 
 def _a4_deroin(tmp_path):
     # one generator, conjugated by a map whose inverse is a Newton solve
-    action = build_action(load_action_spec(str(SPECS / "a4.spec")), 256)
+    action = build_action(replace(load_action_spec(str(SPECS / "a4.spec")), grid_size=256))
     return action, deroin_cdf(action, 0.9, 8).conjugator
 
 

@@ -3,6 +3,8 @@ distinct points; these tests hold them to the six-pass measurement they
 replaced, count their orbit steps, pin the ball-size limits, and check that
 no stage builds an inverse map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ def test_birkhoff_solution_matches_six_pass_measurement(make, n, block, monkeypa
 
 def test_nilpotent_solution_matches_six_pass_measurement():
     action, p = heisenberg_rotations(256)
-    sol = nilpotent_average_solution(action, p, shell_index=0, k_max=4)
+    sol = nilpotent_average_solution(action, shell_index=0, k_max=4)
     k = sol.extras["shell_radius"]
     selection = select_shell_radii(p, 4)
     words = selection.ball.elements[: selection.sizes[k]]
@@ -131,7 +133,7 @@ def test_nilpotent_walks_share_suffixes_and_one_inverse_of_h(monkeypatch):
     # plan, so a point set costs one Newton solve of h (the word-by-word
     # walks before made 24 and 28 solves, and inverse maps built for the
     # letters two more)
-    action, p = heisenberg_rotations(256)
+    action, _ = heisenberg_rotations(256)
     calls = []
     invert01 = Diffeo._invert01
 
@@ -143,7 +145,7 @@ def test_nilpotent_walks_share_suffixes_and_one_inverse_of_h(monkeypatch):
     action_mod.validate_relations(action)
     assert len(calls) == 1
     calls.clear()
-    nilpotent_average_solution(action, p, shell_index=0, k_max=8)
+    nilpotent_average_solution(action, shell_index=0, k_max=8)
     assert len(calls) <= 7
 
 
@@ -307,9 +309,9 @@ def test_no_stage_builds_an_inverse_map(monkeypatch, pytestconfig):
     monkeypatch.setattr(action_mod, "invert", counted)
     monkeypatch.setattr(diffeo_mod, "invert", counted)
     spec = pytestconfig.rootpath / "specs" / "heisenberg_proj.spec"
-    build_action(load_action_spec(str(spec)), grid_override=256)
+    build_action(dataclasses.replace(load_action_spec(str(spec)), grid_size=256))
     action = Action(interval(256), Presentation.zd(1, ("f",)), {"f": mobius_gen(256)})
     tame_lipschitz(action, 0.9, 4)
-    nilpotent_average_solution(*heisenberg_rotations(256), shell_index=0, k_max=8)
+    nilpotent_average_solution(heisenberg_rotations(256)[0], shell_index=0, k_max=8)
     assert calls == []
     assert len(action.inverses) == 1 and len(calls) == 1

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from conjtamer import (
     RelationViolation,
     SpecError,
     build_action,
+    format_action_spec,
     load_action_spec,
     parse_action_spec,
     validate_relations,
 )
+from conjtamer.cli import main
 from conjtamer.space import circle
 
 from helpers import wobble
@@ -92,7 +96,7 @@ def test_abelian_commutator_rules_are_implicit():
 
 def test_grid_override_resamples():
     spec = parse_action_spec(Z2_CIRCLE)
-    act = build_action(spec, grid_override=256)
+    act = build_action(dataclasses.replace(spec, grid_size=256))
     assert act.space.grid_size == 256
 
 
@@ -260,3 +264,83 @@ def test_load_bundled_specs_parse(pytestconfig):
     ):
         spec = load_action_spec(str(root / "specs" / f"{name}.spec"))
         assert spec.grid_size >= 16
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.mark.parametrize(
+    "old, new, key, line",
+    [
+        ("grid_size = 256", "grid = 64", "grid", 3),
+        ("generators = f", "generators = f\nmetric_generator = a b", "metric_generator", 8),
+        ("epsilon = 0.01", "epsilon = 0.01\nepsilon_ = 0.1", "epsilon_", 14),
+    ],
+    ids=["space", "group", "pipeline"],
+)
+def test_unknown_key_refused_at_its_line(old, new, key, line):
+    with pytest.raises(SpecError, match=f"unknown .* key '{key}'") as exc:
+        parse_action_spec(MINIMAL.replace(old, new))
+    assert exc.value.line == line
+
+
+def test_cli_unknown_space_key_exits_two_naming_it(tmp_path, capsys):
+    spec = tmp_path / "t.spec"
+    spec.write_text(MINIMAL.replace("grid_size = 256", "grid = 64"))
+    assert main(["report", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "'grid' (line 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("generators = f", "generators = f f", 7),
+        ("generators = f", "generators = f\nmetric_generators = f f", 8),
+    ],
+    ids=["generators", "metric_generators"],
+)
+def test_repeated_generator_name_refused_at_its_line(old, new, line):
+    with pytest.raises(SpecError, match="repeated name f") as exc:
+        parse_action_spec(MINIMAL.replace(old, new))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("kind = interval", "kind = square", 2),
+        ("grid_size = 256", "grid_size = huge", 3),
+        ("type = abelian", "type = solvable", 6),
+        ("generators = f", "generators = f\nbounded_generation = seven", 8),
+        ("generators = f", "generators = f\nmetric_generators = g", 8),
+        ("generators = f", "generators = f\nrelation_tolerance = tiny", 8),
+        ("epsilon = 0.01", "epsilon = small", 13),
+    ],
+    ids=["kind", "grid_size", "type", "bounded_generation", "metric_generators",
+         "relation_tolerance", "epsilon"],
+)
+def test_bad_value_refused_at_its_line(old, new, line):
+    key = new.splitlines()[-1].split()[0]
+    with pytest.raises(SpecError, match=f"^{key}: ") as exc:
+        parse_action_spec(MINIMAL.replace(old, new))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.spec")), ids=lambda p: p.stem)
+def test_format_action_spec_round_trips_every_bundled_spec(path):
+    spec = load_action_spec(str(path))
+    text = format_action_spec(spec, {n: d.text for n, d in spec.generator_defs.items()})
+    back = parse_action_spec(text)
+    assert dataclasses.replace(back, generator_defs=spec.generator_defs) == spec
+    assert [d.text for d in back.generator_defs.values()] == [
+        d.text for d in spec.generator_defs.values()
+    ]
+
+
+def test_format_action_spec_writes_an_empty_right_side_that_parses():
+    text = MINIMAL.replace(
+        "type = abelian\ngenerators = f", 'type = nilpotent\ngenerators = f\nrules = "f f^-1 ->"'
+    )
+    spec = parse_action_spec(text)
+    back = parse_action_spec(format_action_spec(spec, {"f": "x"}))
+    assert back.rules == spec.rules == [(((0, 1), (0, -1)), ())]
