@@ -101,7 +101,7 @@ def empirical_measure_integral(action: Action, i: int, n: int, x):
         raise SizeOverflow(f"positive ball {n}^{d} exceeds cap")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
-    ci = action.gens[i].log_deriv
+    ci = action.gens[i].log_derivative
 
     def rec(j: int, y: Array) -> Array:
         if j == 0:
@@ -448,7 +448,7 @@ def invariant_mean_log_derivative(
             raise NotPeriodic(
                 f"points are not an f-orbit (max step error {np.max(gap):.2e})"
             )
-        return float(np.mean(f.log_deriv(pts)))
+        return float(np.mean(f.log_derivative(pts)))
     if x is None or n is None or n < 1:
         raise ValueError("need orbit=... or x=..., n>=1")
     return float(iterate(f, [x], int(n))[1][0]) / float(n)

@@ -320,18 +320,15 @@ class Diffeo:
 
     values: lift values at all grid_size+1 nodes (interval: values[0] = 0,
     values[-1] = 1; circle: values[0] = offset in [0,1), values[-1] = offset+1).
-    log_deriv: GridFunction on the space's per-node track.
+    log_deriv: GridFunction on the space's per-node track, its samples only.
     plan: the map as a reduced word of primitives, one log-density primitive
-    for a map given by its log-derivative track; the exact log_deriv.fn
+    for a map given by its log-derivative track; the exact log_derivative
     walks it.
     """
 
     __slots__ = ("space", "log_deriv", "values", "offset", "plan")
 
     def __init__(self, space: Space, log_deriv: GridFunction, values: Array, plan):
-        # log D as apply walks it; no self, so no cycle for the gc
-        fn = lambda x: _walk(plan, _branch(x)[0] if space.is_circle else np.clip(x, 0, 1))[1]
-        log_deriv = GridFunction(space, log_deriv.samples, fn)
         self.space = space
         self.log_deriv = log_deriv
         self.values = values
@@ -472,10 +469,11 @@ class Diffeo:
         return np.mod(y, 1.0) if self.space.is_circle else y
 
     def log_derivative(self, x) -> Array:
-        return self.log_deriv(x)
+        """log D at x reduced into the space, walked through the plan."""
+        return self.apply(self.space.reduce(x))[1]
 
     def derivative(self, x) -> Array:
-        return np.exp(self.log_deriv(x))
+        return np.exp(self.log_derivative(x))
 
     def as_plan(self, sign: int = 1) -> tuple:
         """The plan of the map (sign 1) or of its inverse (sign -1)."""

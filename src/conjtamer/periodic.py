@@ -31,7 +31,7 @@ from .errors import (
     NotCircle,
 )
 from .space import Space
-from .words import FREE, Letter, Word
+from .words import Letter, Word
 
 Array = np.ndarray
 
@@ -538,7 +538,7 @@ def c1_refinement_ratio(f: Diffeo) -> float:
     """Largest consecutive log-derivative jump on the grid divided by the
     same at doubled resolution; near 2 for C^1 maps, near 1 at a corner."""
     coarse = f.log_deriv.samples
-    fine = f.log_deriv(f.space.refine().track_nodes())
+    fine = f.log_derivative(f.space.refine().track_nodes())
     jump_c = float(np.max(np.abs(np.diff(coarse))))
     jump_f = float(np.max(np.abs(np.diff(fine))))
     return jump_c / max(jump_f, 1e-300)
@@ -577,16 +577,16 @@ class ResilientWitness:
 
 def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
     """Freely reduced words up to max_len, by length, then in the letter order
-    g0, g0^-1, g1, ...; in a non-free group only the first spelling of each
-    element (rewriting collapses e.g. the 12 spellings of g1 g2 in Z^2)."""
+    g0, g0^-1, g1, ...; only the first spelling of each normal form (rewriting
+    collapses e.g. the 12 spellings of g1 g2 in Z^2, and leaves a freely
+    reduced word of a free group as it is)."""
     pres = action.presentation
     letters = [(idx, e) for idx in range(len(action.gens)) for e in (1, -1)]
     first: Dict[Tuple[Letter, ...], Tuple[Letter, ...]] = {}
     for n in range(1, max_len + 1):
         for seq in itertools.product(letters, repeat=n):
             if all(b != (a[0], -a[1]) for a, b in zip(seq, seq[1:])):
-                key = seq if pres.kind == FREE else pres.normal_form(Word(seq)).letters
-                first.setdefault(key, seq)
+                first.setdefault(pres.normal_form(Word(seq)).letters, seq)
     return list(first.values())
 
 

@@ -24,8 +24,9 @@ pwl(x0:y0, x1:y1, ...) for piecewise-linear interpolation, or @file.json for
 a serialized diffeomorphism.  Nilpotent groups list rewriting rules like
 "b a -> a b c^-1" plus a bounded_generation constant; build_action checks
 the rules for confluence by critical pairs, which covers words of every
-length.  _ACTION_KEYS declares each [space] and [group] key once, with its
-cast and export text, and ActionSpec holds their defaults; _PIPELINE_KEYS
+length.  An abelian group takes no rules: parsing synthesizes the Z^d
+commutations.  _ACTION_KEYS declares each [space] and [group] key once, with
+its cast and export text, and ActionSpec holds their defaults; _PIPELINE_KEYS
 declares each [pipeline] key and its CLI flags once, and PipelineParams holds
 the defaults, which exported specs leave out.  parse_action_spec reads and
 format_action_spec writes every section through these tables; a key outside
@@ -189,7 +190,7 @@ def _parse_rules(text: str, names: Sequence[str]) -> list:
 
 def _rules_text(rules, spec: ActionSpec) -> Optional[str]:
     if spec.group_type == ABELIAN or not rules:
-        return None  # parsing synthesizes the abelian rules
+        return None  # an abelian spec takes none: parsing synthesizes them
 
     def side(letters) -> str:  # the empty word as nothing, which parses back
         return Word(letters).display(spec.generator_names) if letters else ""
@@ -319,14 +320,19 @@ def parse_action_spec(text: str) -> ActionSpec:
     if not names:
         raise SpecError("no generators declared")
     for n in names:
-        if n not in gen_defs:
-            raise SpecError(f"generator {n!r} declared but not defined")
+        if n not in gen_defs:  # so names came from the generators key
+            raise SpecError(f"generator {n!r} declared but not defined",
+                            line=given["group"]["generators"][-1][1])
     for n in gen_defs:
         if n not in names:
-            raise SpecError(f"generator {n!r} defined but not declared")
+            raise SpecError(f"generator {n!r} defined but not declared",
+                            line=gen_defs[n].line)
     if not spec.rules and spec.group_type == NILPOTENT:
         raise SpecError("nilpotent groups need rules")
-    if not spec.rules and spec.group_type == ABELIAN:
+    if spec.group_type == ABELIAN:
+        if "rules" in given["group"]:
+            raise SpecError("rules: an abelian group takes none, its commutations "
+                            "are synthesized", line=given["group"]["rules"][0][1])
         spec.rules = list(Presentation.zd(len(names), names).rules)
     return spec
 

@@ -11,14 +11,14 @@ word can only create a redex that ends at the top, so the reduced push of
 (node, letter) is a pure function and each one is computed once: with no
 left-hand side ending at the top it is the node's child, otherwise the
 right-hand side's letters are pushed in order onto the node the left-hand
-side climbs to.  Balls run their BFS on node ids.  Abelian presentations keep
-exponent vectors.
+side climbs to.  Every kind reduces on the trie, Z^d through its commutation
+rules, and balls run their BFS on node ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,8 @@ def word_from_exponents(exponents: Sequence[int]) -> Word:
 
 
 class Presentation:
-    """Generator names + rewriting rules (+ optional bounded generation)."""
+    """Generator names + rewriting rules (+ optional bounded generation).
+    An abelian presentation given no rules gets the commutations of Z^d."""
 
     def __init__(
         self,
@@ -85,6 +86,12 @@ class Presentation:
         metric_generators: Optional[Sequence[int]] = None,
     ):
         self.generators = tuple(generators)
+        if kind == ABELIAN and not rules:  # g_j g_i -> g_i g_j for i < j
+            rules = [
+                (((j, sj), (i, si)), ((i, si), (j, sj)))
+                for j in range(self.rank) for i in range(j)
+                for sj in (1, -1) for si in (1, -1)
+            ]
         self.rules = tuple((tuple(l), tuple(r)) for l, r in rules)
         self.kind = kind
         self.bounded_generation = bounded_generation
@@ -126,17 +133,12 @@ class Presentation:
 
     # -- rewriting ----------------------------------------------------------
 
-    def normal_form(self, word: Word, prefix: Tuple[Letter, ...] = ()) -> Word:
-        """Normal form of prefix·word, where prefix is already a normal form:
-        the letters pushed from the trie's root, read back from the node.
+    def normal_form(self, word: Word) -> Word:
+        """The letters pushed from the trie's root, read back from the node.
         Once check_confluence has passed, the result is the unique normal
         form."""
-        if self.kind == ABELIAN:
-            return word_from_exponents(
-                Word(prefix + word.letters).exponent_vector(self.rank)
-            )
         try:
-            ids = [self._index[lt] for lt in prefix + word.letters]
+            ids = [self._index[lt] for lt in word.letters]
         except KeyError as exc:
             raise UnknownGenerator(f"letter {exc.args[0]} out of range") from None
         return self._word(self._extend(0, ids))
@@ -235,13 +237,7 @@ class Presentation:
     def zd(cls, d: int, names: Optional[Sequence[str]] = None) -> "Presentation":
         """Z^d: letters commute, normal form f1^k1 ... fd^kd."""
         names = tuple(names) if names else tuple(f"g{i+1}" for i in range(d))
-        rules = []
-        for j in range(d):
-            for i in range(j):
-                for sj in (1, -1):
-                    for si in (1, -1):
-                        rules.append((((j, sj), (i, si)), ((i, si), (j, sj))))
-        return cls(names, rules, kind=ABELIAN)
+        return cls(names, kind=ABELIAN)
 
     @classmethod
     def free(cls, names: Sequence[str]) -> "Presentation":
@@ -290,77 +286,53 @@ class Ball:
 
     radius: int
     elements: Tuple[Word, ...]
-    kind: str  # "full" | "positive"
     sphere_sizes: Tuple[int, ...] = ()
     tree: Tuple[Tuple[int, Letter], ...] = ()
-    exponents: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.elements)
-
-
-def enumerate_positive_ball(d: int, n: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
-    """{f1^k1 ... fd^kd : 0 <= ki < n} in lexicographic exponent order."""
-    if d < 0 or n < 1:
-        raise ValueError("need d >= 0 and n >= 1")
-    total = n**d
-    if total > cap:
-        raise SizeOverflow(f"positive ball would have {total} > {cap} elements")
-    grids = np.indices((n,) * d).reshape(d, total).T if d else np.zeros((1, 0), int)
-    words = tuple(word_from_exponents(row) for row in grids)
-    return Ball(
-        radius=n, elements=words, kind="positive", exponents=grids.astype(np.int64)
-    )
 
 
 def enumerate_ball(
     presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
 ) -> Ball:
     """The full ball of radius k over the metric generators and their
-    inverses, BFS layer by layer, deduplicated on trie node ids (exponent
-    vectors for an abelian presentation); each layer is sorted by its words'
-    letters.  A frontier element is extended by one reduced push, and each
-    element's Word is built once.  Past cap elements it raises SizeOverflow:
-    a free ball before the walk, having 1 + 2r((2r - 1)^k - 1)/(2r - 2)."""
+    inverses, BFS layer by layer, deduplicated on trie node ids; each layer
+    is sorted by its words' letters.  A frontier element is extended by one
+    reduced push, and each element's Word is built once.  Past cap elements
+    it raises SizeOverflow: a free ball before the walk, having
+    1 + 2r((2r - 1)^k - 1)/(2r - 2)."""
     alphabet = [(g, s) for g in presentation.metric_generators for s in (1, -1)]
     r = len(alphabet) // 2
     if presentation.kind == FREE:  # 2r(2r - 1)^(j - 1) reduced words at radius j >= 1
         if 1 + (2 * k if r == 1 else r * ((2 * r - 1) ** k - 1) // (r - 1)) > cap:
             raise SizeOverflow(f"a free ball of radius {k} has more than {cap} elements")
-    if presentation.kind == ABELIAN:
-        start: Hashable = (0,) * presentation.rank
-        step = lambda e, lt: e[: lt[0]] + (e[lt[0]] + lt[1],) + e[lt[0] + 1 :]
-        word_of = word_from_exponents
-    else:
-        start, index = 0, presentation._index
-        step = lambda node, lt: presentation._extend(node, (index[lt],))
-        word_of = presentation._word
-    seen: Dict[Hashable, int] = {start: 0}
+    index = presentation._index
+    seen: Dict[int, int] = {0: 0}
     elements: List[Word] = [Word()]
     tree: List[Tuple[int, Letter]] = [(-1, (0, 0))]
     sphere_sizes = [1]
-    frontier: List[Hashable] = [start]
+    frontier: List[int] = [0]
     for _ in range(k):
-        layer: Dict[Hashable, Tuple[int, Letter]] = {}
-        for state in frontier:
-            parent_idx = seen[state]
+        layer: Dict[int, Tuple[int, Letter]] = {}
+        for node in frontier:
+            parent_idx = seen[node]
             for letter in alphabet:
-                nxt = step(state, letter)
+                nxt = presentation._extend(node, (index[letter],))
                 if nxt not in seen and nxt not in layer:
                     layer[nxt] = (parent_idx, letter)
                     if len(elements) + len(layer) > cap:
                         raise SizeOverflow(f"ball exceeds cap {cap} at radius {len(sphere_sizes)}")
-        words = {state: word_of(state) for state in layer}
-        frontier = sorted(layer, key=lambda state: words[state].letters)
-        for state in frontier:
-            seen[state] = len(elements)
-            elements.append(words[state])
-            tree.append(layer[state])
+        words = {node: presentation._word(node) for node in layer}
+        frontier = sorted(layer, key=lambda node: words[node].letters)
+        for node in frontier:
+            seen[node] = len(elements)
+            elements.append(words[node])
+            tree.append(layer[node])
         sphere_sizes.append(len(frontier))
     return Ball(
         radius=k,
         elements=tuple(elements),
-        kind="full",
         sphere_sizes=tuple(sphere_sizes),
         tree=tuple(tree),
     )

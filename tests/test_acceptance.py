@@ -126,8 +126,8 @@ def test_criterion_4_defect_decay(capsys):
     tn = act.space.track_nodes()
     u_exact = GridFunction(
         act.space,
-        -h.log_deriv(h.invert_lift(tn)),
-        lambda y: -h.log_deriv(h.invert_lift(y)),
+        -h.log_derivative(h.invert_lift(tn)),
+        lambda y: -h.log_derivative(h.invert_lift(y)),
     )
     exact_defects, _ = cocycle_defect(u_exact, act)
     exact = max(exact_defects.values())

@@ -1,6 +1,7 @@
 """The jet evaluator x -> (lift value, log-derivative) of exact diffeos, the
 orbit loops that use it, and Newton's non-convergence report."""
 
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from conjtamer import (
     parse_action_spec,
     pwl_diffeo,
     rotation,
+    word_from_exponents,
 )
 from conjtamer.cli import main
 from conjtamer.diffeo import Primitive, iterate, iterates
@@ -253,7 +255,7 @@ def two_call_word_cocycle(action, letters, x):
     acc = np.zeros_like(y)
     for g, s in reversed(tuple(letters)):
         f = action.gens[g] if s > 0 else invert(action.gens[g])
-        acc = acc + f.log_deriv(y)
+        acc = acc + f.log_derivative(y)
         y = f.eval_lift(y)
     return acc, y
 
@@ -269,7 +271,7 @@ def two_call_birkhoff_field(action, n_max, x):
             acc = acc + c_cum
             out[n] = acc
             if n < n_max:
-                c_cum = c_cum + g.log_deriv(p)
+                c_cum = c_cum + g.log_derivative(p)
                 p = g.eval_lift(p)
         return out
     if d == 2:
@@ -281,22 +283,19 @@ def two_call_birkhoff_field(action, n_max, x):
             for k1 in range(n_max):
                 rows[k1, k2] = c2_cum + c1_cum
                 if k1 < n_max - 1:
-                    c1_cum = c1_cum + g1.log_deriv(p)
+                    c1_cum = c1_cum + g1.log_derivative(p)
                     p = g1.eval_lift(p)
             if k2 < n_max - 1:
-                c2_cum = c2_cum + g2.log_deriv(q)
+                c2_cum = c2_cum + g2.log_derivative(q)
                 q = g2.eval_lift(q)
         pref = rows.cumsum(axis=0).cumsum(axis=1)
         for n in range(1, n_max + 1):
             out[n] = pref[n - 1, n - 1]
         return out
-    from conjtamer import enumerate_positive_ball
-
-    ball = enumerate_positive_ball(d, n_max)
     buckets = np.zeros((n_max, m))
-    for row, word in zip(ball.exponents, ball.elements):
-        c, _ = two_call_word_cocycle(action, word.letters, x)
-        buckets[int(np.max(row))] += c
+    for row in itertools.product(range(n_max), repeat=d):
+        c, _ = two_call_word_cocycle(action, word_from_exponents(row).letters, x)
+        buckets[max(row)] += c
     np.cumsum(buckets, axis=0, out=buckets)
     out[1:] = buckets
     return out

@@ -117,14 +117,38 @@ def test_unknown_section_rejected():
 
 def test_missing_generator_definition():
     bad = MINIMAL.replace("generators = f", "generators = f g")
-    with pytest.raises(SpecError, match="g"):
+    with pytest.raises(SpecError, match="generator 'g' declared but not defined") as exc:
         parse_action_spec(bad)
+    assert exc.value.line == 7  # the generators line
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("generators = f", 'generators = f\nrules = "f f -> f"', 8),
+        ("type = abelian\n", 'rules = "f f -> f"\n', 6),
+    ],
+    ids=["typed", "default-type"],
+)
+def test_abelian_rules_refused_at_their_line(old, new, line):
+    # an abelian group's rules are its synthesized commutations alone
+    with pytest.raises(SpecError, match="rules: an abelian group takes none") as exc:
+        parse_action_spec(MINIMAL.replace(old, new))
+    assert exc.value.line == line
+
+
+def test_cli_abelian_rules_exit_two_naming_the_key(tmp_path, capsys):
+    spec = tmp_path / "t.spec"
+    spec.write_text(Z2_CIRCLE.replace("generators = g1 g2", 'generators = g1 g2\nrules = "g2 g1 -> g1 g2"'))
+    assert main(["report", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "rules: an abelian group takes none, its commutations are synthesized (line 8)" in capsys.readouterr().err
 
 
 def test_undeclared_generator_definition():
     bad = MINIMAL.replace("f = x", "f = x\nextra = x")
-    with pytest.raises(SpecError, match="extra"):
+    with pytest.raises(SpecError, match="generator 'extra' defined but not declared") as exc:
         parse_action_spec(bad)
+    assert exc.value.line == 11  # its definition
 
 
 def test_duplicate_definition_rejected():

@@ -9,12 +9,10 @@ from conjtamer import (
     SizeOverflow,
     Word,
     enumerate_ball,
-    enumerate_positive_ball,
     word_from_exponents,
     word_realize,
 )
 from conjtamer.errors import ConjTamerError, UnknownGenerator
-import conjtamer.words as words_mod
 from conjtamer.words import select_shell_radii
 
 from helpers import mobius_action, rigid_rotations, stack_ball, stack_normal_form
@@ -169,7 +167,7 @@ def test_normal_form_matches_leftmost_rewriting(p):
         assert p.normal_form(Word(w)).letters == leftmost_normal_form(p, w)
         # extending a normal form by one letter needs no re-reduction
         head, tail = p.normal_form(Word(w[:-1])).letters, Word(w[-1:])
-        assert p.normal_form(tail, prefix=head).letters == leftmost_normal_form(p, w)
+        assert p.normal_form(Word(head) * tail).letters == leftmost_normal_form(p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,10 @@ ORACLE_PRESENTATIONS = {
     "free2": Presentation.free(("a", "b")),
     "free3": Presentation.free(("a", "b", "c")),
     "z2": Presentation.zd(2, ("a", "b")),
-    # the commutation rules of Z^2 on the trie, not as exponent vectors
+    "z3": Presentation.zd(3),
+    "z4": Presentation.zd(4),
+    # the commutation rules of Z^2, which the stack oracle reduces by letters,
+    # not by exponent vectors
     "z2-rules": Presentation(("a", "b"), Presentation.zd(2).rules, kind="nilpotent"),
 }
 
@@ -198,7 +199,7 @@ def test_normal_form_matches_stack_oracle_on_short_rules(rules, head, tail):
     prefix = stack_normal_form(p, Word(head)).letters
     assert p.normal_form(Word(tail)).letters == stack_normal_form(p, Word(tail)).letters
     assert (
-        p.normal_form(Word(tail), prefix=prefix).letters
+        p.normal_form(Word(prefix + tail)).letters
         == stack_normal_form(p, Word(tail), prefix=prefix).letters
     )
 
@@ -267,32 +268,6 @@ def test_normal_form_rejects_unknown_letters():
 # balls
 
 
-def test_positive_ball_z1():
-    ball = enumerate_positive_ball(1, 4)
-    assert [w.exponent_vector(1) for w in ball.elements] == [(0,), (1,), (2,), (3,)]
-
-
-def test_positive_ball_is_lexicographic_cube():
-    ball = enumerate_positive_ball(2, 3)
-    exps = [w.exponent_vector(2) for w in ball.elements]
-    assert len(exps) == 9
-    assert exps == sorted(exps)
-    assert exps[0] == (0, 0) and exps[-1] == (2, 2)
-
-
-def test_positive_ball_large_membership():
-    ball = enumerate_positive_ball(3, 10)
-    assert len(ball) == 1000
-    exps = {w.exponent_vector(3) for w in ball.elements}
-    assert (0, 9, 5) in exps
-    assert (10, 0, 0) not in exps
-
-
-def test_positive_ball_cap():
-    with pytest.raises(SizeOverflow):
-        enumerate_positive_ball(2, 3300)  # 3300^2 > 10^6
-
-
 def test_ball_sizes_z1_z2():
     p1 = Presentation.zd(1, ("a",))
     assert len(enumerate_ball(p1, 3)) == 7
@@ -300,6 +275,13 @@ def test_ball_sizes_z1_z2():
     assert len(enumerate_ball(p2, 2)) == 13
     for k in range(1, 5):
         assert len(enumerate_ball(p2, k)) == 2 * k * k + 2 * k + 1
+
+
+def test_abelian_presentation_without_rules_is_zd():
+    # its words commute on the trie, so its balls are those of Z^d
+    p = Presentation(("a", "b", "c"), kind="abelian")
+    assert p.rules == Presentation.zd(3).rules
+    assert enumerate_ball(p, 3) == enumerate_ball(Presentation.zd(3, ("a", "b", "c")), 3)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -324,12 +306,23 @@ def test_free_ball_size_is_known_before_the_walk(rank, monkeypatch):
 def test_ball_cap_is_checked_per_element(monkeypatch):
     # Z² balls of radius 2 and 3 have 13 and 25 elements: under a cap of 13,
     # radius 3 refuses at its first new element, before any of its words
-    built = []
-    real = words_mod.word_from_exponents
-    monkeypatch.setattr(words_mod, "word_from_exponents", lambda e: built.append(e) or real(e))
+    p, built = Presentation.zd(2, ("a", "b")), []
+    real = p._word
+    monkeypatch.setattr(p, "_word", lambda node: built.append(node) or real(node))
     with pytest.raises(SizeOverflow):
-        enumerate_ball(Presentation.zd(2, ("a", "b")), 3, cap=13)
+        enumerate_ball(p, 3, cap=13)
     assert len(built) == 12
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.integers(0, 6))
+def test_zd_ball_matches_exponent_vector_bfs(d, k):
+    # the stack oracle reduces a Z^d word to the word of its exponent vector
+    p = Presentation.zd(d)
+    ball = enumerate_ball(p, k)
+    elements, tree, sizes = stack_ball(p, k)
+    assert [w.letters for w in ball.elements] == elements
+    assert list(ball.tree) == tree and list(ball.sphere_sizes) == sizes
 
 
 def test_ball_sizes_nondecreasing_and_spheres_consistent():
