@@ -7,6 +7,7 @@ the generators' derivative defects shrink.
 """
 
 import argparse
+import contextlib
 import csv
 
 from conjtamer import load_action_spec, build_action, path_of_conjugates
@@ -21,21 +22,21 @@ def main():
     args = ap.parse_args()
 
     action = build_action(load_action_spec(args.spec))
-    samples = path_of_conjugates(action, args.nmax, args.steps)
-
-    print(f"{'t':>7}  {'c1_gap':>12}  {'max gen step':>12}")
-    for s in samples:
-        step = max(max(v) for v in s.c1_step.values()) if s.c1_step else 0.0
-        marker = "  *" if abs(s.t - round(s.t)) < 1e-12 else ""
-        print(f"{s.t:7.3f}  {s.c1_gap:12.6f}  {step:12.6f}{marker}")
-
+    names = action.names
+    # path_of_conjugates streams its samples: each row is written as it is
+    # printed, since the iterator runs once
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        rows = csv.writer(fh) if fh else None
+        if rows:
+            rows.writerow(["t", "c1_gap"] + [f"defect_{n}" for n in names])
+        print(f"{'t':>7}  {'c1_gap':>12}  {'max gen step':>12}")
+        for s in path_of_conjugates(action, args.nmax, args.steps):
+            step = max(max(v) for v in s.c1_step.values()) if s.c1_step else 0.0
+            marker = "  *" if abs(s.t - round(s.t)) < 1e-12 else ""
+            print(f"{s.t:7.3f}  {s.c1_gap:12.6f}  {step:12.6f}{marker}")
+            if rows:
+                rows.writerow([s.t, s.c1_gap] + [s.gap_per_generator[n] for n in names])
     if args.csv:
-        names = action.names
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "c1_gap"] + [f"defect_{n}" for n in names])
-            for s in samples:
-                w.writerow([s.t, s.c1_gap] + [s.gap_per_generator[n] for n in names])
         print(f"wrote {args.csv}")
 
 

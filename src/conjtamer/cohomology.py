@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gridfn import GridFunction
 from .space import Space
-from .words import ABELIAN, select_shell_radii
+from .words import ABELIAN, enumerate_ball, select_shell_radii
 
 Array = np.ndarray
 
@@ -256,7 +256,7 @@ def nilpotent_average_solution(
         )
     k = selection.radii[shell_index]
     tn = action.space.track_nodes()
-    ball = [w.letters for w in selection.ball.elements[: selection.sizes[k + 1]]]
+    ball = [w.letters for w in enumerate_ball(presentation, k + 1).elements]
     n_inner = selection.sizes[k]
 
     def ball_average(x: Array) -> Array:

@@ -15,7 +15,6 @@ a conjugate walks its plan and collapses the singularity analytically.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -576,18 +575,31 @@ class ResilientWitness:
 
 
 def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
-    """Freely reduced words up to max_len, by length, then in the letter order
-    g0, g0^-1, g1, ...; only the first spelling of each normal form (rewriting
-    collapses e.g. the 12 spellings of g1 g2 in Z^2, and leaves a freely
-    reduced word of a free group as it is)."""
+    """The first spelling of each element but the identity up to max_len
+    letters, by length, then in the letter order g0, g0^-1, g1, ... of the
+    freely reduced spellings: one BFS of the rewriting trie over all letters
+    extends each element's first spelling by every letter that does not
+    cancel its last.  The identity is the root (a spelled commutator of Z^2
+    reaches it), and it is neither f nor g of a chain."""
     pres = action.presentation
-    letters = [(idx, e) for idx in range(len(action.gens)) for e in (1, -1)]
-    first: Dict[Tuple[Letter, ...], Tuple[Letter, ...]] = {}
-    for n in range(1, max_len + 1):
-        for seq in itertools.product(letters, repeat=n):
-            if all(b != (a[0], -a[1]) for a, b in zip(seq, seq[1:])):
-                first.setdefault(pres.normal_form(Word(seq)).letters, seq)
-    return list(first.values())
+    letters = list(enumerate(pres._letters))
+    seen = {0}
+    frontier: List[Tuple[int, Tuple[Letter, ...]]] = [(0, ())]
+    words: List[Tuple[Letter, ...]] = []
+    for _ in range(max_len):
+        layer = []
+        for node, spelling in frontier:
+            cancel = (spelling[-1][0], -spelling[-1][1]) if spelling else None
+            for i, letter in letters:
+                if letter == cancel:
+                    continue
+                nxt = pres._extend(node, (i,))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    layer.append((nxt, spelling + (letter,)))
+        words.extend(spelling for _, spelling in layer)
+        frontier = layer
+    return words
 
 
 def _cuts(v: Array) -> Array:

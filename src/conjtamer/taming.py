@@ -17,7 +17,7 @@ import numpy as np
 from .action import Action
 from .diffeo import Diffeo, Primitive, WalkState
 from .errors import LambdaOutOfRange
-from .words import FREE, enumerate_ball
+from .words import FREE, ball_tree
 
 Array = np.ndarray
 
@@ -95,16 +95,15 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
     if action.presentation.kind == FREE and lam * (2 * r - 1) >= 1.0:
         raise LambdaOutOfRange(f"need lambda*(2r - 1) < 1 on a free group, r = {r}, got {lam}")
     space = action.space
-    ball = enumerate_ball(action.presentation, radius)
+    tree, sizes = ball_tree(action.presentation, radius)
     # BFS layers are contiguous: element i lies on the sphere of its layer
-    sizes = ball.sphere_sizes
     weights = lam ** np.repeat(np.arange(len(sizes)), sizes).astype(float)
     mass = float(np.sum(weights))  # each w_*(Leb) has unit mass
 
     # w·l extends the orbit of w by l^{-1}: a step along the reversed plan of
     # l; a walk is kept until its last child in the ball tree has stepped
-    plans = {lt: action.gens[lt[0]].as_plan(-lt[1]) for _, lt in ball.tree[1:]}
-    last_child = {parent: i for i, (parent, _) in enumerate(ball.tree[1:], 1)}
+    plans = {lt: action.gens[lt[0]].as_plan(-lt[1]) for _, lt in tree[1:]}
+    last_child = {parent: i for i, (parent, _) in enumerate(tree[1:], 1)}
 
     def walk(x):
         """Unnormalized CDF sum of weights * (w^{-1}(x) - w^{-1}(0)), on
@@ -115,8 +114,8 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         walks = {0: WalkState.start(x, plans.values())}
         acc = weights[0] * x
         dens = weights[0] * np.ones_like(x)
-        for i in range(1, len(ball.elements)):
-            parent, letter = ball.tree[i]
+        for i in range(1, len(tree)):
+            parent, letter = tree[i]
             walk = walks[parent].step(plans[letter])
             if last_child[parent] == i:
                 del walks[parent]
@@ -142,8 +141,8 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         radius=radius,
         conjugator=conjugator,
         mass=mass,
-        tail_bound=_tail_bound(lam, ball.sphere_sizes),
-        sphere_sizes=ball.sphere_sizes,
+        tail_bound=_tail_bound(lam, sizes),
+        sphere_sizes=sizes,
         cdf_raw=lambda x: walk(x)[0],
         _sums={None: at_nodes[0]},
     )

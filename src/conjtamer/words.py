@@ -13,12 +13,16 @@ left-hand side ending at the top it is the node's child, otherwise the
 right-hand side's letters are pushed in order onto the node the left-hand
 side climbs to.  Every kind reduces on the trie, Z^d through its commutation
 rules, and balls run their BFS on node ids.
+
+A Word is built only for a caller that reads it back: sphere_sizes counts
+the spheres of a ball and ball_tree gives its walk order without keeping
+any Word; enumerate_ball alone returns the ball's Words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -293,48 +297,88 @@ class Ball:
         return len(self.elements)
 
 
-def enumerate_ball(
-    presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
-) -> Ball:
-    """The full ball of radius k over the metric generators and their
-    inverses, BFS layer by layer, deduplicated on trie node ids; each layer
-    is sorted by its words' letters.  A frontier element is extended by one
-    reduced push, and each element's Word is built once.  Past cap elements
-    it raises SizeOverflow: a free ball before the walk, having
-    1 + 2r((2r - 1)^k - 1)/(2r - 2)."""
+def _spheres(
+    presentation: Presentation, k: int, cap: int, ordered: bool
+) -> Iterator[Tuple[List[int], Dict[int, Tuple[int, Letter]]]]:
+    """The spheres S(1) .. S(k) of the BFS of B(k) over the metric generators
+    and their inverses on trie node ids, each as its nodes and the (parent
+    node, letter) that first reached each.  A sphere grows from the previous
+    one in its yielded order: sorted by the words' letters when ordered, the
+    sort keys dropped with the sphere.  Past cap elements it raises
+    SizeOverflow: a free ball before the walk, from its closed-form size
+    1 + 2r((2r - 1)^k - 1)/(2r - 2), any other at its first element past cap."""
     alphabet = [(g, s) for g in presentation.metric_generators for s in (1, -1)]
     r = len(alphabet) // 2
     if presentation.kind == FREE:  # 2r(2r - 1)^(j - 1) reduced words at radius j >= 1
         if 1 + (2 * k if r == 1 else r * ((2 * r - 1) ** k - 1) // (r - 1)) > cap:
             raise SizeOverflow(f"a free ball of radius {k} has more than {cap} elements")
-    index = presentation._index
-    seen: Dict[int, int] = {0: 0}
-    elements: List[Word] = [Word()]
-    tree: List[Tuple[int, Letter]] = [(-1, (0, 0))]
-    sphere_sizes = [1]
-    frontier: List[int] = [0]
-    for _ in range(k):
+    steps = [(letter, (presentation._index[letter],)) for letter in alphabet]
+    seen = {0}
+    frontier = [0]
+    for radius in range(1, k + 1):
         layer: Dict[int, Tuple[int, Letter]] = {}
         for node in frontier:
-            parent_idx = seen[node]
-            for letter in alphabet:
-                nxt = presentation._extend(node, (index[letter],))
+            for letter, step in steps:
+                nxt = presentation._extend(node, step)
                 if nxt not in seen and nxt not in layer:
-                    layer[nxt] = (parent_idx, letter)
-                    if len(elements) + len(layer) > cap:
-                        raise SizeOverflow(f"ball exceeds cap {cap} at radius {len(sphere_sizes)}")
-        words = {node: presentation._word(node) for node in layer}
-        frontier = sorted(layer, key=lambda node: words[node].letters)
-        for node in frontier:
-            seen[node] = len(elements)
-            elements.append(words[node])
-            tree.append(layer[node])
-        sphere_sizes.append(len(frontier))
+                    layer[nxt] = (node, letter)
+                    if len(seen) + len(layer) > cap:
+                        raise SizeOverflow(f"ball exceeds cap {cap} at radius {radius}")
+        seen.update(layer)
+        if ordered:
+            frontier = sorted(layer, key=lambda node: presentation._word(node).letters)
+        else:
+            frontier = list(layer)
+        yield frontier, layer
+
+
+def sphere_sizes(
+    presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
+) -> Tuple[int, ...]:
+    """|S(0)| .. |S(k)| of the ball of radius k (see enumerate_ball), counted
+    on trie node ids: no Word is built, no tree kept and no sphere sorted."""
+    return (1,) + tuple(len(nodes) for nodes, _ in _spheres(presentation, k, cap, False))
+
+
+def _ordered_ball(
+    presentation: Presentation, k: int, cap: int
+) -> Tuple[List[int], Tuple[Tuple[int, Letter], ...], Tuple[int, ...]]:
+    """(trie nodes, tree, sphere sizes) of the ordered BFS of B(k).  A parent
+    lies on the sphere before its child's, so only that sphere's indices are
+    kept."""
+    nodes, tree, sizes = [0], [(-1, (0, 0))], [1]
+    index = {0: 0}
+    for frontier, layer in _spheres(presentation, k, cap, True):
+        tree.extend((index[layer[node][0]], layer[node][1]) for node in frontier)
+        index = {node: i for i, node in enumerate(frontier, len(nodes))}
+        nodes.extend(frontier)
+        sizes.append(len(frontier))
+    return nodes, tuple(tree), tuple(sizes)
+
+
+def ball_tree(
+    presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
+) -> Tuple[Tuple[Tuple[int, Letter], ...], Tuple[int, ...]]:
+    """(tree, sphere_sizes) of enumerate_ball(presentation, k, cap), keeping
+    no Word: for a caller that walks the ball letter by letter."""
+    return _ordered_ball(presentation, k, cap)[1:]
+
+
+def enumerate_ball(
+    presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
+) -> Ball:
+    """The full ball of radius k over the metric generators and their
+    inverses in the order of ball_tree (a BFS on trie node ids, each sphere
+    sorted by its words' letters), each element's Word read back from its
+    node.  Past cap elements it raises SizeOverflow, a free ball before the
+    walk.  Only a caller that reads the Words needs this; sphere_sizes and
+    ball_tree keep none."""
+    nodes, tree, sizes = _ordered_ball(presentation, k, cap)
     return Ball(
         radius=k,
-        elements=tuple(elements),
-        sphere_sizes=tuple(sphere_sizes),
-        tree=tuple(tree),
+        elements=tuple(presentation._word(node) for node in nodes),
+        sphere_sizes=sizes,
+        tree=tree,
     )
 
 
@@ -342,13 +386,14 @@ def enumerate_ball(
 class ShellSelection:
     """Radii whose shell growth passes |B(k+1)| - |B(k)| <= C|B(k)|/k, plus
     the smallest constant that would admit at least one radius and the ball
-    B(k_max+1) the sizes come from."""
+    sizes |B(0)| .. |B(k_max+1)| it was measured on.  It holds no ball: a
+    caller walks enumerate_ball(presentation, k + 1), whose BFS layers are a
+    prefix of those of B(k_max + 1)."""
 
     radii: Tuple[int, ...]
     minimal_c: float
     measured: Tuple[float, ...]
     sizes: Tuple[int, ...]
-    ball: Ball
 
 
 def select_shell_radii(
@@ -356,8 +401,7 @@ def select_shell_radii(
 ) -> ShellSelection:
     """Admissible radii up to k_max for growth_constant; None takes the
     minimal constant, so that the radii attaining it are admitted."""
-    ball = enumerate_ball(presentation, k_max + 1)
-    sizes = np.cumsum(ball.sphere_sizes)  # |B(0)| .. |B(k_max+1)|
+    sizes = np.cumsum(sphere_sizes(presentation, k_max + 1))  # |B(0)| .. |B(k_max+1)|
     measured = [
         float(k * (sizes[k + 1] - sizes[k]) / sizes[k]) for k in range(1, k_max + 1)
     ]
@@ -369,5 +413,4 @@ def select_shell_radii(
         minimal_c=minimal_c,
         measured=tuple(measured),
         sizes=tuple(int(s) for s in sizes),
-        ball=ball,
     )

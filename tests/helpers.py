@@ -18,6 +18,8 @@ objects.  The maps:
 dense_first_chain is the reference scan for resilient-pair detection.
 stack_normal_form and stack_ball are the letter-stack reducer and the ball
 BFS over letter tuples that words.py ran before the trie, kept as its oracle.
+product_distinct_words is the enumeration of letter products that
+periodic._distinct_words ran before its trie BFS, kept as its oracle.
 ClosureMap and the closure_* builders are the closure-chain evaluators that
 exact diffeos carried before composition plans, kept as their oracle.
 log_density_conjugacy is the log-density conjugacy that cohomology built
@@ -26,6 +28,7 @@ before Diffeo.from_log_deriv took it over, kept as its oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -333,3 +336,17 @@ def stack_ball(p, k):
             tree.append(layer[nf])
         sizes.append(len(frontier))
     return elements, tree, sizes
+
+
+def product_distinct_words(action, max_len):
+    """The first freely reduced spelling of each normal form, identity
+    included, over every product of up to max_len letters g0, g0^-1, g1, ...
+    in that order."""
+    pres = action.presentation
+    letters = [(idx, e) for idx in range(len(action.gens)) for e in (1, -1)]
+    first = {}
+    for n in range(1, max_len + 1):
+        for seq in itertools.product(letters, repeat=n):
+            if all(b != (a[0], -a[1]) for a, b in zip(seq, seq[1:])):
+                first.setdefault(pres.normal_form(Word(seq)).letters, seq)
+    return list(first.values())

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from conjtamer.periodic import (
     flatten_conjugate,
 )
 from conjtamer.space import circle, interval
+from conjtamer.words import Word
 
 from helpers import (
     GOLDEN,
@@ -40,9 +43,12 @@ from helpers import (
     interval_pingpong_action,
     mobius_action,
     pingpong_action,
+    product_distinct_words,
     rigid_rotations,
     wobble,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 LOG2 = float(np.log(2.0))
 
@@ -589,6 +595,21 @@ def test_scan_holds_each_point_once(build, last, monkeypatch):
     detect_resilient(build(256), 2, 1.0 / 1024)
     (xs,) = scanned
     assert xs[0] == 0.0 and xs[-1] == last and np.all(np.diff(xs) > 0)
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.spec")), ids=lambda p: p.stem)
+def test_distinct_words_are_the_product_enumeration_without_identity(path):
+    # the trie BFS keeps the first spelling of each normal form, in the order
+    # of the letter products; only the identity, which a spelled commutator
+    # of Z^2 or of the Heisenberg group reaches at length 4, is left out
+    action = build_action(replace(load_action_spec(str(path)), grid_size=64))
+    pres = action.presentation
+    for max_len in range(6):
+        expected = [
+            seq for seq in product_distinct_words(action, max_len)
+            if pres.normal_form(Word(seq)).letters
+        ]
+        assert _distinct_words(action, max_len) == expected
 
 
 def test_word_images_match_letter_by_letter_walk():

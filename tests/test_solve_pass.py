@@ -105,8 +105,7 @@ def test_nilpotent_solution_matches_six_pass_measurement():
     action, p = heisenberg_rotations(256)
     sol = nilpotent_average_solution(action, shell_index=0, k_max=4)
     k = sol.extras["shell_radius"]
-    selection = select_shell_radii(p, 4)
-    words = selection.ball.elements[: selection.sizes[k]]
+    words = enumerate_ball(p, k).elements
 
     def fn(x):
         acc = np.zeros_like(x)
@@ -116,6 +115,19 @@ def test_nilpotent_solution_matches_six_pass_measurement():
         return acc / len(words)
 
     assert_same_measurement(sol, action, six_pass_measurement(action, fn))
+
+
+def test_nilpotent_solve_reads_back_exactly_its_ball(monkeypatch):
+    # the shell selection counts spheres without Words; the solve then reads
+    # back the Words of B(k + 1) alone, not those of B(k_max + 1)
+    action, p = heisenberg_rotations(256)
+    sizes = select_shell_radii(p, 8).sizes
+    read = set()
+    real = p._word
+    monkeypatch.setattr(p, "_word", lambda node: read.add(node) or real(node))
+    sol = nilpotent_average_solution(action, shell_index=0, k_max=8)
+    k = sol.extras["shell_radius"]
+    assert len(read) == sizes[k + 1] < sizes[-1]
 
 
 def heisenberg_rotations(grid):

@@ -13,7 +13,7 @@ from conjtamer import (
     word_realize,
 )
 from conjtamer.errors import ConjTamerError, UnknownGenerator
-from conjtamer.words import select_shell_radii
+from conjtamer.words import ball_tree, select_shell_radii, sphere_sizes
 
 from helpers import mobius_action, rigid_rotations, stack_ball, stack_normal_form
 
@@ -236,8 +236,8 @@ def test_ball_matches_stack_oracle(name, k):
 
 
 def test_heisenberg_shell_ball_sphere_sizes():
+    assert sphere_sizes(Presentation.heisenberg(), 9) == H3_SPHERE_SIZES
     sel = select_shell_radii(Presentation.heisenberg(), 8)
-    assert sel.ball.sphere_sizes == H3_SPHERE_SIZES
     assert list(sel.sizes) == list(np.cumsum(H3_SPHERE_SIZES))
     assert list(sel.sizes[:9]) == H3_BALL_SIZES
 
@@ -312,6 +312,67 @@ def test_ball_cap_is_checked_per_element(monkeypatch):
     with pytest.raises(SizeOverflow):
         enumerate_ball(p, 3, cap=13)
     assert len(built) == 12
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.integers(0, 6))
+def test_zd_sphere_sizes_match_the_ball(d, k):
+    p = Presentation.zd(d)
+    assert sphere_sizes(p, k) == enumerate_ball(p, k).sphere_sizes
+
+
+@pytest.mark.parametrize(
+    "name, k", [("heisenberg", 7), ("free2", 5), ("free3", 4), ("z2-rules", 6)]
+)
+def test_sphere_sizes_and_ball_tree_match_the_ball(name, k):
+    # a fresh presentation: the counts must not lean on an ordered walk
+    # having grown the trie first
+    p = ORACLE_PRESENTATIONS[name]
+    fresh = Presentation(p.generators, p.rules, p.kind, p.bounded_generation, p.metric_generators)
+    sizes = sphere_sizes(fresh, k)
+    ball = enumerate_ball(p, k)
+    assert sizes == ball.sphere_sizes
+    assert ball_tree(p, k) == (ball.tree, ball.sphere_sizes)
+
+
+def test_sphere_sizes_cap_is_checked_per_element(monkeypatch):
+    # Z² spheres of radius 1, 2, 3 have 4, 8, 12 elements: under a cap of
+    # 13, radius 3 refuses at its first new element, after 4 + 4·4 + 1 pushes
+    p, pushes = Presentation.zd(2, ("a", "b")), []
+    assert sphere_sizes(p, 2, cap=13) == (1, 4, 8)
+    real = p._extend
+    monkeypatch.setattr(p, "_extend", lambda node, ids: pushes.append(node) or real(node, ids))
+    with pytest.raises(SizeOverflow, match="ball exceeds cap 13 at radius 3"):
+        sphere_sizes(p, 3, cap=13)
+    assert len(pushes) == 21
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sphere_sizes_refuse_a_free_ball_before_the_walk(rank, monkeypatch):
+    p = Presentation.free([f"g{i}" for i in range(rank)])
+    for k in range(1, 5):
+        size = len(enumerate_ball(p, k))
+        assert sum(sphere_sizes(p, k, cap=size)) == size
+        with pytest.raises(SizeOverflow):
+            sphere_sizes(p, k, cap=size - 1)
+
+    def no_walk(*args):
+        raise AssertionError("the ball was walked")
+
+    monkeypatch.setattr(p, "_extend", no_walk)
+    with pytest.raises(SizeOverflow, match="a free ball of radius"):
+        sphere_sizes(p, 40 if rank > 1 else 10**6)
+
+
+def test_shell_selection_builds_no_word(monkeypatch):
+    p = Presentation.heisenberg()
+
+    def no_word(node):
+        raise AssertionError("a Word was built")
+
+    monkeypatch.setattr(p, "_word", no_word)
+    sel = select_shell_radii(p, 8)
+    assert list(sel.sizes) == list(np.cumsum(H3_SPHERE_SIZES))
 
 
 @settings(deadline=None, max_examples=40)
