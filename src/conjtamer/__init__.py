@@ -15,8 +15,6 @@ from .cohomology import (
     birkhoff_field,
     birkhoff_solution,
     cocycle_defect,
-    empirical_measure_integral,
-    invariant_mean_log_derivative,
     log_density_normalizer,
     nilpotent_average_solution,
     path_of_conjugates,
@@ -59,7 +57,6 @@ from .periodic import (
     FlatteningReport,
     PeriodicOrbit,
     ResilientWitness,
-    c1_refinement_ratio,
     detect_resilient,
     find_periodic_points,
     flatten_conjugate,
@@ -93,7 +90,6 @@ from .words import (
     Presentation,
     Word,
     enumerate_ball,
-    word_from_exponents,
 )
 
 __version__ = "0.1.0"
@@ -144,7 +140,6 @@ __all__ = [
     "birkhoff_solution",
     "build_action",
     "build_diffeo",
-    "c1_refinement_ratio",
     "cocycle_defect",
     "compile_expression",
     "compose",
@@ -152,14 +147,12 @@ __all__ = [
     "conjugated_rotation",
     "deroin_cdf",
     "detect_resilient",
-    "empirical_measure_integral",
     "enumerate_ball",
     "find_periodic_points",
     "flatten_conjugate",
     "flatten_hyperbolic",
     "format_action_spec",
     "identity",
-    "invariant_mean_log_derivative",
     "invert",
     "load_action_spec",
     "log_density_normalizer",
@@ -175,7 +168,6 @@ __all__ = [
     "run_pipeline",
     "tame_lipschitz",
     "validate_relations",
-    "word_from_exponents",
     "word_realize",
     "__version__",
 ]

@@ -3,11 +3,17 @@ group balls, defect measurement, and conversion of solutions into
 conjugating diffeomorphisms (including interpolated paths of conjugates).
 
 Ball averages carry an exact re-evaluator so that defects and telescoping
-identities can be checked off-grid without interpolation error.  A solve
-measures u and its defects in one ball pass over its distinct points (nodes,
-midpoints, their generator images), split into blocks of 4096 to 8191 points
+identities can be checked off-grid without interpolation error.  By the
+cocycle identity, the positive-ball average u_n = n^-d sum_{k in [0,n)^d}
+log D(g^k) has the defect u_n - u_n∘g_i - log Dg_i = (F0_i - Fn_i)/n^d, the
+sums over the faces k_i = 0 and k_i = n of the cube; so one walk of the cube
+and its faces k_i = n (_ball_rows) gives u and its defects.  A Z^d solve
+makes that walk over the nodes and the midpoints, a path over the nodes; the
+nilpotent solve evaluates its ball average at the nodes, the midpoints and
+their generator images.  A solve's points go in blocks of 4096 to 8191 points
 (one block below that); a ball sum walks the ball once, in plan coordinates.
-A path sample reads the exact log D of its conjugates off one ball pass.
+The face difference is the defect of generators that commute; those that
+commute only within the relation tolerance move it by their commutators.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, WalkState, _exp_integrals, iterate
+from .diffeo import Diffeo, WalkState, _exp_integrals
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
-    NotPeriodic,
     SizeOverflow,
 )
 from .gridfn import GridFunction
@@ -47,35 +52,65 @@ EXACTNESS_DELTA = 0.1
 # Ball sums.
 
 
+def check_ball_size(rank: int, n_max: int, m: int) -> None:
+    """The size cap of a ball sum over [0, n_max)^rank at m points, known
+    before the action is built."""
+    if (n_max**rank) * m > _FIELD_CAP:
+        raise SizeOverflow(f"ball sum of size {n_max}^{rank} x {m} exceeds cap")
+
+
 def _check_ball_sum(action: Action, n_max: int, m: int) -> None:
     """A ball sum over m points: a Z^d action, n_max >= 1, and the size cap."""
     if action.presentation.kind != ABELIAN:
         raise ConjTamerError("positive-ball averaging needs a Z^d presentation")
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if (n_max**action.rank) * m > _FIELD_CAP:
-        raise SizeOverflow(f"ball sum of size {n_max}^{action.rank} x {m} exceeds cap")
+    check_ball_size(action.rank, n_max, m)
 
 
-def _ball_rows(action: Action, n_max: int, x: Array, rows: bool = True) -> Array:
-    """Rows n = 1..n_max of birkhoff_field (rows=False: row n_max alone, in
-    one row of memory) from one walk of the ball in plan coordinates
-    (g_i = h∘R_i∘h⁻¹: one inverse of h, then one jet of h per element);
-    g1^k1...gd^kd (gd first) is bucketed by its largest exponent."""
+def _ball_rows(action: Action, n_max: int, x: Array, rows: bool = True) -> Tuple[Array, Array]:
+    """Rows n = 1..n_max (rows=False: row n_max alone, in one row of memory)
+    of the ball sums S_n = sum_{k in [0,n)^d} log D(g^k) and of their face
+    differences F0_i - Fn_i, shaped (rows, m) and (rows, d, m), from one
+    walk in plan coordinates (g_i = h∘R_i∘h⁻¹: one inverse of h, then one
+    jet of h per element) of [0, n_max)^d and its faces k_i = n_max, n_max^d
+    + d·n_max^(d-1) elements.  g^k = g1^k1...gd^kd (gd first).  S_n buckets
+    an element of the cube by its largest exponent; F0_i sums the face k_i = 0
+    of [0,n)^d, and Fn_i its translate k_i = n, the elements whose exponent
+    k_i = n is above every other one."""
+    d = action.rank
     plans = [g.as_plan() for g in action.gens]
-    buckets = np.zeros((n_max if rows else 1, x.size))
+    cube = np.zeros((n_max if rows else 1, x.size))
+    faces = np.zeros((cube.shape[0], d, x.size))  # summed over rows at the end
+    ks = [0] * d  # the exponents of the element walked to
 
-    def walk_from(j: int, walk: WalkState, top: int) -> None:
+    def add(v: Array) -> None:
+        top = max(ks)
+        if top < n_max:
+            row = top if rows else 0
+            cube[row] += v
+            for i in range(d):
+                if ks[i] == 0:
+                    faces[row, i] += v
+        if top == n_max or (rows and top > 0 and ks.count(top) == 1):
+            i = ks.index(top)
+            faces[top - 1 if rows else 0, i] -= v
+            if rows and top < n_max:  # taken back from the rows after top - 1
+                faces[top, i] += v
+
+    def walk_from(j: int, walk: WalkState, face: bool) -> None:
         if j < 0:
-            buckets[top if rows else 0] += walk.point()[1]
+            add(walk.point()[1])
             return
-        for k in range(n_max):
-            walk_from(j - 1, walk, max(top, k))
-            if k < n_max - 1:
+        stop = n_max if face else n_max + 1  # one exponent at n_max at most
+        for k in range(stop):
+            ks[j] = k
+            walk_from(j - 1, walk, face or k == n_max)
+            if k < stop - 1:
                 walk = walk.step(plans[j])
 
-    walk_from(action.rank - 1, WalkState.start(x, plans), 0)
-    return np.cumsum(buckets, axis=0, out=buckets)
+    walk_from(d - 1, WalkState.start(x, plans), False)
+    return np.cumsum(cube, axis=0, out=cube), np.cumsum(faces, axis=0, out=faces)
 
 
 def birkhoff_field(action: Action, n_max: int, x) -> Array:
@@ -87,36 +122,7 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_ball_sum(action, n_max, x.size)
-    return np.vstack([np.zeros(x.size), _ball_rows(action, n_max, x)])
-
-
-def empirical_measure_integral(action: Action, i: int, n: int, x):
-    """(1/n^d) * sum over the positive ball of log Df_i at the orbit points
-    of x.  Independent recursion over exponent digits (innermost generator
-    applied first), kept separate from birkhoff_field on purpose."""
-    if action.presentation.kind != ABELIAN:
-        raise ConjTamerError("empirical measures need a Z^d presentation")
-    d = action.rank
-    if n**d > _FIELD_CAP:
-        raise SizeOverflow(f"positive ball {n}^{d} exceeds cap")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    ci = action.gens[i].log_derivative
-
-    def rec(j: int, y: Array) -> Array:
-        if j == 0:
-            return ci(y)
-        g = action.gens[j - 1]
-        total = np.zeros_like(y)
-        p = y
-        for k in range(n):
-            total = total + rec(j - 1, p)
-            if k < n - 1:
-                p = g.eval_lift(p)
-        return total
-
-    result = rec(d, x_arr) / float(n**d)
-    return float(result[0]) if scalar else result
+    return np.vstack([np.zeros(x.size), _ball_rows(action, n_max, x)[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -153,37 +159,27 @@ def cocycle_defect(
     locations.  u is evaluated through its exact backing when present."""
     tn = action.space.track_nodes()
     return _grid_suprema(
-        action, tn, [u(g.eval_lift(tn)) for g in action.gens], u.samples
+        action, tn, [u.samples - u(g.eval_lift(tn)) - g.log_deriv.samples for g in action.gens]
     )
 
 
 def _grid_suprema(
-    action: Action, tn: Array, u_images: List[Array], u_nodes: Array
+    action: Action, tn: Array, fields
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Per generator, the sup of |defect field| at the nodes tn and its argmax."""
     defects: Dict[str, float] = {}
     locations: Dict[str, float] = {}
-    for name, g, u_g in zip(action.names, action.gens, u_images):
-        d = u_nodes - u_g - g.log_deriv.samples
+    for name, d in zip(action.names, fields):
         k = int(np.argmax(np.abs(d)))
         defects[name] = float(np.abs(d[k]))
         locations[name] = float(tn[k])
     return defects, locations
 
 
-def _defect_refined(
-    action: Action, u_nodes: Array, u_mid: Array, u_images: List[Array], jets: list
-) -> Dict[str, float]:
-    """Defect suprema with the midpoints added to the grid, from u at the
-    nodes, at the midpoints and at their images under every generator (nodes
-    first), with log-derivatives from the generators' jets there."""
-    d = action.rank
-    return {
-        name: float(np.max(np.abs(np.concatenate([
-            u_nodes - u_images[i] - jets[i][1],
-            u_mid - u_images[d + i] - jets[d + i][1],
-        ]))))
-        for i, name in enumerate(action.names)
-    }
+def _defect_refined(action: Action, fields: Array) -> Dict[str, float]:
+    """Defect suprema with the midpoints added to the grid, from the defect
+    fields at the nodes and the midpoints (one row per generator)."""
+    return {name: float(np.max(np.abs(f))) for name, f in zip(action.names, fields)}
 
 
 def log_density_normalizer(space: Space, samples: Array) -> float:
@@ -192,44 +188,54 @@ def log_density_normalizer(space: Space, samples: Array) -> float:
     return -float(np.log(np.sum(_exp_integrals(full[:-1], np.diff(full), space.h))))
 
 
+def _fine_points(space: Space) -> Array:
+    """The nodes, then the midpoints of the grid cells."""
+    tn = space.track_nodes()
+    return np.concatenate([tn, tn[: space.grid_size] + 0.5 * space.h])
+
+
+def _in_blocks(field: Callable, x: Array) -> list:
+    """field on x in x.size // _BLOCK blocks (one at least) of _BLOCK to
+    2·_BLOCK - 1 points, one result per block."""
+    return [field(b) for b in np.array_split(x, max(1, x.size // _BLOCK))]
+
+
 def _measured_solution(
-    action: Action, field: Callable, construction: str, extras: Optional[dict] = None
+    action: Action, exact: Callable, values: Array, fields: Array,
+    construction: str, extras: Optional[dict] = None,
 ) -> CohomSolution:
-    """u = field + C, with C normalizing exp(u), and its defects, from one
-    pass of `field` (on points reduced into the space, in blocks of _BLOCK to
-    2·_BLOCK - 1 points) over the nodes, the midpoints and their images
-    under every generator."""
+    """u = exact + C, with C normalizing exp(u), and its defects, from u's
+    values at the nodes then the midpoints (values) and its defect fields
+    u - u∘g_i - log Dg_i there (fields, one row per generator): the grid
+    suprema and their locations read the nodes, the refined suprema both."""
     space = action.space
     tn = space.track_nodes()
-    mid = tn + 0.5 * space.h
-    mid = mid[mid <= 1.0]
-    jets = [g.jet(p) for p in (tn, mid) for g in action.gens]
-    points = [tn, mid] + [v for v, _ in jets]
-    x = space.reduce(np.concatenate(points))
-    blocks = np.array_split(x, max(1, x.size // _BLOCK))
-    values = np.concatenate([field(b) for b in blocks])
-    c = log_density_normalizer(space, values[: tn.size])
-    u = GridFunction(space, values[: tn.size], field) + c
-    bounds = np.cumsum([p.size for p in points[:-1]])
-    u_nodes, u_mid, *u_images = np.split(values + c, bounds)
-    defects, locations = _grid_suprema(action, tn, u_images[: action.rank], u_nodes)
+    samples = values[: tn.size]
+    defects, locations = _grid_suprema(action, tn, fields[:, : tn.size])
     return CohomSolution(
-        u=u,
+        u=GridFunction(space, samples, exact) + log_density_normalizer(space, samples),
         defect_per_generator=defects,
         defect_locations=locations,
-        defect_refined=_defect_refined(action, u_nodes, u_mid, u_images, jets),
+        defect_refined=_defect_refined(action, fields),
         construction=construction,
         extras=extras or {},
     )
 
 
 def birkhoff_solution(action: Action, n: int) -> CohomSolution:
-    """u_n = average of log Df over the positive ball B+(n), normalized."""
-    # size limit of a ball sum over the nodes and the midpoints
+    """u_n = average of log Df over the positive ball B+(n), normalized, and
+    its defect fields (F0_i - Fn_i)/n^d, all from one ball pass over the
+    nodes and the midpoints (_ball_rows)."""
     _check_ball_sum(action, n, action.space.refine().track_length)
     scale = float(n**action.rank)
-    u_fn = lambda y: _ball_rows(action, n, np.atleast_1d(y), rows=False)[0] / scale
-    return _measured_solution(action, u_fn, f"birkhoff-positive-ball(n={n})")
+    blocks = _in_blocks(lambda b: _ball_rows(action, n, b, rows=False), _fine_points(action.space))
+    u_fn = lambda y: _ball_rows(action, n, np.atleast_1d(y), rows=False)[0][0] / scale
+    return _measured_solution(
+        action, u_fn,
+        np.concatenate([sums[0] for sums, _ in blocks]) / scale,
+        np.concatenate([faces[0] for _, faces in blocks], axis=1) / scale,
+        f"birkhoff-positive-ball(n={n})",
+    )
 
 
 def nilpotent_average_solution(
@@ -290,8 +296,14 @@ def nilpotent_average_solution(
         "defect_bound": small_term + large_term,
         "normal_form_alphabet": list(presentation.generators),
     }
+    # u at the nodes, the midpoints and their images under every generator
+    fine = _fine_points(action.space)
+    jets = [g.jet(fine) for g in action.gens]
+    x = action.space.reduce(np.concatenate([fine] + [v for v, _ in jets]))
+    u_fine, *u_images = np.split(np.concatenate(_in_blocks(ball_average, x)), len(jets) + 1)
+    fields = np.stack([u_fine - u_g - ld for u_g, (_, ld) in zip(u_images, jets)])
     return _measured_solution(
-        action, ball_average, f"nilpotent-shell(k={k})", extras
+        action, ball_average, u_fine, fields, f"nilpotent-shell(k={k})", extras
     )
 
 
@@ -345,11 +357,12 @@ class PathSample:
     path_conjugacy(..., n, s) and u = u_t at integer t (None in between).
 
     c1_gap: max over generators of the sup of the interpolated defect field
-    at the nodes (matches defect(u_n) exactly at integer t); c1_gap_track:
-    that of |log D(phi g phi⁻¹)|, exactly, at phi(nodes).  c1_step records
-    per generator the C⁰ and log-derivative distances to the previous sample
-    (None on the first), at the same nodes y: of phi(g y) - phi(y) and of
-    log D(phi g phi⁻¹)(phi y).  conjugated is built on first read."""
+    at the nodes (at integer t, the defect of u_n up to rounding);
+    c1_gap_track: that of |log D(phi g phi⁻¹)|, exactly, at phi(nodes).
+    c1_step records per generator the C⁰ and log-derivative distances to the
+    previous sample (None on the first), at the same nodes y: of phi(g y) -
+    phi(y) and of log D(phi g phi⁻¹)(phi y).  conjugated is built on first
+    read."""
 
     t: float
     n: int
@@ -372,11 +385,12 @@ def path_of_conjugates(
 ) -> Iterator[PathSample]:
     """Samples t in {1, 1+1/steps, ..., n_max} of the path phi_t built from
     v_t = (1-s) u_n + s u_{n+1} + C_t.  The checks and one ball pass over the
-    nodes y and their images g(y) run on the call; with u_n,PL the piecewise-
-    linear interpolant of u_n, E_n = u_n,PL∘g - u_n + log Dg gives, C_t
-    cancelling, log D(phi_t g phi_t⁻¹)(phi_t y) = (1-s) E_n + s E_{n+1}.  The
-    samples are built as they are iterated, from these fields and one jet
-    of phi_t at the images: no Newton solve, no conjugated action."""
+    nodes y run on the call: row n gives u_n and its defect field, read off
+    the ball's faces (_ball_rows).  With u_n,PL the piecewise-linear
+    interpolant of u_n, E_n = u_n,PL∘g - u_n + log Dg gives, C_t cancelling,
+    log D(phi_t g phi_t⁻¹)(phi_t y) = (1-s) E_n + s E_{n+1}.  The samples are
+    built as they are iterated, from these fields and one jet of phi_t at the
+    images g(y): no Newton solve, no conjugated action."""
     if n_max < 1 or steps_per_unit < 1:
         raise ValueError("need n_max >= 1 and steps_per_unit >= 1")
     space, names = action.space, action.names
@@ -385,14 +399,14 @@ def path_of_conjugates(
     images = np.stack([g.eval_lift(tn) for g in action.gens])
     log_derivs = np.stack([g.log_deriv.samples for g in action.gens])
 
-    # one ball pass over the nodes and their images: row n gives u_n at both
     u_samp: List[Optional[Array]] = [None]
     d_fields: List[Optional[Array]] = [None]
     e_fields: List[Optional[Array]] = [None]
-    for n, row in enumerate(_ball_rows(action, n_max, np.append(tn, images)), 1):
-        u_n, *u_images = np.split(row / float(n**action.rank), action.rank + 1)
+    for n, (row, faces) in enumerate(zip(*_ball_rows(action, n_max, tn)), 1):
+        scale = float(n**action.rank)
+        u_n = row / scale
         u_samp.append(u_n)
-        d_fields.append(u_n - np.stack(u_images) - log_derivs)
+        d_fields.append(faces / scale)
         e_fields.append(GridFunction(space, u_n).interp(images) - u_n + log_derivs)
 
     def samples() -> Iterator[PathSample]:
@@ -420,35 +434,3 @@ def path_of_conjugates(
             prev = moves, track
 
     return samples()
-
-
-# ---------------------------------------------------------------------------
-# Invariant means.
-
-
-def invariant_mean_log_derivative(
-    f: Diffeo,
-    orbit=None,
-    x: Optional[float] = None,
-    n: Optional[int] = None,
-    tol: float = 1e-8,
-) -> float:
-    """Mean of log Df along a periodic orbit, or the n-step average along the
-    forward orbit of x.  Exactly one mode must be given."""
-    if orbit is not None:
-        pts = np.asarray(orbit, dtype=float)
-        if pts.ndim != 1 or pts.size < 1:
-            raise NotPeriodic("orbit must be a nonempty 1-d point list")
-        img = f(pts)
-        expected = np.roll(pts, -1)
-        gap = np.abs(img - expected)
-        if f.space.is_circle:
-            gap = np.minimum(gap, 1.0 - gap)
-        if float(np.max(gap)) > tol:
-            raise NotPeriodic(
-                f"points are not an f-orbit (max step error {np.max(gap):.2e})"
-            )
-        return float(np.mean(f.log_derivative(pts)))
-    if x is None or n is None or n < 1:
-        raise ValueError("need orbit=... or x=..., n>=1")
-    return float(iterate(f, [x], int(n))[1][0]) / float(n)

@@ -584,11 +584,6 @@ def conjugate_action(f: Diffeo, phi: Diffeo) -> Diffeo:
     return conjugate_maps([f], phi)[0]
 
 
-def log_deriv_sup(f: Diffeo) -> float:
-    """The taming functional: sup over the grid of |log Df|."""
-    return f.log_deriv.sup_abs()
-
-
 # ---------------------------------------------------------------------------
 # Stock constructions.
 

@@ -53,12 +53,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def exponent_vector(self, d: int) -> Tuple[int, ...]:
-        v = [0] * d
-        for g, s in self.letters:
-            v[g] += s
-        return tuple(v)
-
     def display(self, names: Sequence[str]) -> str:
         if not self.letters:
             return "1"
@@ -66,15 +60,6 @@ class Word:
         for g, s in self.letters:
             parts.append(names[g] if s > 0 else names[g] + "^-1")
         return " ".join(parts)
-
-
-def word_from_exponents(exponents: Sequence[int]) -> Word:
-    """f_1^{k_1} ... f_d^{k_d} with the generators in index order."""
-    letters: List[Letter] = []
-    for g, k in enumerate(exponents):
-        sign = 1 if k >= 0 else -1
-        letters.extend([(g, sign)] * abs(k))
-    return Word(tuple(letters))
 
 
 class Presentation:

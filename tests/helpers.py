@@ -24,6 +24,9 @@ ClosureMap and the closure_* builders are the closure-chain evaluators that
 exact diffeos carried before composition plans, kept as their oracle.
 log_density_conjugacy is the log-density conjugacy that cohomology built
 before Diffeo.from_log_deriv took it over, kept as its oracle.
+empirical_measure_integral, invariant_mean_log_derivative,
+c1_refinement_ratio, log_deriv_sup, word_from_exponents and exponent_vector
+are oracles and diagnostics that the package itself never calls.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
-from conjtamer.diffeo import Primitive
-from conjtamer.errors import ConjTamerError
+from conjtamer.diffeo import Primitive, iterate
+from conjtamer.errors import ConjTamerError, NotPeriodic
 from conjtamer.space import circle, interval
-from conjtamer.words import ABELIAN, Word, word_from_exponents
+from conjtamer.words import ABELIAN, Word
 
 GOLDEN = 0.618034
 SILVER = 0.414214
@@ -296,7 +299,7 @@ def stack_normal_form(p, word, prefix=(), max_rewrites=100000):
     ends at the top is replaced, and its right side goes back onto the
     input."""
     if p.kind == ABELIAN:
-        return word_from_exponents(Word(prefix + word.letters).exponent_vector(p.rank))
+        return word_from_exponents(exponent_vector(Word(prefix + word.letters), p.rank))
     rewrites = p.rules + tuple(
         (((g, s), (g, -s)), ()) for g in range(p.rank) for s in (1, -1)
     )
@@ -350,3 +353,85 @@ def product_distinct_words(action, max_len):
             if all(b != (a[0], -a[1]) for a, b in zip(seq, seq[1:])):
                 first.setdefault(pres.normal_form(Word(seq)).letters, seq)
     return list(first.values())
+
+
+# ---------------------------------------------------------------------------
+# Oracles and diagnostics that the package does not call.
+
+
+def word_from_exponents(exponents):
+    """f_1^{k_1} ... f_d^{k_d} with the generators in index order."""
+    letters = []
+    for g, k in enumerate(exponents):
+        letters.extend([(g, 1 if k >= 0 else -1)] * abs(k))
+    return Word(tuple(letters))
+
+
+def exponent_vector(word, d):
+    """The exponent sum of each of the d generators in word."""
+    v = [0] * d
+    for g, s in word.letters:
+        v[g] += s
+    return tuple(v)
+
+
+def log_deriv_sup(f):
+    """The taming functional: sup over the grid of |log Df|."""
+    return f.log_deriv.sup_abs()
+
+
+def c1_refinement_ratio(f):
+    """Largest consecutive log-derivative jump on the grid divided by the
+    same at doubled resolution; near 2 for C^1 maps, near 1 at a corner."""
+    coarse = f.log_deriv.samples
+    fine = f.log_derivative(f.space.refine().track_nodes())
+    jump_c = float(np.max(np.abs(np.diff(coarse))))
+    jump_f = float(np.max(np.abs(np.diff(fine))))
+    return jump_c / max(jump_f, 1e-300)
+
+
+def empirical_measure_integral(action, i, n, x):
+    """(1/n^d) * sum over the positive ball of log Df_i at the orbit points
+    of x.  Independent recursion over exponent digits (innermost generator
+    applied first), kept separate from birkhoff_field on purpose."""
+    if action.presentation.kind != ABELIAN:
+        raise ConjTamerError("empirical measures need a Z^d presentation")
+    d = action.rank
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    scalar = np.ndim(x) == 0
+    ci = action.gens[i].log_derivative
+
+    def rec(j, y):
+        if j == 0:
+            return ci(y)
+        g = action.gens[j - 1]
+        total = np.zeros_like(y)
+        p = y
+        for k in range(n):
+            total = total + rec(j - 1, p)
+            if k < n - 1:
+                p = g.eval_lift(p)
+        return total
+
+    result = rec(d, x_arr) / float(n**d)
+    return float(result[0]) if scalar else result
+
+
+def invariant_mean_log_derivative(f, orbit=None, x=None, n=None, tol=1e-8):
+    """Mean of log Df along a periodic orbit, or the n-step average along the
+    forward orbit of x.  Exactly one mode must be given."""
+    if orbit is not None:
+        pts = np.asarray(orbit, dtype=float)
+        if pts.ndim != 1 or pts.size < 1:
+            raise NotPeriodic("orbit must be a nonempty 1-d point list")
+        gap = np.abs(f(pts) - np.roll(pts, -1))
+        if f.space.is_circle:
+            gap = np.minimum(gap, 1.0 - gap)
+        if float(np.max(gap)) > tol:
+            raise NotPeriodic(
+                f"points are not an f-orbit (max step error {np.max(gap):.2e})"
+            )
+        return float(np.mean(f.log_derivative(pts)))
+    if x is None or n is None or n < 1:
+        raise ValueError("need orbit=... or x=..., n>=1")
+    return float(iterate(f, [x], int(n))[1][0]) / float(n)

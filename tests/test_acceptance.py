@@ -14,12 +14,10 @@ from conjtamer import (
     GridFunction,
     Presentation,
     birkhoff_solution,
-    c1_refinement_ratio,
     cocycle_defect,
     compose,
     deroin_cdf,
     detect_resilient,
-    empirical_measure_integral,
     enumerate_ball,
     flatten_hyperbolic,
     invert,
@@ -35,8 +33,10 @@ from conjtamer import (
 from helpers import (
     GOLDEN,
     SILVER,
+    c1_refinement_ratio,
     conj_rotation_action,
     conj_rotation_z2,
+    empirical_measure_integral,
     mobius_action,
     mobius_gen,
     pingpong_action,

@@ -10,8 +10,6 @@ from conjtamer import (
     birkhoff_field,
     birkhoff_solution,
     cocycle_defect,
-    empirical_measure_integral,
-    invariant_mean_log_derivative,
     log_density_normalizer,
     nilpotent_average_solution,
     path_of_conjugates,
@@ -22,6 +20,8 @@ from conjtamer.space import circle, interval
 from helpers import (
     conj_rotation_action,
     conj_rotation_z2,
+    empirical_measure_integral,
+    invariant_mean_log_derivative,
     mobius_action,
     pingpong_action,
     rigid_rotations,

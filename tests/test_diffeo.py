@@ -12,11 +12,10 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
-from conjtamer.diffeo import log_deriv_sup
 from conjtamer.errors import DegenerateDerivative, SpaceMismatch
 from conjtamer.space import circle, interval
 
-from helpers import mobius_gen, wobble
+from helpers import log_deriv_sup, mobius_gen, wobble
 
 RNG = np.random.default_rng(20240817)
 

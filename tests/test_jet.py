@@ -33,7 +33,6 @@ from conjtamer import (
     parse_action_spec,
     pwl_diffeo,
     rotation,
-    word_from_exponents,
 )
 from conjtamer.cli import main
 from conjtamer.diffeo import Primitive, iterate, iterates
@@ -49,6 +48,7 @@ from helpers import (
     mobius_action,
     pingpong_action,
     wobble,
+    word_from_exponents,
 )
 
 BRONZE = 0.302776

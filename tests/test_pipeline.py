@@ -25,7 +25,8 @@ from conjtamer.cli import main
 from conjtamer.specfile import _PIPELINE_KEYS, PipelineParams
 import conjtamer.periodic as periodic_mod
 import conjtamer.pipeline as pipeline_mod
-from conjtamer.diffeo import log_deriv_sup
+
+from helpers import log_deriv_sup
 
 TRIVIAL = textwrap.dedent(
     """\
@@ -630,6 +631,26 @@ def test_cli_bad_grid_spec_key_exit_two_with_report(tmp_path):
     assert main(["report", "--spec", spec, "--out", str(out)]) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["failed_stage"] == "build"
+
+
+@pytest.mark.parametrize("command, points", [("tame-c1", 2**27 + 1), ("path", 2**26 + 1)])
+def test_cli_oversized_abelian_ball_is_refused_before_the_build(
+    command, points, tmp_path, monkeypatch, capsys
+):
+    # grid 2^26 at nmax 16: the ball sum over the nodes (and midpoints) is
+    # past the cap, which the grid, the rank and nmax give before the build
+    def never(*args, **kwargs):
+        raise AssertionError("the action was built")
+
+    monkeypatch.setattr(pipeline_mod, "build_action", never)
+    spec = write(tmp_path, "big.spec", TRIVIAL.replace("grid_size = 256", "grid_size = 67108864"))
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--nmax", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ball sum of size 16^1 x {points} exceeds cap" in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_stage"] == "build"
+    assert report.get("certified", False) is False
 
 
 def test_cli_detect_summary(tmp_path, capsys):

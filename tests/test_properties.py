@@ -15,10 +15,9 @@ from conjtamer import (
     log_density_normalizer,
     word_realize,
 )
-from conjtamer.diffeo import log_deriv_sup
 from conjtamer.space import circle, interval
 
-from helpers import conj_rotation_action, mobius_action, rigid_rotations
+from helpers import conj_rotation_action, log_deriv_sup, mobius_action, rigid_rotations
 
 SP_I = interval(256)
 SP_C = circle(256)
