@@ -6,14 +6,14 @@ Ball averages carry an exact re-evaluator so that defects and telescoping
 identities can be checked off-grid without interpolation error.  By the
 cocycle identity, the positive-ball average u_n = n^-d sum_{k in [0,n)^d}
 log D(g^k) has the defect u_n - u_n∘g_i - log Dg_i = (F0_i - Fn_i)/n^d, the
-sums over the faces k_i = 0 and k_i = n of the cube; so one walk of the cube
-and its faces k_i = n (_ball_rows) gives u and its defects.  A Z^d solve
-makes that walk over the nodes and the midpoints, a path over the nodes; the
-nilpotent solve evaluates its ball average at the nodes, the midpoints and
-their generator images.  A solve's points go in blocks of 4096 to 8191 points
-(one block below that); a ball sum walks the ball once, in plan coordinates.
-The face difference is the defect of generators that commute; those that
-commute only within the relation tolerance move it by their commutators.
+sums over the faces k_i = 0 and k_i = n of the cube, for generators that
+commute exactly; so one walk of the cube and its faces k_i = n (_ball_rows)
+gives u and its defects.  Where the generators walk as translations of one
+head (or are one), a Z^d solve makes that walk over the nodes and the
+midpoints, a path over the nodes; otherwise, as in the nilpotent solve, u
+is also evaluated at their generator images.  A solve's points go in
+blocks of 4096 to 8191 points (one block below that); a ball sum walks the
+ball once, in plan coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, WalkState, _exp_integrals
+from .diffeo import Diffeo, WalkState, _exp_integrals, translations
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
@@ -52,36 +52,50 @@ EXACTNESS_DELTA = 0.1
 # Ball sums.
 
 
-def check_ball_size(rank: int, n_max: int, m: int) -> None:
-    """The size cap of a ball sum over [0, n_max)^rank at m points, known
-    before the action is built."""
+def _check_ball_size(rank: int, n_max: int, m: int) -> None:
     if (n_max**rank) * m > _FIELD_CAP:
         raise SizeOverflow(f"ball sum of size {n_max}^{rank} x {m} exceeds cap")
 
 
-def _check_ball_sum(action: Action, n_max: int, m: int) -> None:
-    """A ball sum over m points: a Z^d action, n_max >= 1, and the size cap."""
+def check_ball_sums(space: Space, rank: int, n: int, solve: bool) -> None:
+    """The size cap of the ball sums of a Z^d solve (over the nodes and the
+    midpoints) or of a path (solve=False: over the nodes), known before the
+    action is built."""
+    _check_ball_size(rank, n, (space.refine() if solve else space).track_length)
+
+
+def _check_ball_sum(action: Action, n_max: int) -> None:
+    """A ball sum: a Z^d action and n_max >= 1."""
     if action.presentation.kind != ABELIAN:
         raise ConjTamerError("positive-ball averaging needs a Z^d presentation")
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    check_ball_size(action.rank, n_max, m)
 
 
-def _ball_rows(action: Action, n_max: int, x: Array, rows: bool = True) -> Tuple[Array, Array]:
+def _faces_are_defects(action: Action) -> bool:
+    """Whether F0_i - Fn_i (_ball_rows) is n^d times u_n's defect: for one
+    generator or exactly commuting ones (translations); generators that
+    commute within a tolerance move it by their log-D commutators."""
+    return action.rank == 1 or translations([g.as_plan() for g in action.gens])
+
+
+def _ball_rows(
+    action: Action, n_max: int, x: Array, rows: bool = True, faces: bool = False
+) -> Tuple[Array, Optional[Array]]:
     """Rows n = 1..n_max (rows=False: row n_max alone, in one row of memory)
-    of the ball sums S_n = sum_{k in [0,n)^d} log D(g^k) and of their face
-    differences F0_i - Fn_i, shaped (rows, m) and (rows, d, m), from one
-    walk in plan coordinates (g_i = h∘R_i∘h⁻¹: one inverse of h, then one
-    jet of h per element) of [0, n_max)^d and its faces k_i = n_max, n_max^d
-    + d·n_max^(d-1) elements.  g^k = g1^k1...gd^kd (gd first).  S_n buckets
-    an element of the cube by its largest exponent; F0_i sums the face k_i = 0
-    of [0,n)^d, and Fn_i its translate k_i = n, the elements whose exponent
-    k_i = n is above every other one."""
+    of the ball sums S_n = sum_{k in [0,n)^d} log D(g^k), shaped (rows, m),
+    from one walk of [0, n_max)^d in plan coordinates (g_i = h∘R_i∘h⁻¹: one
+    inverse of h, then one jet of h per element); g^k = g1^k1...gd^kd (gd
+    first), bucketed by its largest exponent.  With faces, the walk also
+    covers the faces k_i = n_max, d·n_max^(d-1) elements more, and the rows
+    of the face differences F0_i - Fn_i come second, shaped (rows, d, m)
+    (None without): F0_i sums the face k_i = 0 of [0,n)^d, and Fn_i its
+    translate k_i = n, the elements whose exponent k_i = n is above every
+    other one."""
     d = action.rank
     plans = [g.as_plan() for g in action.gens]
     cube = np.zeros((n_max if rows else 1, x.size))
-    faces = np.zeros((cube.shape[0], d, x.size))  # summed over rows at the end
+    diffs = np.zeros((cube.shape[0], d, x.size)) if faces else None
     ks = [0] * d  # the exponents of the element walked to
 
     def add(v: Array) -> None:
@@ -89,20 +103,19 @@ def _ball_rows(action: Action, n_max: int, x: Array, rows: bool = True) -> Tuple
         if top < n_max:
             row = top if rows else 0
             cube[row] += v
-            for i in range(d):
-                if ks[i] == 0:
-                    faces[row, i] += v
-        if top == n_max or (rows and top > 0 and ks.count(top) == 1):
+            if faces:
+                diffs[row, [i for i in range(d) if ks[i] == 0]] += v
+        if faces and (top == n_max or (rows and top > 0 and ks.count(top) == 1)):
             i = ks.index(top)
-            faces[top - 1 if rows else 0, i] -= v
+            diffs[top - 1 if rows else 0, i] -= v
             if rows and top < n_max:  # taken back from the rows after top - 1
-                faces[top, i] += v
+                diffs[top, i] += v
 
     def walk_from(j: int, walk: WalkState, face: bool) -> None:
         if j < 0:
             add(walk.point()[1])
             return
-        stop = n_max if face else n_max + 1  # one exponent at n_max at most
+        stop = n_max + (faces and not face)  # one exponent at n_max at most
         for k in range(stop):
             ks[j] = k
             walk_from(j - 1, walk, face or k == n_max)
@@ -110,7 +123,7 @@ def _ball_rows(action: Action, n_max: int, x: Array, rows: bool = True) -> Tuple
                 walk = walk.step(plans[j])
 
     walk_from(d - 1, WalkState.start(x, plans), False)
-    return np.cumsum(cube, axis=0, out=cube), np.cumsum(faces, axis=0, out=faces)
+    return tuple(a if a is None else np.cumsum(a, axis=0, out=a) for a in (cube, diffs))
 
 
 def birkhoff_field(action: Action, n_max: int, x) -> Array:
@@ -121,7 +134,8 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
     log-derivatives accumulate along orbits through the cocycle identity.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_ball_sum(action, n_max, x.size)
+    _check_ball_sum(action, n_max)
+    _check_ball_size(action.rank, n_max, x.size)
     return np.vstack([np.zeros(x.size), _ball_rows(action, n_max, x)[0]])
 
 
@@ -222,19 +236,34 @@ def _measured_solution(
     )
 
 
+def _image_fields(action: Action, field: Callable, fine: Array) -> Tuple[Array, Array]:
+    """field at the points fine and its defect fields field - field∘g_i -
+    log Dg_i there (one row per generator), from one pass of field, in
+    blocks, over fine and its images under every generator."""
+    jets = [g.jet(fine) for g in action.gens]
+    x = action.space.reduce(np.concatenate([fine] + [v for v, _ in jets]))
+    values, *images = np.split(np.concatenate(_in_blocks(field, x)), len(jets) + 1)
+    return values, np.stack([values - u_g - ld for u_g, (_, ld) in zip(images, jets)])
+
+
 def birkhoff_solution(action: Action, n: int) -> CohomSolution:
-    """u_n = average of log Df over the positive ball B+(n), normalized, and
-    its defect fields (F0_i - Fn_i)/n^d, all from one ball pass over the
-    nodes and the midpoints (_ball_rows)."""
-    _check_ball_sum(action, n, action.space.refine().track_length)
+    """u_n = average of log Df over the positive ball B+(n), normalized.
+    Where the face differences are the defects (_faces_are_defects), u and
+    its defect fields (F0_i - Fn_i)/n^d come from one ball pass over the
+    nodes and the midpoints (_ball_rows); otherwise u is measured there and
+    at their generator images (_image_fields)."""
+    _check_ball_sum(action, n)
+    check_ball_sums(action.space, action.rank, n, solve=True)
     scale = float(n**action.rank)
-    blocks = _in_blocks(lambda b: _ball_rows(action, n, b, rows=False), _fine_points(action.space))
     u_fn = lambda y: _ball_rows(action, n, np.atleast_1d(y), rows=False)[0][0] / scale
+    fine = _fine_points(action.space)
+    if _faces_are_defects(action):
+        blocks = _in_blocks(lambda b: _ball_rows(action, n, b, rows=False, faces=True), fine)
+        values, fields = (np.concatenate(p, axis=-1)[0] / scale for p in zip(*blocks))
+    else:
+        values, fields = _image_fields(action, u_fn, fine)
     return _measured_solution(
-        action, u_fn,
-        np.concatenate([sums[0] for sums, _ in blocks]) / scale,
-        np.concatenate([faces[0] for _, faces in blocks], axis=1) / scale,
-        f"birkhoff-positive-ball(n={n})",
+        action, u_fn, values, fields, f"birkhoff-positive-ball(n={n})"
     )
 
 
@@ -296,12 +325,7 @@ def nilpotent_average_solution(
         "defect_bound": small_term + large_term,
         "normal_form_alphabet": list(presentation.generators),
     }
-    # u at the nodes, the midpoints and their images under every generator
-    fine = _fine_points(action.space)
-    jets = [g.jet(fine) for g in action.gens]
-    x = action.space.reduce(np.concatenate([fine] + [v for v, _ in jets]))
-    u_fine, *u_images = np.split(np.concatenate(_in_blocks(ball_average, x)), len(jets) + 1)
-    fields = np.stack([u_fine - u_g - ld for u_g, (_, ld) in zip(u_images, jets)])
+    u_fine, fields = _image_fields(action, ball_average, _fine_points(action.space))
     return _measured_solution(
         action, ball_average, u_fine, fields, f"nilpotent-shell(k={k})", extras
     )
@@ -384,9 +408,10 @@ def path_of_conjugates(
     action: Action, n_max: int, steps_per_unit: int
 ) -> Iterator[PathSample]:
     """Samples t in {1, 1+1/steps, ..., n_max} of the path phi_t built from
-    v_t = (1-s) u_n + s u_{n+1} + C_t.  The checks and one ball pass over the
-    nodes y run on the call: row n gives u_n and its defect field, read off
-    the ball's faces (_ball_rows).  With u_n,PL the piecewise-linear
+    v_t = (1-s) u_n + s u_{n+1} + C_t.  The checks and one ball pass run
+    on the call: over the nodes y, row n giving u_n and its defect field off
+    the ball's faces, where those are the defects (_faces_are_defects), else
+    over y and their images g(y).  With u_n,PL the piecewise-linear
     interpolant of u_n, E_n = u_n,PL∘g - u_n + log Dg gives, C_t cancelling,
     log D(phi_t g phi_t⁻¹)(phi_t y) = (1-s) E_n + s E_{n+1}.  The samples are
     built as they are iterated, from these fields and one jet of phi_t at the
@@ -395,18 +420,24 @@ def path_of_conjugates(
         raise ValueError("need n_max >= 1 and steps_per_unit >= 1")
     space, names = action.space, action.names
     tn = space.track_nodes()
-    _check_ball_sum(action, n_max, tn.size)
+    _check_ball_sum(action, n_max)
+    check_ball_sums(space, action.rank, n_max, solve=False)
     images = np.stack([g.eval_lift(tn) for g in action.gens])
     log_derivs = np.stack([g.log_deriv.samples for g in action.gens])
 
     u_samp: List[Optional[Array]] = [None]
     d_fields: List[Optional[Array]] = [None]
     e_fields: List[Optional[Array]] = [None]
-    for n, (row, faces) in enumerate(zip(*_ball_rows(action, n_max, tn)), 1):
+    on_faces = _faces_are_defects(action)
+    sums, faces = _ball_rows(
+        action, n_max, tn if on_faces else np.append(tn, images), faces=on_faces
+    )
+    for n, row in enumerate(sums, 1):
         scale = float(n**action.rank)
-        u_n = row / scale
+        u_n = row[: tn.size] / scale
         u_samp.append(u_n)
-        d_fields.append(faces / scale)
+        d_fields.append(faces[n - 1] / scale if on_faces else
+                        u_n - row[tn.size :].reshape(images.shape) / scale - log_derivs)
         e_fields.append(GridFunction(space, u_n).interp(images) - u_n + log_derivs)
 
     def samples() -> Iterator[PathSample]:

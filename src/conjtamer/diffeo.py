@@ -252,6 +252,14 @@ def _head(plans) -> tuple:
     return w[:k] if any(p.angle is None for p, _ in w[:k]) else ()
 
 
+def translations(plans) -> bool:
+    """Whether every plan reads H·Q·H⁻¹ with H the head they share (_head)
+    and Q rotations alone: the maps then walk as z -> z + α and commute
+    exactly, not only within a tolerance."""
+    head = len(_head(plans))
+    return all(p.angle is not None for plan in plans for p, _ in plan[head : len(plan) - head])
+
+
 class WalkState:
     """Points p = H(z) that a word reaches from points x, kept in the
     coordinates z of a head H, a plan prefix: g = h∘R_α∘h⁻¹ walks as

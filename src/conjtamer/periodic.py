@@ -46,7 +46,6 @@ _BRIDGE_NODES = np.sort(
     np.concatenate([np.linspace(0.0, 1.0, 65), _GEOMETRIC, 1.0 - _GEOMETRIC])
 )
 _BRIDGE_STEPS = 5
-_BRIDGE_SETTLE = 3  # the Newton step after which the points left in place drop out
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +221,21 @@ class _Bridge:
         keep = np.concatenate([[True], np.diff(v) > 0.0])
         return x[keep], v[keep]
 
-    def _steps(self, x: Array, y: Array, lo: Array, hi: Array, n: int):
-        """n Newton steps on bridge(x) = y from x, each kept in [lo, hi]:
-        the last point, the one it was stepped from and the jet there."""
-        for _ in range(n):
-            v, d = self.jet(x)
-            fx = v - y
-            x, start = np.where(fx == 0.0, x, np.minimum(np.maximum(x - fx / d, lo), hi)), x
-        return x, start, v, d
-
     def invert(self, y: Array) -> Tuple[Array, Array]:
         """(x, log Dbridge(x)) with bridge(x) = y: seeded by the inverse of
         the piecewise-linear table, then _BRIDGE_STEPS Newton steps on the
-        cubic, each kept in the seed's table cell.  A step is a function of
-        the point, so a point that step _BRIDGE_SETTLE leaves in place stays
-        there: the later steps and the final jet skip it.  Raises
-        NonConvergence when a residual is above _NEWTON_TOL (NaN included)."""
+        cubic, each kept in the seed's table cell.  Raises NonConvergence
+        when a residual is above _NEWTON_TOL (NaN included)."""
         xs, vs = self._table
         k = np.clip(np.searchsorted(vs, y) - 1, 0, xs.size - 2)
         lo, hi = xs[k], xs[k + 1]
         x = np.clip(lo + (y - vs[k]) / (vs[k + 1] - vs[k]) * (hi - lo), lo, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x, start, v, d = self._steps(x, y, lo, hi, _BRIDGE_SETTLE)
-            m = np.flatnonzero(x != start)  # (v, d) is the jet of the others
-            x[m] = self._steps(x[m], y[m], lo[m], hi[m], _BRIDGE_STEPS - _BRIDGE_SETTLE)[0]
-        v[m], d[m] = self.jet(x[m])
+            for _ in range(_BRIDGE_STEPS):
+                v, d = self.jet(x)
+                fx = v - y
+                x = np.where(fx == 0.0, x, np.minimum(np.maximum(x - fx / d, lo), hi))
+        v, d = self.jet(x)
         residual = float(np.max(np.abs(v - y), initial=0.0))
         if not residual <= _NEWTON_TOL:
             raise NonConvergence("bridge inversion did not converge", residual)

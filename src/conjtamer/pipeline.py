@@ -35,7 +35,7 @@ from .action import Action, validate_relations
 from .cohomology import (
     CohomSolution,
     birkhoff_solution,
-    check_ball_size,
+    check_ball_sums,
     conjugacy_from_log_density,
     nilpotent_average_solution,
     path_conjugacy,
@@ -229,16 +229,14 @@ def _periodic_flatten(action: Action, report: dict, params: PipelineParams) -> A
 
 def _check_ball_before_build(command: str, spec: ActionSpec, params: PipelineParams) -> None:
     """tame-c1 and path on a Z^d spec refuse a ball sum above the size cap
-    before the build: a solve sums over the nodes and the midpoints, a path
-    over the nodes, and the grid gives both."""
+    before the build, from the grid, the rank and nmax."""
     if spec.group_type != ABELIAN or command not in ("tame-c1", "path"):
         return
     try:
         space = Space(spec.space_kind, spec.grid_size)
     except ValueError:
         return  # build_action refuses it
-    points = (space.refine() if command == "tame-c1" else space).track_length
-    check_ball_size(len(spec.generator_names), params.nmax, points)
+    check_ball_sums(space, len(spec.generator_names), params.nmax, solve=command == "tame-c1")
 
 
 def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSolution:

@@ -346,41 +346,6 @@ def test_bridge_inverse_round_trip(slopes):
         assert np.array_equal(back, y) and not ld.any()
 
 
-def all_points_bridge_inverse(bridge, y):
-    """The bridge inverse with every Newton step and the final jet on every
-    point, kept as the oracle of the one that drops the settled points."""
-    xs, vs = bridge._table
-    k = np.clip(np.searchsorted(vs, y) - 1, 0, xs.size - 2)
-    lo, hi = xs[k], xs[k + 1]
-    x = np.clip(lo + (y - vs[k]) / (vs[k + 1] - vs[k]) * (hi - lo), lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(periodic_mod._BRIDGE_STEPS):
-            v, d = bridge.jet(x)
-            fx = v - y
-            x = np.where(fx == 0.0, x, np.minimum(np.maximum(x - fx / d, lo), hi))
-    return x, np.log(bridge.jet(x)[1])
-
-
-@pytest.mark.parametrize(
-    "slopes",
-    [(1 / 64, 1 / 64), (0.5, 0.5), (3.0, 1 / 64), (0.144, 0.144), (1e-9, 2.0)],
-    ids=["1/64", "1/2", "3", "bench", "1e-9"],
-)
-def test_bridge_inverse_drops_settled_points_bit_for_bit(slopes, monkeypatch):
-    bridge = _Bridge(0.25, 0.75, *slopes)
-    rng = np.random.default_rng(7)
-    x = np.concatenate([np.linspace(0.25, 0.75, 3683), rng.uniform(0.25, 0.75, 500)])
-    y = bridge.jet(x)[0]
-    want = all_points_bridge_inverse(bridge, y)
-    sizes, jet = [], _Bridge.jet
-    monkeypatch.setattr(_Bridge, "jet", lambda self, p: sizes.append(p.size) or jet(self, p))
-    got = bridge.invert(y)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    # three steps on every point, then two steps and the jet on fewer
-    assert sizes[:3] == [y.size] * 3 and len(sizes) == 6
-    assert sizes[3] == sizes[4] == sizes[5] < y.size
-
-
 def test_bridge_inverse_raises_on_a_nan_target():
     with pytest.raises(NonConvergence):
         _Bridge(0.0, 0.5, 0.25, 1.0).invert(np.array([0.1, np.nan]))

@@ -14,6 +14,7 @@ from conjtamer import (
     birkhoff_field,
     birkhoff_solution,
     build_action,
+    cocycle_defect,
     flatten_hyperbolic,
     load_action_spec,
     parse_action_spec,
@@ -23,6 +24,7 @@ from conjtamer import (
 )
 from conjtamer.cli import main
 from conjtamer.specfile import _PIPELINE_KEYS, PipelineParams
+import conjtamer.cohomology as cohomology
 import conjtamer.periodic as periodic_mod
 import conjtamer.pipeline as pipeline_mod
 
@@ -207,6 +209,28 @@ def test_tame_c1_output_reingests_no_worse(tmp_path):
     act = build_action(re_spec, base_dir=str(out))
     rebuilt_sup = max(log_deriv_sup(g) for g in act.gens)
     assert rebuilt_sup <= final_sup + 2 * 4.0 / re_spec.grid_size
+
+
+def test_solve_on_a_reingested_z2_export_measures_u_at_the_images(tmp_path):
+    # the exported generators commute within the relation tolerance, not
+    # exactly, so the faces of the ball are not u's defect: the solve and
+    # the path measure u at the generator images, and tame-c1 reports the
+    # cocycle_defect of its own u (the faces gave 8.46e-5 for g1's 1.15e-4)
+    spec = str(Path(__file__).resolve().parents[1] / "specs" / "a3_z2.spec")
+    first = tmp_path / "first"
+    args = ["--grid", "512", "--nmax", "8"]
+    assert main(["tame-c1", "--spec", spec, "--out", str(first)] + args) == 0
+    tamed = str(first / "tamed.spec")
+    assert main(["tame-c1", "--spec", tamed, "--nmax", "8", "--out", str(tmp_path / "c1")]) == 0
+    assert main(["path", "--spec", tamed, "--nmax", "8", "--steps", "1", "--out", str(tmp_path / "p")]) == 0
+    solve = json.loads((tmp_path / "c1" / "report.json").read_text())["solve"]
+    action = build_action(load_action_spec(tamed), base_dir=str(first))
+    assert not cohomology._faces_are_defects(action)
+    u = birkhoff_solution(action, 8).u
+    assert (solve["defect_per_generator"], solve["defect_locations"]) == cocycle_defect(u, action)
+    assert solve["defect_per_generator"]["g1"] > 1e-4
+    gap = json.loads((tmp_path / "p" / "report.json").read_text())["path"]["final_c1_gap"]
+    assert gap == pytest.approx(solve["defect"], rel=1e-12, abs=0)
 
 
 def test_detect_finds_pingpong_witness(tmp_path):

@@ -209,8 +209,8 @@ def test_face_sums_telescope(make, n):
     def fsum(keep):
         return [math.fsum(c[j] for k, c in cocycle.items() if keep(k)) for j in range(x.size)]
 
-    sums, faces = cohomology._ball_rows(action, n, x)
-    last = cohomology._ball_rows(action, n, x, rows=False)
+    sums, faces = cohomology._ball_rows(action, n, x, faces=True)
+    last = cohomology._ball_rows(action, n, x, rows=False, faces=True)
     for r in range(1, n + 1):
         assert_close(sums[r - 1], fsum(lambda k: max(k) < r), rel=1e-12)
         for i in range(d):
@@ -219,6 +219,10 @@ def test_face_sums_telescope(make, n):
             assert_close(faces[r - 1, i], np.subtract(low, high), rel=1e-12)
     assert_close(last[0][0], sums[-1], rel=1e-12)
     assert_close(last[1][0], faces[-1], rel=1e-12)
+    # without the faces, the same cube sums, bit for bit
+    for rows, want in ((True, sums), (False, last[0])):
+        got = cohomology._ball_rows(action, n, x, rows=rows)
+        assert got[1] is None and np.array_equal(got[0], want)
 
     scale = float(n**d)
     u = lambda y: birkhoff_field(action, n, y)[n] / scale
@@ -264,6 +268,19 @@ def test_birkhoff_solution_steps_the_ball_once(monkeypatch):
     assert passes == [2 * nodes]
     assert inversions == [2 * nodes]
     assert elements == [2 * nodes] * (n**d + d * n ** (d - 1))
+
+
+def test_exact_evaluator_walks_the_cube_alone(monkeypatch):
+    # u's exact evaluator and birkhoff_field sum [0, n)^d; only the solve
+    # pass and the path walk the faces k_i = n as well
+    action = conj_rotation_z2(64)
+    n, d = 4, action.rank
+    sol = birkhoff_solution(action, n)
+    elements, point = [], WalkState.point
+    monkeypatch.setattr(WalkState, "point", lambda self: elements.append(1) or point(self))
+    sol.u(np.array([0.1, 0.7]))
+    birkhoff_field(action, n, 0.3)
+    assert len(elements) == 2 * n**d
 
 
 @pytest.mark.parametrize(
