@@ -4,11 +4,12 @@ Realization of words is by composition (left letter outermost, so a word acts
 as w(x) = l1(l2(...(x)))), which makes word_realize a homomorphism for the
 compose operation and accumulates log-derivatives through the chain rule.
 Word evaluation walks the letters' plans (diffeo.WalkState), so a conjugator
-shared by consecutive letters is inverted once, not once per letter.  A list
-of words at one point set shares its walks by suffix (`Action.walk_words`):
-every walk starts in the letters' shared coordinates, and a suffix common to
-several words is stepped once; relation checks, ball averages and word images
-all walk this way.
+shared by consecutive letters is inverted once, not once per letter.  A set
+of words at one point set walks as a tree (`Action.walk_tree`): each node is
+a letter times its parent's word, so its walk is its parent's stepped once,
+and every walk starts in the letters' shared coordinates.  A list of words
+walks the tree of its suffixes (`Action.walk_words`): relation checks, ball
+averages and word images walk this way, and the Deroin series its ball tree.
 
 An inverse letter is the generator's reversed plan (Diffeo.as_plan(-1)), so
 no walk builds an inverse map: a conjugated rotation's inverse letter walks as
@@ -17,7 +18,7 @@ z -> z - α in the same coordinates as its forward letter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .words import Letter, Presentation, Word
 
 Array = np.ndarray
 
-# most points that the kept walks of Action.walk_words hold (each holds up to
+# most points that the kept walks of Action.walk_tree hold (each holds up to
 # four arrays of its points)
 _WALK_POINTS = 2**20
 
@@ -84,40 +85,62 @@ class Action:
 
     # -- word evaluation without building composite diffeos ------------------
 
-    def walk_words(
-        self, words: Iterable[Sequence[Letter]], x
+    def walk_tree(
+        self, tree: Sequence[Tuple[int, Letter]], x, order: Optional[Iterable[int]] = None
     ) -> Iterator[WalkState]:
-        """The walk of each word at the points x, in order, one step per
-        distinct suffix: walk(seq) = walk(seq[1:]).step(plan of seq[0]).
-        Walks start in the shared coordinates of the letters the words use
-        (WalkState.start), so words of conjugated rotations h∘R∘h⁻¹ invert h
-        once and cost one jet of h each.  A suffix's walk is kept until the
-        last word that ends in it, and at most _WALK_POINTS points' worth of
-        walks are kept: past that the least recently used goes, and is
-        walked again from a shorter suffix if a later word needs it."""
-        words = [tuple(w) for w in words]
-        last_use = {
-            seq[j:]: i for i, seq in enumerate(words) for j in range(len(seq) + 1)
-        }
-        plans = {(g, s): self.generator(g).as_plan(s) for seq in words for g, s in seq}
+        """The walks at the points x of the nodes of a word tree listed in
+        order (default: every node but the root, in tree order).  tree[i] =
+        (parent, letter) spells node i as letter · word(parent) and tree[0]
+        is the root, the empty word, so a node's walk is its parent's stepped
+        once by the letter's plan.  Walks start in the shared coordinates of
+        the tree's letters (WalkState.start), so words of conjugated rotations
+        h∘R∘h⁻¹ invert h once and cost one jet of h each.  A walk is kept
+        until the last listed node that steps from it or yields it, and at
+        most _WALK_POINTS points' worth of walks are kept: past that the
+        least recently used goes, and is walked again from its nearest kept
+        ancestor, with the same bits."""
+        order = list(range(1, len(tree)) if order is None else order)
+        # last[i]: the last position that steps from or yields node i's walk
+        # when none is dropped for room (the nodes first reached, and the one
+        # above them reached before)
+        last = {0: -1}
+        for k, node in enumerate(order):
+            while node not in last:
+                last[node] = k
+                node = tree[node][0]
+            last[node] = k
+        plans = {lt: self.generator(lt[0]).as_plan(lt[1]) for lt in {lt for _, lt in tree[1:]}}
         start = WalkState.start(x, plans.values())
         room = max(1, _WALK_POINTS // max(1, start.z.size))
-        walks: Dict[Tuple[Letter, ...], WalkState] = {}
-        for i, seq in enumerate(words):
-            j = 0
-            while j < len(seq) and seq[j:] not in walks:
-                j += 1
-            walk = walks.pop(seq[j:], start)  # re-inserted below: most recent
-            if j < len(seq):
-                walks[seq[j:]] = walk
-            for j in range(j - 1, -1, -1):
-                walk = walks[seq[j:]] = walk.step(plans[seq[j]])
-            yield walk
-            for j in range(len(seq)):
-                if last_use[seq[j:]] == i:
-                    walks.pop(seq[j:], None)
+        walks: Dict[int, WalkState] = {}
+        for k, node in enumerate(order):
+            path, top = [], node
+            while top and top not in walks:
+                path.append(top)
+                top = tree[top][0]
+            walk = walks.pop(top, start)
+            if top and last[top] > k:  # re-inserted: the most recently used
+                walks[top] = walk
+            for node in reversed(path):
+                walk = walk.step(plans[tree[node][1]])
+                if last[node] > k:
+                    walks[node] = walk
             while len(walks) > room:
                 walks.pop(next(iter(walks)))
+            yield walk
+
+    def walk_words(self, words: Iterable[Sequence[Letter]], x) -> Iterator[WalkState]:
+        """The walk of each word at the points x, in order: walk_tree over
+        the tree of the words' suffixes, walk(seq) = walk(seq[1:]).step(plan
+        of seq[0]), so a suffix that several words share is stepped once."""
+        words = [tuple(w) for w in words]
+        tree, nodes = [(-1, (0, 0))], {(): 0}
+        for seq in words:
+            for j in range(len(seq) - 1, -1, -1):
+                if seq[j:] not in nodes:
+                    nodes[seq[j:]] = len(tree)
+                    tree.append((nodes[seq[j + 1 :]], seq[j]))
+        return self.walk_tree(tree, x, [nodes[seq] for seq in words])
 
     def word_cocycle(self, letters: Iterable[Letter], x) -> Tuple[Array, Array]:
         """(log D(w)(x), w(x)) along one walk of the letters' plans."""

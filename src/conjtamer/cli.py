@@ -93,7 +93,7 @@ def _summary_lines(report: dict) -> List[str]:
     elif command == "tame-c1" and "certify" in report:
         c = report["certify"]
         lines.append(f"  final sup|log D| {c['final_sup_log_deriv']:.6g} vs "
-                     f"epsilon {c['epsilon']:.6g} + slack {c['slack']:.6g}")
+                     f"epsilon {c['epsilon']:.6g}")
     elif command == "path" and "path" in report:
         p = report["path"]
         lines.append(f"  {p['samples']} samples, final c1 gap "

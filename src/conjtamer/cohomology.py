@@ -334,18 +334,16 @@ def nilpotent_average_solution(
 def _measure_exactness_onset(action: Action, n_cap: int) -> int:
     """Smallest N0 such that |(1/n) log D(g^n)| < EXACTNESS_DELTA on the grid
     for every metric generator and all n in [N0, n_cap]; n_cap when never
-    reached.  The walks of g^n and g^-n all start from one WalkState in the
-    letters' shared coordinates."""
-    metric = action.presentation.metric_generators
-    plans = [action.gens[j].as_plan(s) for j in metric for s in (1, -1)]
-    start = WalkState.start(action.space.track_nodes(), plans)
+    reached.  The walks of g^n and g^-n are one tree of chains
+    (Action.walk_tree), in the letters' shared coordinates."""
+    tree = [(-1, (0, 0))]
+    for letter in ((j, s) for j in action.presentation.metric_generators for s in (1, -1)):
+        tree += [(len(tree) + n - 1 if n else 0, letter) for n in range(n_cap)]
     worst = 1
-    for plan in plans:
-        walk = start
-        for n in range(1, n_cap + 1):
-            walk = walk.step(plan)
-            if float(np.max(np.abs(walk.point()[1]))) / n >= EXACTNESS_DELTA:
-                worst = max(worst, n + 1)
+    for i, walk in enumerate(action.walk_tree(tree, action.space.track_nodes())):
+        n = i % n_cap + 1
+        if float(np.max(np.abs(walk.point()[1]))) / n >= EXACTNESS_DELTA:
+            worst = max(worst, n + 1)
     return worst
 
 

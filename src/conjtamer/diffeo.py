@@ -527,8 +527,10 @@ class Diffeo:
 def build_diffeo(definition, space: Space) -> Diffeo:
     """Builds a diffeomorphism from an expression (text or compiled), from
     log-derivative samples, or passes an existing Diffeo through.  The bare
-    variable x is the identity, whose plan is empty; a Möbius root
-    (a x + b)/(c x + d) inverts in closed form."""
+    variable x is the identity, whose plan is empty, and on the circle x + c
+    (c + x, x - c) with c a finite constant is the rotation by c; a Möbius
+    root (a x + b)/(c x + d) inverts in closed form.  A derivative that is
+    not finite and positive is refused (NonMonotone)."""
     from .expressions import Expression, compile_expression
 
     if isinstance(definition, Diffeo):
@@ -541,6 +543,8 @@ def build_diffeo(definition, space: Space) -> Diffeo:
     expr = definition
     if expr.is_variable:
         return identity(space)
+    if space.is_circle and expr.shift is not None:
+        return rotation(space, expr.shift)
 
     def jet_fn(x):
         v, d = expr.jet(x)
@@ -556,7 +560,8 @@ def build_diffeo(definition, space: Space) -> Diffeo:
             den = a - c * y
             return (d * y - b) / den, math.log(a * d - b * c) - 2.0 * np.log(den)
 
-    return Diffeo.from_callables(space, jet_fn, inverse_jet)
+    with np.errstate(divide="ignore", invalid="ignore"):  # jet_fn checks the nodes
+        return Diffeo.from_callables(space, jet_fn, inverse_jet)
 
 
 def compose(f: Diffeo, g: Diffeo) -> Diffeo:

@@ -279,6 +279,17 @@ class _Parser:
         return _Fun(name, args[0])
 
 
+def _shift(ast: _Node):
+    """c when ast is x + c, c + x or x - c with c a finite constant, else None."""
+    if isinstance(ast, _BinOp) and ast.op in "+-":
+        x, c = (ast.b, ast.a) if ast.op == "+" and isinstance(ast.b, _X) else (ast.a, ast.b)
+        if isinstance(x, _X) and not c.has_x:
+            with np.errstate(all="ignore"):
+                value = float(c.jet(np.zeros(1))[0][0]) * (1.0 if ast.op == "+" else -1.0)
+            return value if np.isfinite(value) else None
+    return None
+
+
 class Expression:
     """A compiled expression of x with analytic derivative."""
 
@@ -289,6 +300,7 @@ class Expression:
         # (a, b, c, d) when the expression is mobius(a, b, c, d)
         self.mobius = (ast.a, ast.b, ast.c, ast.d) if isinstance(ast, _Mobius) else None
         self.is_variable = isinstance(ast, _X)  # the bare variable x
+        self.shift = _shift(ast)  # c when the expression is x + c, c + x or x - c
 
     def jet(self, x) -> Tuple[Array, Array]:
         """(value, derivative) at x in one walk of the tree."""

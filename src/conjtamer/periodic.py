@@ -10,6 +10,10 @@ x_j ± r (t/r)^(1/alpha); the conjugated maps stay C^1 with fixed-point
 multipliers raised to the power 1/alpha.  The flattening map has infinite
 derivative at the flagged points, so it is a plan primitive but no Diffeo:
 a conjugate walks its plan and collapses the singularity analytically.
+
+Resilient detection spells its words off the one BFS of the rewriting trie
+(words._spheres, over every letter) and walks them by suffix
+(Action.walk_words).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     NotCircle,
 )
 from .space import Space
-from .words import Letter, Word
+from .words import DEFAULT_BALL_CAP, Letter, Word, _spheres
 
 Array = np.ndarray
 
@@ -567,29 +571,17 @@ class ResilientWitness:
 def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
     """The first spelling of each element but the identity up to max_len
     letters, by length, then in the letter order g0, g0^-1, g1, ... of the
-    freely reduced spellings: one BFS of the rewriting trie over all letters
-    extends each element's first spelling by every letter that does not
-    cancel its last.  The identity is the root (a spelled commutator of Z^2
-    reaches it), and it is neither f nor g of a chain."""
+    freely reduced spellings: each node of the trie's BFS over all letters
+    (words._spheres, capped at DEFAULT_BALL_CAP elements) is its parent's
+    spelling and its letter.  The identity is the root (a spelled
+    commutator of Z^2 reaches it), and it is neither f nor g of a chain."""
     pres = action.presentation
-    letters = list(enumerate(pres._letters))
-    seen = {0}
-    frontier: List[Tuple[int, Tuple[Letter, ...]]] = [(0, ())]
-    words: List[Tuple[Letter, ...]] = []
-    for _ in range(max_len):
-        layer = []
-        for node, spelling in frontier:
-            cancel = (spelling[-1][0], -spelling[-1][1]) if spelling else None
-            for i, letter in letters:
-                if letter == cancel:
-                    continue
-                nxt = pres._extend(node, (i,))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    layer.append((nxt, spelling + (letter,)))
-        words.extend(spelling for _, spelling in layer)
-        frontier = layer
-    return words
+    spelling: Dict[int, Tuple[Letter, ...]] = {0: ()}
+    for nodes, layer in _spheres(pres, max_len, DEFAULT_BALL_CAP, False, range(pres.rank)):
+        for node in nodes:
+            parent, letter = layer[node]
+            spelling[node] = spelling[parent] + (letter,)
+    return list(spelling.values())[1:]
 
 
 def _cuts(v: Array) -> Array:

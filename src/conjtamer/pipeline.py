@@ -307,10 +307,9 @@ def _cmd_tame_c1(
             "final_sup_log_deriv": final_sup,
             "final_periodic": _orbit_records(final_orbits),
             "multipliers_within_epsilon": multiplier_ok,
-            # a multiplier is a conjugacy invariant; final_sup and defect are
-            # grid suprema of one field at different sample sets, so the sup
-            # takes the multiplier check's headroom (exact <= is ulp-fragile)
-            "certified": bool(multiplier_ok and final_sup <= (eps + slack) * (1.0 + 1e-6)),
+            # against epsilon alone (defect and slack are diagnostics), with
+            # the multiplier check's headroom: exact <= is ulp-fragile
+            "certified": bool(multiplier_ok and final_sup <= eps * (1.0 + 1e-6)),
         }
         report["certified"] = report["certify"]["certified"]
 
@@ -325,8 +324,8 @@ def _cmd_tame_c1(
 
     if not report["certified"]:
         raise CertificationFailure(
-            f"final sup|log D| = {final_sup:.6g} against epsilon + slack = "
-            f"{eps + slack:.6g}, multipliers within epsilon: {multiplier_ok}",
+            f"final sup|log D| = {final_sup:.6g} against epsilon = "
+            f"{eps:.6g}, multipliers within epsilon: {multiplier_ok}",
             report,
         )
 

@@ -4,7 +4,8 @@ geometrically-weighted pushforward measure.
 The measure is mu = sum over the ball of radius N of lambda^len(w) * w_*(Leb);
 its normalized CDF F straightens the action so that every generator's
 difference quotients are certified close to 1/lambda, up to an explicit tail
-slack from the truncation.
+slack from the truncation.  The series walks every orbit along the ball
+tree (Action.walk_tree), which bounds the walks it keeps.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, Primitive, WalkState
+from .diffeo import Diffeo, Primitive
 from .errors import LambdaOutOfRange
 from .words import FREE, ball_tree
 
@@ -100,30 +101,21 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
     weights = lam ** np.repeat(np.arange(len(sizes)), sizes).astype(float)
     mass = float(np.sum(weights))  # each w_*(Leb) has unit mass
 
-    # w·l extends the orbit of w by l^{-1}: a step along the reversed plan of
-    # l; a walk is kept until its last child in the ball tree has stepped
-    plans = {lt: action.gens[lt[0]].as_plan(-lt[1]) for _, lt in tree[1:]}
-    last_child = {parent: i for i, (parent, _) in enumerate(tree[1:], 1)}
+    # w·l extends the orbit of w by l^{-1}: a step along the reversed plan of l
+    orbit_tree = [(parent, (g, -s)) for parent, (g, s) in tree]
 
     def walk(x):
         """Unnormalized CDF sum of weights * (w^{-1}(x) - w^{-1}(0)), on
         lifts, and the log of its density sum of weights * D(w^{-1})(x).
-        The orbits walk along the ball tree from the letters' shared
-        coordinates (WalkState), one step per element."""
+        The orbits walk along the ball tree (Action.walk_tree), one step per
+        element."""
         x = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)), [0.0]])
-        walks = {0: WalkState.start(x, plans.values())}
         acc = weights[0] * x
         dens = weights[0] * np.ones_like(x)
-        for i in range(1, len(tree)):
-            parent, letter = tree[i]
-            walk = walks[parent].step(plans[letter])
-            if last_child[parent] == i:
-                del walks[parent]
-            if i in last_child:
-                walks[i] = walk
-            y, ld = walk.point()
-            dens = dens + weights[i] * np.exp(ld)
-            acc = acc + weights[i] * y
+        for weight, orbit in zip(weights[1:], action.walk_tree(orbit_tree, x)):
+            y, ld = orbit.point()
+            dens = dens + weight * np.exp(ld)
+            acc = acc + weight * y
         raw = acc[:-1] - acc[-1]
         return raw, np.log(dens[:-1])
 

@@ -12,7 +12,8 @@ word can only create a redex that ends at the top, so the reduced push of
 left-hand side ending at the top it is the node's child, otherwise the
 right-hand side's letters are pushed in order onto the node the left-hand
 side climbs to.  Every kind reduces on the trie, Z^d through its commutation
-rules, and balls run their BFS on node ids.
+rules, and one BFS on node ids (_spheres) runs every ball over the metric
+letters and the word list of periodic.detect_resilient over every letter.
 
 A Word is built only for a caller that reads it back: sphere_sizes counts
 the spheres of a ball and ball_tree gives its walk order without keeping
@@ -283,16 +284,17 @@ class Ball:
 
 
 def _spheres(
-    presentation: Presentation, k: int, cap: int, ordered: bool
+    presentation: Presentation, k: int, cap: int, ordered: bool, generators: Sequence[int] = ()
 ) -> Iterator[Tuple[List[int], Dict[int, Tuple[int, Letter]]]]:
-    """The spheres S(1) .. S(k) of the BFS of B(k) over the metric generators
-    and their inverses on trie node ids, each as its nodes and the (parent
-    node, letter) that first reached each.  A sphere grows from the previous
-    one in its yielded order: sorted by the words' letters when ordered, the
-    sort keys dropped with the sphere.  Past cap elements it raises
-    SizeOverflow: a free ball before the walk, from its closed-form size
+    """The spheres S(1) .. S(k) of the BFS of B(k) over the generators (none
+    given: the metric ones) and their inverses on trie node ids, each as its
+    nodes and the (parent node, letter) that first reached each, node =
+    parent·letter.  A sphere grows from the previous one in its yielded
+    order: sorted by the words' letters when ordered, the sort keys dropped
+    with the sphere, else in the order first reached.  Past cap elements it
+    raises SizeOverflow: a free ball before the walk, from its closed-form size
     1 + 2r((2r - 1)^k - 1)/(2r - 2), any other at its first element past cap."""
-    alphabet = [(g, s) for g in presentation.metric_generators for s in (1, -1)]
+    alphabet = [(g, s) for g in generators or presentation.metric_generators for s in (1, -1)]
     r = len(alphabet) // 2
     if presentation.kind == FREE:  # 2r(2r - 1)^(j - 1) reduced words at radius j >= 1
         if 1 + (2 * k if r == 1 else r * ((2 * r - 1) ** k - 1) // (r - 1)) > cap:

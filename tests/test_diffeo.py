@@ -12,6 +12,7 @@ from conjtamer import (
     pwl_diffeo,
     rotation,
 )
+from conjtamer.diffeo import translations
 from conjtamer.errors import DegenerateDerivative, SpaceMismatch
 from conjtamer.space import circle, interval
 
@@ -99,6 +100,17 @@ def test_identity_is_neutral():
     x = np.linspace(0, 1, 500)
     assert sup(compose(f, e)(x) - f(x)) <= 1e-12
     assert sup(compose(e, f)(x) - f(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("text, angle", [("x + 0.3", 0.3), ("0.3 + x", 0.3), ("x - 0.25", 0.75)])
+def test_a_translation_formula_is_a_rotation_on_the_circle(text, angle):
+    # the plan of the rotation, so that rotations.spec's generators walk as
+    # z -> z + c and commute exactly; the interval still refuses the formula
+    f = build_diffeo(text, circle(64))
+    assert [(p.angle, s) for p, s in f.plan] == [(angle, 1)]
+    assert translations([f.as_plan(), rotation(circle(64), 0.1).as_plan()])
+    with pytest.raises(NonMonotone):
+        build_diffeo(text, interval(64))
 
 
 def test_chain_rule_against_central_differences():

@@ -461,7 +461,7 @@ def test_cli_a4_with_small_delta_exits_zero(tmp_path, pytestconfig):
     # direct inverse (table seed, fixed Newton steps on the cubic) must
     # still meet the residual tolerance at every point it inverts
     spec = pytestconfig.rootpath / "specs" / "a4.spec"
-    argv = ["tame-c1", "--spec", str(spec), "--delta", "0.05", "--nmax", "48"]
+    argv = ["tame-c1", "--spec", str(spec), "--delta", "0.05", "--nmax", "192"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 

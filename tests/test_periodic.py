@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,7 @@ from conjtamer import (
     InfiniteHyperbolicSet,
     NonConvergence,
     NotCircle,
+    SizeOverflow,
     build_diffeo,
     detect_resilient,
     find_periodic_points,
@@ -20,6 +22,7 @@ from conjtamer import (
     rotation_number,
 )
 from conjtamer import Action, Diffeo, Presentation, build_action, load_action_spec
+from conjtamer.cli import main
 from conjtamer.diffeo import Primitive, WalkState, iterate
 import conjtamer.diffeo as diffeo_mod
 import conjtamer.periodic as periodic_mod
@@ -788,3 +791,31 @@ def test_hyperbolic_point_orbit_stays_finite_on_nilpotent_rotations():
     )
     for g in act.gens:
         assert [o for o in find_periodic_points(g, 3) if not o.parabolic] == []
+
+
+@pytest.mark.parametrize(
+    "build, max_len, cap",
+    [(pingpong_action, 12, None), (conj_rotation_z2, 6, 50)],
+    ids=["free-closed-form", "z2-first-past-cap"],
+)
+def test_detect_refuses_a_word_list_past_the_cap_before_walking(
+    monkeypatch, build, max_len, cap
+):
+    # the free pair has 1 062 880 words of length <= 12, refused from the
+    # closed-form ball size; Z^2 has 85 of length <= 6, refused at the 51st
+    act = build(64)
+    if cap is not None:
+        monkeypatch.setattr(periodic_mod, "DEFAULT_BALL_CAP", cap)
+    steps = []
+    real_step = WalkState.step
+    monkeypatch.setattr(WalkState, "step", lambda s, plan: steps.append(plan) or real_step(s, plan))
+    with pytest.raises(SizeOverflow):
+        detect_resilient(act, max_len, 0.01)
+    assert steps == []
+
+
+def test_cli_detect_refuses_a_long_free_word_list(tmp_path):
+    out = tmp_path / "out"
+    spec = str(SPECS / "pingpong.spec")
+    assert main(["detect", "--spec", spec, "--grid", "64", "-L", "12", "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["failed_stage"] == "detect"

@@ -1,6 +1,7 @@
 import json
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,10 @@ A4_SMALL = textwrap.dedent(
     nmax = 48
     """
 )
+
+# epsilon 0.25, the bench's interval-hyperbolic setting: A4_SMALL's final
+# sup|log D| of 0.1725 certifies there, for tests of what a run exports
+A4_SMALL_EPS = A4_SMALL.replace("epsilon = 0.1\n", "epsilon = 0.25\n")
 
 A3_SMALL = textwrap.dedent(
     """\
@@ -199,7 +204,7 @@ def test_tame_c1_rejects_free_groups(tmp_path):
 
 
 def test_tame_c1_output_reingests_no_worse(tmp_path):
-    spec = parse_action_spec(A4_SMALL)
+    spec = parse_action_spec(A4_SMALL_EPS)
     out = tmp_path / "out"
     report = run_pipeline("tame-c1", spec, str(out))
     assert report["certify"]["certified"] is True
@@ -319,15 +324,10 @@ PERIOD_FOUR = textwrap.dedent(
 )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known false certificate: the periodic inventory stops at period 3 "
-    "(ROADMAP item 3) and the certificate gates on max(epsilon, defect), not "
-    "on epsilon (ROADMAP item 1); fixing either must flip this marker",
-)
 def test_cli_tame_c1_does_not_certify_past_its_epsilon_on_period_four(tmp_path):
-    # hyperbolic period-4 orbits go unflattened; the final sup|log D| of
-    # 0.134 exceeds epsilon = 0.1
+    # hyperbolic period-4 orbits go unflattened (the inventory stops at
+    # period 3); the final sup|log D| of 0.134 exceeds epsilon = 0.1, and the
+    # certificate compares it with epsilon alone
     spec = write(tmp_path, "p4.spec", PERIOD_FOUR)
     out = tmp_path / "out"
     main(["tame-c1", "--spec", spec, "--out", str(out)])
@@ -445,7 +445,7 @@ def test_flattening_tame_c1_inventories_each_action_once(tmp_path, monkeypatch):
 )
 def test_exported_spec_carries_the_run_parameters(tmp_path, command, exported):
     # radius 40 overrides the spec's 24 with the default, so it is left out
-    spec = parse_action_spec(A4_SMALL)
+    spec = parse_action_spec(A4_SMALL_EPS)
     for i, overrides in enumerate([{"radius": 40, "max_word_len": 3}, {"radius": 40}]):
         out = tmp_path / f"out{i}"
         run_pipeline(command, spec, str(out), overrides=overrides)
@@ -586,7 +586,7 @@ def test_cli_tame_c1_refuses_multipliers_beyond_epsilon(tmp_path):
     # meets epsilon and the run must not certify, whatever its final sup
     spec = Path(__file__).resolve().parent.parent / "specs" / "a4.spec"
     out = tmp_path / "out"
-    argv = ["tame-c1", "--spec", str(spec), "--grid", "512", "--delta", "0.15"]
+    argv = ["tame-c1", "--spec", str(spec), "--grid", "512", "--delta", "0.15", "--nmax", "48"]
     assert main(argv + ["--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["certify"]["multipliers_within_epsilon"] is False
@@ -684,11 +684,21 @@ def test_cli_detect_summary(tmp_path, capsys):
     assert "witness" in out.lower()
 
 
-def test_cli_pwl_with_a_jump_is_rejected(tmp_path):
-    jump = "f = pwl(0:0, 0.5:0.5, 0.5:0.7, 1:1)"
-    spec = write(tmp_path, "j.spec", TRIVIAL.replace("f = x", jump))
+@pytest.mark.parametrize(
+    "definition",
+    ["pwl(0:0, 0.5:0.5, 0.5:0.7, 1:1)", "1 - x", "0.5*x", "x + 0.3*sin(2*pi*x)",
+     "mobius(1, 0, 1, 0)"],
+    ids=["pwl-jump", "reversing", "contracting", "folding", "mobius-pole"],
+)
+def test_cli_pwl_with_a_jump_is_rejected(tmp_path, definition):
+    # no homeomorphism of [0, 1]: a build failure with the report written,
+    # and no numpy warning from the jet whose finiteness the build checks
+    spec = write(tmp_path, "j.spec", TRIVIAL.replace("f = x", f"f = {definition}"))
     out = tmp_path / "out"
-    assert main(["report", "--spec", spec, "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["report", "--spec", spec, "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert json.loads((out / "report.json").read_text())["failed_stage"] == "build"
 
 

@@ -25,6 +25,7 @@ from conjtamer import (
     build_action,
     build_diffeo,
     cocycle_defect,
+    deroin_cdf,
     enumerate_ball,
     flatten_hyperbolic,
     load_action_spec,
@@ -35,7 +36,7 @@ from conjtamer import (
 )
 from conjtamer.diffeo import WalkState
 from conjtamer.space import circle, interval
-from conjtamer.words import select_shell_radii
+from conjtamer.words import ball_tree, select_shell_radii
 
 from helpers import (
     assert_close,
@@ -187,6 +188,77 @@ def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
         assert np.array_equal(walk.point()[1], acc)
         c, w = action.word_cocycle(seq, x)
         assert np.array_equal(w, y) and np.array_equal(c, acc)
+
+
+def test_deroin_series_with_few_kept_walks_has_the_same_bits(monkeypatch):
+    # the series walks its ball tree with room for two walks: every orbit
+    # dropped for room is walked again from its nearest kept ancestor
+    action, _ = heisenberg_rotations(256)
+    probe = np.linspace(0.0, 1.0, 37)
+    kept = deroin_cdf(action, 0.5, 6)
+    monkeypatch.setattr(action_mod, "_WALK_POINTS", 2 * (action.space.nodes.size + 1))
+    few = deroin_cdf(action, 0.5, 6)
+    assert np.array_equal(few.raw_sums(), kept.raw_sums())
+    assert np.array_equal(few.conjugator.values, kept.conjugator.values)
+    assert np.array_equal(few.conjugator.log_deriv.samples, kept.conjugator.log_deriv.samples)
+    assert np.array_equal(few.cdf_raw(probe), kept.cdf_raw(probe))
+
+
+def test_walk_tree_yields_the_listed_nodes_in_order_and_drops_spent_walks(monkeypatch):
+    # node i spells tree[i][1] · word(tree[i][0]).  At each yield the walker
+    # keeps only the walks of nodes that a step or a yield from there on
+    # reads, as an uncapped walk reads them; with room for three walks it
+    # keeps no more, and yields the same bits
+    action, p = heisenberg_rotations(64)
+    tree, _ = ball_tree(p, 3)
+    x = action.space.nodes
+    real_step = WalkState.step
+
+    def spelled(node):
+        letters = []
+        while node:
+            node, letter = tree[node]
+            letters.append(letter)
+        return letters
+
+    def run(order):
+        """(yielded walks, kept {node: walk} at each yield, last position
+        that steps from or yields each walk)."""
+        reads, kept, yielded = [], [], []
+        monkeypatch.setattr(
+            WalkState, "step",
+            lambda w, plan: reads.append((len(yielded), w)) or real_step(w, plan),
+        )
+        walks = action.walk_tree(tree, x, order)
+        for walk in walks:
+            kept.append(dict(walks.gi_frame.f_locals["walks"]))
+            reads.append((len(yielded), walk))
+            yielded.append(walk)
+        monkeypatch.setattr(WalkState, "step", real_step)
+        return yielded, kept, {id(w): k for k, w in reads}  # every walk referenced
+
+    default = list(range(1, len(tree)))
+    for order in (None, default[::-3] + [0, 5, 5]):
+        listed = default if order is None else order
+        yielded, kept, last = run(order)
+        assert len(yielded) == len(listed)
+        for node, walk in zip(listed, yielded):
+            c, y = action.word_cocycle(spelled(node), x)
+            assert np.array_equal(walk.point()[0], y) and np.array_equal(walk.point()[1], c)
+        needed = {}  # node -> last position that reads its walk
+        for held in kept:
+            needed.update((node, last[id(w)]) for node, w in held.items())
+        for k, held in enumerate(kept):
+            assert all(needed[node] >= k for node in held)
+
+        monkeypatch.setattr(action_mod, "_WALK_POINTS", 3 * x.size)
+        few, few_kept, _ = run(order)
+        monkeypatch.undo()
+        for k, held in enumerate(few_kept):
+            assert len(held) <= 3 and all(needed[node] >= k for node in held)
+        for a, b in zip(few, yielded):
+            assert np.array_equal(a.point()[0], b.point()[0])
+            assert np.array_equal(a.point()[1], b.point()[1])
 
 
 @pytest.mark.parametrize(
