@@ -5,11 +5,13 @@ as w(x) = l1(l2(...(x)))), which makes word_realize a homomorphism for the
 compose operation and accumulates log-derivatives through the chain rule.
 Word evaluation walks the letters' plans (diffeo.WalkState), so a conjugator
 shared by consecutive letters is inverted once, not once per letter.  A set
-of words at one point set walks as a tree (`Action.walk_tree`): each node is
-a letter times its parent's word, so its walk is its parent's stepped once,
-and every walk starts in the letters' shared coordinates.  A list of words
-walks the tree of its suffixes (`Action.walk_words`): relation checks, ball
-averages and word images walk this way, and the Deroin series its ball tree.
+of words at one point set walks as a tree (`Action.walk_tree`), depth first:
+each node is a letter times its parent's word, so its walk is its parent's
+stepped once, every walk starts in the letters' shared coordinates, and a
+walk is kept only until its last child has stepped from it.  A list of words
+walks the tree of its suffixes (`Action.walk_words`), yielding each word's
+index as it is reached: relation checks, ball averages and word images walk
+this way, the Deroin series its ball tree and a Z^d ball sum its cube.
 
 An inverse letter is the generator's reversed plan (Diffeo.as_plan(-1)), so
 no walk builds an inverse map: a conjugated rotation's inverse letter walks as
@@ -18,7 +20,7 @@ z -> z - α in the same coordinates as its forward letter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -28,10 +30,6 @@ from .space import Space
 from .words import Letter, Presentation, Word
 
 Array = np.ndarray
-
-# most points that the kept walks of Action.walk_tree hold (each holds up to
-# four arrays of its points)
-_WALK_POINTS = 2**20
 
 
 class Action:
@@ -86,65 +84,51 @@ class Action:
     # -- word evaluation without building composite diffeos ------------------
 
     def walk_tree(
-        self, tree: Sequence[Tuple[int, Letter]], x, order: Optional[Iterable[int]] = None
-    ) -> Iterator[WalkState]:
-        """The walks at the points x of the nodes of a word tree listed in
-        order (default: every node but the root, in tree order).  tree[i] =
+        self, tree: Sequence[Tuple[int, Letter]], x
+    ) -> Iterator[Tuple[int, WalkState]]:
+        """(node, walk) at the points x for every node of a word tree, the
+        root first, depth first with children in tree order.  tree[i] =
         (parent, letter) spells node i as letter · word(parent) and tree[0]
         is the root, the empty word, so a node's walk is its parent's stepped
         once by the letter's plan.  Walks start in the shared coordinates of
         the tree's letters (WalkState.start), so words of conjugated rotations
         h∘R∘h⁻¹ invert h once and cost one jet of h each.  A walk is kept
-        until the last listed node that steps from it or yields it, and at
-        most _WALK_POINTS points' worth of walks are kept: past that the
-        least recently used goes, and is walked again from its nearest kept
-        ancestor, with the same bits."""
-        order = list(range(1, len(tree)) if order is None else order)
-        # last[i]: the last position that steps from or yields node i's walk
-        # when none is dropped for room (the nodes first reached, and the one
-        # above them reached before)
-        last = {0: -1}
-        for k, node in enumerate(order):
-            while node not in last:
-                last[node] = k
-                node = tree[node][0]
-            last[node] = k
+        until its last child has stepped from it: at a yield, no more walks
+        are kept than the node's depth."""
         plans = {lt: self.generator(lt[0]).as_plan(lt[1]) for lt in {lt for _, lt in tree[1:]}}
-        start = WalkState.start(x, plans.values())
-        room = max(1, _WALK_POINTS // max(1, start.z.size))
-        walks: Dict[int, WalkState] = {}
-        for k, node in enumerate(order):
-            path, top = [], node
-            while top and top not in walks:
-                path.append(top)
-                top = tree[top][0]
-            walk = walks.pop(top, start)
-            if top and last[top] > k:  # re-inserted: the most recently used
-                walks[top] = walk
-            for node in reversed(path):
+        children: List[List[int]] = [[] for _ in tree]  # last first: the stack pops the first
+        for node in range(len(tree) - 1, 0, -1):
+            children[tree[node][0]].append(node)
+        stack = [(0, WalkState.start(x, plans.values()))]  # (node, its parent's walk)
+        while stack:
+            node, walk = stack.pop()
+            if node:
                 walk = walk.step(plans[tree[node][1]])
-                if last[node] > k:
-                    walks[node] = walk
-            while len(walks) > room:
-                walks.pop(next(iter(walks)))
-            yield walk
+            yield node, walk
+            stack.extend((child, walk) for child in children[node])
 
-    def walk_words(self, words: Iterable[Sequence[Letter]], x) -> Iterator[WalkState]:
-        """The walk of each word at the points x, in order: walk_tree over
-        the tree of the words' suffixes, walk(seq) = walk(seq[1:]).step(plan
-        of seq[0]), so a suffix that several words share is stepped once."""
-        words = [tuple(w) for w in words]
-        tree, nodes = [(-1, (0, 0))], {(): 0}
-        for seq in words:
+    def walk_words(
+        self, words: Iterable[Sequence[Letter]], x
+    ) -> Iterator[Tuple[int, WalkState]]:
+        """(index, walk) for each word at the points x, as walk_tree over the
+        tree of the words' suffixes reaches it, walk(seq) =
+        walk(seq[1:]).step(plan of seq[0]): a suffix that several words
+        share is stepped once."""
+        tree, nodes, listed = [(-1, (0, 0))], {(): 0}, {}
+        for i, seq in enumerate(tuple(w) for w in words):
             for j in range(len(seq) - 1, -1, -1):
                 if seq[j:] not in nodes:
                     nodes[seq[j:]] = len(tree)
                     tree.append((nodes[seq[j + 1 :]], seq[j]))
-        return self.walk_tree(tree, x, [nodes[seq] for seq in words])
+            listed.setdefault(nodes[seq], []).append(i)
+        for node, walk in self.walk_tree(tree, x):
+            for i in listed.get(node, ()):
+                yield i, walk
 
     def word_cocycle(self, letters: Iterable[Letter], x) -> Tuple[Array, Array]:
         """(log D(w)(x), w(x)) along one walk of the letters' plans."""
-        y, acc = next(self.walk_words([letters], x)).point()
+        ((_, walk),) = self.walk_words([letters], x)
+        y, acc = walk.point()
         return acc, y
 
     # -- transformations ------------------------------------------------------
@@ -176,9 +160,11 @@ def validate_relations(
     deviations: Dict[str, float] = {}
     names = action.names
     rules = action.presentation.rules
-    walks = action.walk_words((side for rule in rules for side in rule), nodes)
-    for lhs, rhs in rules:
-        d = next(walks).point()[0] - next(walks).point()[0]
+    points = [None] * (2 * len(rules))  # lhs, rhs of each rule
+    for i, walk in action.walk_words((side for rule in rules for side in rule), nodes):
+        points[i] = walk.point()[0]
+    for (lhs, rhs), left, right in zip(rules, points[::2], points[1::2]):
+        d = left - right
         if action.space.is_circle:
             d = d - round(float(np.mean(d)))
         dev = float(np.max(np.abs(d)))

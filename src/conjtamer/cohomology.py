@@ -7,17 +7,19 @@ identities can be checked off-grid without interpolation error.  By the
 cocycle identity, the positive-ball average u_n = n^-d sum_{k in [0,n)^d}
 log D(g^k) has the defect u_n - u_n∘g_i - log Dg_i = (F0_i - Fn_i)/n^d, the
 sums over the faces k_i = 0 and k_i = n of the cube, for generators that
-commute exactly; so one walk of the cube and its faces k_i = n (_ball_rows)
-gives u and its defects.  Where the generators walk as translations of one
-head (or are one), a Z^d solve makes that walk over the nodes and the
-midpoints, a path over the nodes; otherwise, as in the nilpotent solve, u
-is also evaluated at their generator images.  A solve's points go in
+commute exactly; so one walk of the cube and its faces k_i = n, a word tree
+that Action.walk_tree walks (_cube_tree, _ball_rows), gives u and its
+defects.  Where the generators walk as translations of one head (or are
+one), a Z^d solve makes that walk over the nodes and the midpoints, a path
+over the nodes; otherwise, as in the nilpotent solve, u is also evaluated
+at their generator images.  A solve's points go in
 blocks of 4096 to 8191 points (one block below that); a ball sum walks the
 ball once, in plan coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -25,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .action import Action
-from .diffeo import Diffeo, WalkState, _exp_integrals, translations
+from .diffeo import Diffeo, _exp_integrals, translations
 from .errors import (
     ConjTamerError,
     NoAdmissibleRadius,
@@ -79,26 +81,45 @@ def _faces_are_defects(action: Action) -> bool:
     return action.rank == 1 or translations([g.as_plan() for g in action.gens])
 
 
+def _cube_tree(
+    d: int, n_max: int, faces: bool
+) -> Tuple[List[Tuple[int, Tuple[int, int]]], List[Tuple[int, ...]]]:
+    """(tree, exponents) of the cube [0, n_max)^d, with faces its faces k_i =
+    n_max too (one exponent at n_max at most), as an Action.walk_tree word
+    tree: node k = g_i · (k less e_i), i its first nonzero exponent.  Nodes
+    are listed in the lexicographic order of (k_d, ..., k_1), which is the
+    tree's depth-first order and the ball sums' summation order."""
+    top = n_max + faces
+    cube = [k[::-1] for k in itertools.product(range(top), repeat=d)]
+    if faces:
+        cube = [k for k in cube if k.count(n_max) <= 1]
+    index = {k: node for node, k in enumerate(cube)}
+    tree = [(-1, (0, 0))]
+    for k in cube[1:]:
+        i = next(i for i, k_i in enumerate(k) if k_i)
+        tree.append((index[k[:i] + (k[i] - 1,) + k[i + 1 :]], (i, 1)))
+    return tree, cube
+
+
 def _ball_rows(
     action: Action, n_max: int, x: Array, rows: bool = True, faces: bool = False
 ) -> Tuple[Array, Optional[Array]]:
     """Rows n = 1..n_max (rows=False: row n_max alone, in one row of memory)
     of the ball sums S_n = sum_{k in [0,n)^d} log D(g^k), shaped (rows, m),
-    from one walk of [0, n_max)^d in plan coordinates (g_i = h∘R_i∘h⁻¹: one
-    inverse of h, then one jet of h per element); g^k = g1^k1...gd^kd (gd
-    first), bucketed by its largest exponent.  With faces, the walk also
-    covers the faces k_i = n_max, d·n_max^(d-1) elements more, and the rows
-    of the face differences F0_i - Fn_i come second, shaped (rows, d, m)
-    (None without): F0_i sums the face k_i = 0 of [0,n)^d, and Fn_i its
-    translate k_i = n, the elements whose exponent k_i = n is above every
-    other one."""
+    from one walk of the cube tree [0, n_max)^d (_cube_tree) in plan
+    coordinates (g_i = h∘R_i∘h⁻¹: one inverse of h, then one jet of h per
+    element); g^k = g1^k1...gd^kd (gd first), bucketed by its largest
+    exponent.  With faces, the walk also covers the faces k_i = n_max,
+    d·n_max^(d-1) elements more, and the rows of the face differences F0_i -
+    Fn_i come second, shaped (rows, d, m) (None without): F0_i sums the face
+    k_i = 0 of [0,n)^d, and Fn_i its translate k_i = n, the elements whose
+    exponent k_i = n is above every other one."""
     d = action.rank
-    plans = [g.as_plan() for g in action.gens]
     cube = np.zeros((n_max if rows else 1, x.size))
     diffs = np.zeros((cube.shape[0], d, x.size)) if faces else None
-    ks = [0] * d  # the exponents of the element walked to
-
-    def add(v: Array) -> None:
+    tree, exponents = _cube_tree(d, n_max, faces)
+    for node, walk in action.walk_tree(tree, x):
+        ks, v = exponents[node], walk.point()[1]
         top = max(ks)
         if top < n_max:
             row = top if rows else 0
@@ -110,19 +131,6 @@ def _ball_rows(
             diffs[top - 1 if rows else 0, i] -= v
             if rows and top < n_max:  # taken back from the rows after top - 1
                 diffs[top, i] += v
-
-    def walk_from(j: int, walk: WalkState, face: bool) -> None:
-        if j < 0:
-            add(walk.point()[1])
-            return
-        stop = n_max + (faces and not face)  # one exponent at n_max at most
-        for k in range(stop):
-            ks[j] = k
-            walk_from(j - 1, walk, face or k == n_max)
-            if k < stop - 1:
-                walk = walk.step(plans[j])
-
-    walk_from(d - 1, WalkState.start(x, plans), False)
     return tuple(a if a is None else np.cumsum(a, axis=0, out=a) for a in (cube, diffs))
 
 
@@ -296,12 +304,12 @@ def nilpotent_average_solution(
 
     def ball_average(x: Array) -> Array:
         acc = np.zeros_like(x)
-        for walk in action.walk_words(ball[:n_inner], x):
+        for _, walk in action.walk_words(ball[:n_inner], x):
             acc += walk.point()[1]
         return acc / n_inner
 
     max_word_c = 0.0  # over B(k+1)
-    for walk in action.walk_words(ball, tn):
+    for _, walk in action.walk_words(ball, tn):
         max_word_c = max(max_word_c, float(np.max(np.abs(walk.point()[1]))))
 
     # measured constants of the error decomposition
@@ -340,9 +348,9 @@ def _measure_exactness_onset(action: Action, n_cap: int) -> int:
     for letter in ((j, s) for j in action.presentation.metric_generators for s in (1, -1)):
         tree += [(len(tree) + n - 1 if n else 0, letter) for n in range(n_cap)]
     worst = 1
-    for i, walk in enumerate(action.walk_tree(tree, action.space.track_nodes())):
-        n = i % n_cap + 1
-        if float(np.max(np.abs(walk.point()[1]))) / n >= EXACTNESS_DELTA:
+    for node, walk in action.walk_tree(tree, action.space.track_nodes()):
+        n = (node - 1) % n_cap + 1
+        if node and float(np.max(np.abs(walk.point()[1]))) / n >= EXACTNESS_DELTA:
             worst = max(worst, n + 1)
     return worst
 

@@ -710,7 +710,9 @@ def detect_resilient(
     stride = max(1, int(space.grid_size * resolution / 4.0)) if space.is_circle else 1
     xs = space.track_nodes()[::stride]  # circle: node 1 is node 0
     words = _distinct_words(action, max_len)
-    lifts = [walk.point()[0] for walk in action.walk_words(words, xs)]
+    lifts = [None] * len(words)
+    for k, walk in action.walk_words(words, xs):
+        lifts[k] = walk.point()[0]
 
     def values_of(k: int) -> Array:
         return lifts[k] % 1.0 if space.is_circle else lifts[k]

@@ -5,7 +5,8 @@ The measure is mu = sum over the ball of radius N of lambda^len(w) * w_*(Leb);
 its normalized CDF F straightens the action so that every generator's
 difference quotients are certified close to 1/lambda, up to an explicit tail
 slack from the truncation.  The series walks every orbit along the ball
-tree (Action.walk_tree), which bounds the walks it keeps.
+tree (Action.walk_tree), one step per element, depth first, so it keeps no
+more walks than the radius.
 """
 
 from __future__ import annotations
@@ -110,12 +111,11 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         The orbits walk along the ball tree (Action.walk_tree), one step per
         element."""
         x = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)), [0.0]])
-        acc = weights[0] * x
-        dens = weights[0] * np.ones_like(x)
-        for weight, orbit in zip(weights[1:], action.walk_tree(orbit_tree, x)):
+        acc = dens = 0.0
+        for node, orbit in action.walk_tree(orbit_tree, x):
             y, ld = orbit.point()
-            dens = dens + weight * np.exp(ld)
-            acc = acc + weight * y
+            dens = dens + weights[node] * np.exp(ld)
+            acc = acc + weights[node] * y
         raw = acc[:-1] - acc[-1]
         return raw, np.log(dens[:-1])
 

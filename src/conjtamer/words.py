@@ -16,8 +16,8 @@ rules, and one BFS on node ids (_spheres) runs every ball over the metric
 letters and the word list of periodic.detect_resilient over every letter.
 
 A Word is built only for a caller that reads it back: sphere_sizes counts
-the spheres of a ball and ball_tree gives its walk order without keeping
-any Word; enumerate_ball alone returns the ball's Words.
+the spheres of a ball and ball_tree gives its tree without keeping any
+Word; enumerate_ball alone returns the ball's Words.
 """
 
 from __future__ import annotations
@@ -267,17 +267,11 @@ class Presentation:
 
 @dataclass(frozen=True)
 class Ball:
-    """An ordered, duplicate-free list of normal-form words.
-
-    tree[i] = (parent index, letter) reconstructs element i by appending one
-    letter to an earlier element (identity has parent -1); consumers use it to
-    extend orbit computations one generator application at a time.
-    """
+    """An ordered, duplicate-free list of normal-form words (the order of
+    ball_tree, whose tree and sphere sizes it leaves out)."""
 
     radius: int
     elements: Tuple[Word, ...]
-    sphere_sizes: Tuple[int, ...] = ()
-    tree: Tuple[Tuple[int, Letter], ...] = ()
 
     def __len__(self):
         return len(self.elements)
@@ -360,13 +354,8 @@ def enumerate_ball(
     node.  Past cap elements it raises SizeOverflow, a free ball before the
     walk.  Only a caller that reads the Words needs this; sphere_sizes and
     ball_tree keep none."""
-    nodes, tree, sizes = _ordered_ball(presentation, k, cap)
-    return Ball(
-        radius=k,
-        elements=tuple(presentation._word(node) for node in nodes),
-        sphere_sizes=sizes,
-        tree=tree,
-    )
+    nodes = _ordered_ball(presentation, k, cap)[0]
+    return Ball(radius=k, elements=tuple(presentation._word(node) for node in nodes))
 
 
 @dataclass(frozen=True)

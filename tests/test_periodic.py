@@ -621,8 +621,8 @@ def test_word_images_match_letter_by_letter_walk():
     act = conj_rotation_z2(256)
     nodes = act.space.nodes
     words = _distinct_words(act, 3)
-    for seq, walk in zip(words, act.walk_words(words, nodes)):
-        assert np.array_equal(walk.point()[0], act.word_cocycle(seq, nodes)[1])
+    for i, walk in act.walk_words(words, nodes):
+        assert np.array_equal(walk.point()[0], act.word_cocycle(words[i], nodes)[1])
 
 
 @pytest.mark.parametrize(
@@ -634,10 +634,10 @@ def test_sweep_matches_dense_scan_on_word_images(build, max_len):
     # interval, since on the circle it is x = 0 again
     act = build(256)
     xs = act.space.track_nodes()
-    images = [
-        walk.point()[0] % 1.0 if act.space.is_circle else walk.point()[0]
-        for walk in act.walk_words(_distinct_words(act, max_len), xs)
-    ]
+    words = _distinct_words(act, max_len)
+    images = [None] * len(words)
+    for i, walk in act.walk_words(words, xs):
+        images[i] = walk.point()[0] % 1.0 if act.space.is_circle else walk.point()[0]
     for r in (1.0 / 256, 0.01, 0.05):
         hit = _first_chain(xs, len(images), lambda k: images[k], r)
         assert hit == dense_first_chain(xs, images, r)

@@ -36,7 +36,7 @@ from conjtamer import (
 )
 from conjtamer.diffeo import WalkState
 from conjtamer.space import circle, interval
-from conjtamer.words import ball_tree, select_shell_radii
+from conjtamer.words import ball_tree, select_shell_radii, sphere_sizes
 
 from helpers import (
     assert_close,
@@ -176,43 +176,30 @@ def test_nilpotent_walks_share_suffixes_and_one_inverse_of_h(monkeypatch):
     assert len(calls) <= 7
 
 
-def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
-    # a suffix walk dropped for room is walked again, with the same bits
-    action, p = heisenberg_rotations(256)
-    words = [w.letters for w in enumerate_ball(p, 4).elements]
-    x = action.space.nodes
-    kept = [walk.point() for walk in action.walk_words(words, x)]
-    monkeypatch.setattr(action_mod, "_WALK_POINTS", 2 * x.size)
-    for seq, (y, acc), walk in zip(words, kept, action.walk_words(words, x)):
-        assert np.array_equal(walk.point()[0], y)
-        assert np.array_equal(walk.point()[1], acc)
-        c, w = action.word_cocycle(seq, x)
-        assert np.array_equal(w, y) and np.array_equal(c, acc)
+def held_walks(walker, yielded) -> int:
+    """The walks other than yielded that the paused walker's locals hold,
+    through lists, tuples and dicts."""
+    held, todo = set(), list(walker.gi_frame.f_locals.values())
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, WalkState):
+            held.add(id(obj))
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+    return len(held - {id(yielded)})
 
 
-def test_deroin_series_with_few_kept_walks_has_the_same_bits(monkeypatch):
-    # the series walks its ball tree with room for two walks: every orbit
-    # dropped for room is walked again from its nearest kept ancestor
-    action, _ = heisenberg_rotations(256)
-    probe = np.linspace(0.0, 1.0, 37)
-    kept = deroin_cdf(action, 0.5, 6)
-    monkeypatch.setattr(action_mod, "_WALK_POINTS", 2 * (action.space.nodes.size + 1))
-    few = deroin_cdf(action, 0.5, 6)
-    assert np.array_equal(few.raw_sums(), kept.raw_sums())
-    assert np.array_equal(few.conjugator.values, kept.conjugator.values)
-    assert np.array_equal(few.conjugator.log_deriv.samples, kept.conjugator.log_deriv.samples)
-    assert np.array_equal(few.cdf_raw(probe), kept.cdf_raw(probe))
-
-
-def test_walk_tree_yields_the_listed_nodes_in_order_and_drops_spent_walks(monkeypatch):
-    # node i spells tree[i][1] · word(tree[i][0]).  At each yield the walker
-    # keeps only the walks of nodes that a step or a yield from there on
-    # reads, as an uncapped walk reads them; with room for three walks it
-    # keeps no more, and yields the same bits
+def test_walk_tree_yields_each_node_once_in_preorder_keeping_at_most_its_depth():
+    # node i spells tree[i][1] · word(tree[i][0]).  The walker yields every
+    # node once, the root first, depth first with children in tree order;
+    # each walk's point is word_cocycle's of the node's spelling, bit for
+    # bit; and at each yield it keeps no more walks than the node's depth.
+    # walk_words yields each listed word's index once, with the same bits
     action, p = heisenberg_rotations(64)
     tree, _ = ball_tree(p, 3)
     x = action.space.nodes
-    real_step = WalkState.step
 
     def spelled(node):
         letters = []
@@ -221,44 +208,41 @@ def test_walk_tree_yields_the_listed_nodes_in_order_and_drops_spent_walks(monkey
             letters.append(letter)
         return letters
 
-    def run(order):
-        """(yielded walks, kept {node: walk} at each yield, last position
-        that steps from or yields each walk)."""
-        reads, kept, yielded = [], [], []
-        monkeypatch.setattr(
-            WalkState, "step",
-            lambda w, plan: reads.append((len(yielded), w)) or real_step(w, plan),
-        )
-        walks = action.walk_tree(tree, x, order)
-        for walk in walks:
-            kept.append(dict(walks.gi_frame.f_locals["walks"]))
-            reads.append((len(yielded), walk))
-            yielded.append(walk)
-        monkeypatch.setattr(WalkState, "step", real_step)
-        return yielded, kept, {id(w): k for k, w in reads}  # every walk referenced
+    def preorder(node):
+        yield node
+        for child in range(1, len(tree)):
+            if tree[child][0] == node:
+                yield from preorder(child)
 
-    default = list(range(1, len(tree)))
-    for order in (None, default[::-3] + [0, 5, 5]):
-        listed = default if order is None else order
-        yielded, kept, last = run(order)
-        assert len(yielded) == len(listed)
-        for node, walk in zip(listed, yielded):
-            c, y = action.word_cocycle(spelled(node), x)
-            assert np.array_equal(walk.point()[0], y) and np.array_equal(walk.point()[1], c)
-        needed = {}  # node -> last position that reads its walk
-        for held in kept:
-            needed.update((node, last[id(w)]) for node, w in held.items())
-        for k, held in enumerate(kept):
-            assert all(needed[node] >= k for node in held)
+    def assert_spells(walk, letters):
+        c, y = action.word_cocycle(letters, x)
+        assert np.array_equal(walk.point()[0], y) and np.array_equal(walk.point()[1], c)
 
-        monkeypatch.setattr(action_mod, "_WALK_POINTS", 3 * x.size)
-        few, few_kept, _ = run(order)
-        monkeypatch.undo()
-        for k, held in enumerate(few_kept):
-            assert len(held) <= 3 and all(needed[node] >= k for node in held)
-        for a, b in zip(few, yielded):
-            assert np.array_equal(a.point()[0], b.point()[0])
-            assert np.array_equal(a.point()[1], b.point()[1])
+    walker, nodes = action.walk_tree(tree, x), []
+    for node, walk in walker:
+        nodes.append(node)
+        assert held_walks(walker, walk) <= len(spelled(node))
+        assert_spells(walk, spelled(node))
+    assert nodes == list(preorder(0))
+
+    words = [w.letters for w in enumerate_ball(p, 3).elements]
+    words += [words[5], (), words[5]]
+    indices = []
+    for i, walk in action.walk_words(words, x):
+        indices.append(i)
+        assert_spells(walk, words[i])
+    assert sorted(indices) == list(range(len(words)))
+
+
+def test_deroin_series_steps_each_ball_element_once(monkeypatch):
+    # one step per non-root node of the ball tree: B(8) of the Heisenberg
+    # group has 1 793 elements (a walker that dropped walks for room and
+    # walked them again made 4 500 steps here)
+    action, p = heisenberg_rotations(4096)
+    steps, step = [], WalkState.step
+    monkeypatch.setattr(WalkState, "step", lambda self, plan: steps.append(1) or step(self, plan))
+    deroin_cdf(action, 0.5, 8)
+    assert len(steps) == sum(sphere_sizes(p, 8)) - 1 == 1792
 
 
 @pytest.mark.parametrize(

@@ -226,7 +226,7 @@ def test_ball_matches_stack_oracle_on_short_rules(rules, k):
     ball = enumerate_ball(p, k)
     elements, tree, sizes = stack_ball(p, k)
     assert [w.letters for w in ball.elements] == elements
-    assert list(ball.tree) == tree and list(ball.sphere_sizes) == sizes
+    assert ball_tree(p, k) == (tuple(tree), tuple(sizes))
 
 
 @pytest.mark.parametrize(
@@ -238,7 +238,7 @@ def test_ball_matches_stack_oracle(name, k):
     ball = enumerate_ball(p, k)
     elements, tree, sizes = stack_ball(p, k)
     assert [w.letters for w in ball.elements] == elements
-    assert list(ball.tree) == tree and list(ball.sphere_sizes) == sizes
+    assert ball_tree(p, k) == (tuple(tree), tuple(sizes))
 
 
 def test_heisenberg_shell_ball_sphere_sizes():
@@ -324,7 +324,8 @@ def test_ball_cap_is_checked_per_element(monkeypatch):
 @given(st.integers(1, 4), st.integers(0, 6))
 def test_zd_sphere_sizes_match_the_ball(d, k):
     p = Presentation.zd(d)
-    assert sphere_sizes(p, k) == enumerate_ball(p, k).sphere_sizes
+    sizes = sphere_sizes(p, k)
+    assert sizes == ball_tree(p, k)[1] and sum(sizes) == len(enumerate_ball(p, k))
 
 
 @pytest.mark.parametrize(
@@ -336,9 +337,11 @@ def test_sphere_sizes_and_ball_tree_match_the_ball(name, k):
     p = ORACLE_PRESENTATIONS[name]
     fresh = Presentation(p.generators, p.rules, p.kind, p.bounded_generation, p.metric_generators)
     sizes = sphere_sizes(fresh, k)
-    ball = enumerate_ball(p, k)
-    assert sizes == ball.sphere_sizes
-    assert ball_tree(p, k) == (ball.tree, ball.sphere_sizes)
+    tree, ordered = ball_tree(p, k)
+    ball = enumerate_ball(p, k).elements
+    assert sizes == ordered and sum(sizes) == len(ball) == len(tree)
+    for word, (parent, letter) in zip(ball[1:], tree[1:]):  # element = parent · letter
+        assert p.normal_form(Word(ball[parent].letters + (letter,))).letters == word.letters
 
 
 def test_sphere_sizes_cap_is_checked_per_element(monkeypatch):
@@ -389,15 +392,15 @@ def test_zd_ball_matches_exponent_vector_bfs(d, k):
     ball = enumerate_ball(p, k)
     elements, tree, sizes = stack_ball(p, k)
     assert [w.letters for w in ball.elements] == elements
-    assert list(ball.tree) == tree and list(ball.sphere_sizes) == sizes
+    assert ball_tree(p, k) == (tuple(tree), tuple(sizes))
 
 
 def test_ball_sizes_nondecreasing_and_spheres_consistent():
     p = Presentation.heisenberg()
-    ball = enumerate_ball(p, 5)
-    sizes = np.cumsum(ball.sphere_sizes)
-    assert list(sizes) == H3_BALL_SIZES[:6]
-    assert all(s > 0 for s in ball.sphere_sizes)
+    spheres = ball_tree(p, 5)[1]
+    sizes = np.cumsum(spheres)
+    assert list(sizes) == H3_BALL_SIZES[:6] and sizes[-1] == len(enumerate_ball(p, 5))
+    assert all(s > 0 for s in spheres)
 
 
 def test_ball_elements_are_normal_forms():
