@@ -191,12 +191,16 @@ def held_walks(walker, yielded) -> int:
     return len(held - {id(yielded)})
 
 
-def test_walk_tree_yields_each_node_once_in_preorder_keeping_at_most_its_depth():
+def assert_walks_to(action, walk, letters, x):
+    c, y = action.word_cocycle(letters, x)
+    assert np.array_equal(walk.point()[0], y) and np.array_equal(walk.point()[1], c)
+
+
+def test_walk_tree_yields_the_listed_nodes_in_order_and_drops_spent_walks():
     # node i spells tree[i][1] · word(tree[i][0]).  The walker yields every
     # node once, the root first, depth first with children in tree order;
     # each walk's point is word_cocycle's of the node's spelling, bit for
-    # bit; and at each yield it keeps no more walks than the node's depth.
-    # walk_words yields each listed word's index once, with the same bits
+    # bit; and at each yield it keeps no more walks than the node's depth
     action, p = heisenberg_rotations(64)
     tree, _ = ball_tree(p, 3)
     x = action.space.nodes
@@ -214,23 +218,31 @@ def test_walk_tree_yields_each_node_once_in_preorder_keeping_at_most_its_depth()
             if tree[child][0] == node:
                 yield from preorder(child)
 
-    def assert_spells(walk, letters):
-        c, y = action.word_cocycle(letters, x)
-        assert np.array_equal(walk.point()[0], y) and np.array_equal(walk.point()[1], c)
-
     walker, nodes = action.walk_tree(tree, x), []
     for node, walk in walker:
         nodes.append(node)
         assert held_walks(walker, walk) <= len(spelled(node))
-        assert_spells(walk, spelled(node))
+        assert_walks_to(action, walk, spelled(node), x)
     assert nodes == list(preorder(0))
 
-    words = [w.letters for w in enumerate_ball(p, 3).elements]
+
+def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
+    # walk_words yields each listed word's index once, repeated and empty
+    # words too, with word_cocycle's bits; the walker under it keeps no more
+    # walks than the yielded word's length
+    action, p = heisenberg_rotations(64)
+    x = action.space.nodes
+    words = [w.letters for w in enumerate_ball(p, 4).elements]
     words += [words[5], (), words[5]]
+    walkers, walk_tree = [], Action.walk_tree
+    monkeypatch.setattr(
+        Action, "walk_tree", lambda self, tree, y: walkers.append(walk_tree(self, tree, y)) or walkers[-1]
+    )
     indices = []
     for i, walk in action.walk_words(words, x):
         indices.append(i)
-        assert_spells(walk, words[i])
+        assert held_walks(walkers[0], walk) <= len(words[i])
+        assert_walks_to(action, walk, words[i], x)
     assert sorted(indices) == list(range(len(words)))
 
 
