@@ -86,7 +86,6 @@ from .words import (
     ABELIAN,
     FREE,
     NILPOTENT,
-    Ball,
     Presentation,
     Word,
     enumerate_ball,
@@ -98,7 +97,6 @@ __all__ = [
     "ABELIAN",
     "Action",
     "ActionSpec",
-    "Ball",
     "CIRCLE",
     "CertificationFailure",
     "CohomSolution",

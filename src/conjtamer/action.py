@@ -10,8 +10,8 @@ each node is a letter times its parent's word, so its walk is its parent's
 stepped once, every walk starts in the letters' shared coordinates, and a
 walk is kept only until its last child has stepped from it.  A list of words
 walks the tree of its suffixes (`Action.walk_words`), yielding each word's
-index as it is reached: relation checks, ball averages and word images walk
-this way, the Deroin series its ball tree and a Z^d ball sum its cube.
+index as it is reached: relation checks and word images walk this way, the
+nilpotent ball average and the Deroin series their ball tree, a Z^d sum its cube.
 
 An inverse letter is the generator's reversed plan (Diffeo.as_plan(-1)), so
 no walk builds an inverse map: a conjugated rotation's inverse letter walks as

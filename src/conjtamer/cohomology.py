@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gridfn import GridFunction
 from .space import Space
-from .words import ABELIAN, enumerate_ball, select_shell_radii
+from .words import ABELIAN, ball_tree, select_shell_radii
 
 Array = np.ndarray
 
@@ -299,17 +299,20 @@ def nilpotent_average_solution(
         )
     k = selection.radii[shell_index]
     tn = action.space.track_nodes()
-    ball = [w.letters for w in enumerate_ball(presentation, k + 1).elements]
+    # node i walks w_i^{-1} = l^{-1}·parent^{-1} (w_i = parent·l): the balls
+    # are symmetric, so the walks reach each element once, and B(k) is the
+    # tree's first |B(k)| nodes, spheres being contiguous and parents first
+    tree = [(parent, (g, -s)) for parent, (g, s) in ball_tree(presentation, k + 1)[0]]
     n_inner = selection.sizes[k]
 
     def ball_average(x: Array) -> Array:
         acc = np.zeros_like(x)
-        for _, walk in action.walk_words(ball[:n_inner], x):
+        for _, walk in action.walk_tree(tree[:n_inner], x):
             acc += walk.point()[1]
         return acc / n_inner
 
     max_word_c = 0.0  # over B(k+1)
-    for _, walk in action.walk_words(ball, tn):
+    for _, walk in action.walk_tree(tree, tn):
         max_word_c = max(max_word_c, float(np.max(np.abs(walk.point()[1]))))
 
     # measured constants of the error decomposition

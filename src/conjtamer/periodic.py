@@ -577,9 +577,8 @@ def _distinct_words(action: Action, max_len: int) -> List[Tuple[Letter, ...]]:
     commutator of Z^2 reaches it), and it is neither f nor g of a chain."""
     pres = action.presentation
     spelling: Dict[int, Tuple[Letter, ...]] = {0: ()}
-    for nodes, layer in _spheres(pres, max_len, DEFAULT_BALL_CAP, False, range(pres.rank)):
-        for node in nodes:
-            parent, letter = layer[node]
+    for layer in _spheres(pres, max_len, DEFAULT_BALL_CAP, range(pres.rank)):
+        for node, (parent, letter) in layer.items():
             spelling[node] = spelling[parent] + (letter,)
     return list(spelling.values())[1:]
 

@@ -14,10 +14,12 @@ right-hand side's letters are pushed in order onto the node the left-hand
 side climbs to.  Every kind reduces on the trie, Z^d through its commutation
 rules, and one BFS on node ids (_spheres) runs every ball over the metric
 letters and the word list of periodic.detect_resilient over every letter.
+Each sphere lists its elements in the order the BFS first reaches them, which
+depends only on the previous sphere and the letter order.
 
 A Word is built only for a caller that reads it back: sphere_sizes counts
-the spheres of a ball and ball_tree gives its tree without keeping any
-Word; enumerate_ball alone returns the ball's Words.
+the spheres of a ball and ball_tree gives its tree, which the ball averages
+walk, without keeping any Word; enumerate_ball alone returns the ball's Words.
 """
 
 from __future__ import annotations
@@ -265,29 +267,17 @@ class Presentation:
 # Balls.
 
 
-@dataclass(frozen=True)
-class Ball:
-    """An ordered, duplicate-free list of normal-form words (the order of
-    ball_tree, whose tree and sphere sizes it leaves out)."""
-
-    radius: int
-    elements: Tuple[Word, ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def _spheres(
-    presentation: Presentation, k: int, cap: int, ordered: bool, generators: Sequence[int] = ()
-) -> Iterator[Tuple[List[int], Dict[int, Tuple[int, Letter]]]]:
+    presentation: Presentation, k: int, cap: int, generators: Sequence[int] = ()
+) -> Iterator[Dict[int, Tuple[int, Letter]]]:
     """The spheres S(1) .. S(k) of the BFS of B(k) over the generators (none
-    given: the metric ones) and their inverses on trie node ids, each as its
-    nodes and the (parent node, letter) that first reached each, node =
-    parent·letter.  A sphere grows from the previous one in its yielded
-    order: sorted by the words' letters when ordered, the sort keys dropped
-    with the sphere, else in the order first reached.  Past cap elements it
-    raises SizeOverflow: a free ball before the walk, from its closed-form size
-    1 + 2r((2r - 1)^k - 1)/(2r - 2), any other at its first element past cap."""
+    given: the metric ones) and their inverses on trie node ids, each as a
+    map from its nodes, in the order first reached, to the (parent node,
+    letter) that first reached each, node = parent·letter.  That order
+    depends only on the previous sphere's and the letters', never on the
+    trie's history.  Past cap elements it raises SizeOverflow: a free ball
+    before the walk, from its closed-form size 1 + 2r((2r - 1)^k - 1)/(2r - 2),
+    any other at its first element past cap."""
     alphabet = [(g, s) for g in generators or presentation.metric_generators for s in (1, -1)]
     r = len(alphabet) // 2
     if presentation.kind == FREE:  # 2r(2r - 1)^(j - 1) reduced words at radius j >= 1
@@ -295,7 +285,7 @@ def _spheres(
             raise SizeOverflow(f"a free ball of radius {k} has more than {cap} elements")
     steps = [(letter, (presentation._index[letter],)) for letter in alphabet]
     seen = {0}
-    frontier = [0]
+    frontier: Iterable[int] = [0]
     for radius in range(1, k + 1):
         layer: Dict[int, Tuple[int, Letter]] = {}
         for node in frontier:
@@ -306,56 +296,52 @@ def _spheres(
                     if len(seen) + len(layer) > cap:
                         raise SizeOverflow(f"ball exceeds cap {cap} at radius {radius}")
         seen.update(layer)
-        if ordered:
-            frontier = sorted(layer, key=lambda node: presentation._word(node).letters)
-        else:
-            frontier = list(layer)
-        yield frontier, layer
+        frontier = layer
+        yield layer
 
 
 def sphere_sizes(
     presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
 ) -> Tuple[int, ...]:
-    """|S(0)| .. |S(k)| of the ball of radius k (see enumerate_ball), counted
-    on trie node ids: no Word is built, no tree kept and no sphere sorted."""
-    return (1,) + tuple(len(nodes) for nodes, _ in _spheres(presentation, k, cap, False))
+    """|S(0)| .. |S(k)| of the ball of radius k (see ball_tree), counted on
+    trie node ids: no Word is built and no tree kept."""
+    return (1,) + tuple(len(layer) for layer in _spheres(presentation, k, cap))
 
 
-def _ordered_ball(
+def _ball(
     presentation: Presentation, k: int, cap: int
 ) -> Tuple[List[int], Tuple[Tuple[int, Letter], ...], Tuple[int, ...]]:
-    """(trie nodes, tree, sphere sizes) of the ordered BFS of B(k).  A parent
-    lies on the sphere before its child's, so only that sphere's indices are
-    kept."""
+    """(trie nodes, tree, sphere sizes) of the BFS of B(k).  A parent lies on
+    the sphere before its child's, so only that sphere's indices are kept."""
     nodes, tree, sizes = [0], [(-1, (0, 0))], [1]
     index = {0: 0}
-    for frontier, layer in _spheres(presentation, k, cap, True):
-        tree.extend((index[layer[node][0]], layer[node][1]) for node in frontier)
-        index = {node: i for i, node in enumerate(frontier, len(nodes))}
-        nodes.extend(frontier)
-        sizes.append(len(frontier))
+    for layer in _spheres(presentation, k, cap):
+        tree.extend((index[parent], letter) for parent, letter in layer.values())
+        index = {node: i for i, node in enumerate(layer, len(nodes))}
+        nodes.extend(layer)
+        sizes.append(len(layer))
     return nodes, tuple(tree), tuple(sizes)
 
 
 def ball_tree(
     presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
 ) -> Tuple[Tuple[Tuple[int, Letter], ...], Tuple[int, ...]]:
-    """(tree, sphere_sizes) of enumerate_ball(presentation, k, cap), keeping
-    no Word: for a caller that walks the ball letter by letter."""
-    return _ordered_ball(presentation, k, cap)[1:]
+    """(tree, sphere sizes) of the ball of radius k over the metric
+    generators and their inverses, a BFS on trie node ids that keeps no
+    Word.  tree[i] = (parent, letter) spells element i as element parent ·
+    letter, tree[0] is the identity, and the spheres are contiguous, each in
+    the order first reached, so B(j) is the first |B(j)| entries for every
+    j <= k.  Past cap elements it raises SizeOverflow, a free ball before the
+    walk."""
+    return _ball(presentation, k, cap)[1:]
 
 
 def enumerate_ball(
     presentation: Presentation, k: int, cap: int = DEFAULT_BALL_CAP
-) -> Ball:
-    """The full ball of radius k over the metric generators and their
-    inverses in the order of ball_tree (a BFS on trie node ids, each sphere
-    sorted by its words' letters), each element's Word read back from its
-    node.  Past cap elements it raises SizeOverflow, a free ball before the
-    walk.  Only a caller that reads the Words needs this; sphere_sizes and
-    ball_tree keep none."""
-    nodes = _ordered_ball(presentation, k, cap)[0]
-    return Ball(radius=k, elements=tuple(presentation._word(node) for node in nodes))
+) -> Tuple[Word, ...]:
+    """The Words of the ball of radius k in the order of ball_tree, each read
+    back from its trie node: only a caller that reads the Words needs this."""
+    return tuple(presentation._word(node) for node in _ball(presentation, k, cap)[0])
 
 
 @dataclass(frozen=True)
@@ -363,7 +349,7 @@ class ShellSelection:
     """Radii whose shell growth passes |B(k+1)| - |B(k)| <= C|B(k)|/k, plus
     the smallest constant that would admit at least one radius and the ball
     sizes |B(0)| .. |B(k_max+1)| it was measured on.  It holds no ball: a
-    caller walks enumerate_ball(presentation, k + 1), whose BFS layers are a
+    caller walks ball_tree(presentation, k + 1), whose BFS layers are a
     prefix of those of B(k_max + 1)."""
 
     radii: Tuple[int, ...]

@@ -321,7 +321,8 @@ def stack_normal_form(p, word, prefix=(), max_rewrites=100000):
 
 def stack_ball(p, k):
     """(elements, tree, sphere sizes) of the radius-k ball by BFS over letter
-    tuples, each layer sorted, reduced by stack_normal_form."""
+    tuples, each layer in the order first reached, reduced by
+    stack_normal_form."""
     alphabet = [(g, s) for g in p.metric_generators for s in (1, -1)]
     seen = {(): 0}
     elements, tree, sizes, frontier = [()], [(-1, (0, 0))], [1], [()]
@@ -332,7 +333,7 @@ def stack_ball(p, k):
                 nf = stack_normal_form(p, Word((letter,)), prefix=w).letters
                 if nf not in seen and nf not in layer:
                     layer[nf] = (seen[w], letter)
-        frontier = sorted(layer)
+        frontier = list(layer)
         for nf in frontier:
             seen[nf] = len(elements)
             elements.append(nf)

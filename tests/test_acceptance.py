@@ -302,12 +302,12 @@ def test_criterion_9_oracle_equivalences(capsys):
     for k in range(9):
         ball = enumerate_ball(heis, k)
         mats = set()
-        for word in ball.elements:
+        for word in ball:
             m = (0, 0, 0)
             for ltr in word.letters:
                 m = _heis_mul(m, letter_mat[ltr])
             mats.add(m)
-        balls_ok = balls_ok and len(mats) == len(ball.elements) and mats == levels[k]
+        balls_ok = balls_ok and len(mats) == len(ball) and mats == levels[k]
 
     # (c) compose/invert round trips on exact-callable generators
     x = np.linspace(0.0, 1.0, 2049)

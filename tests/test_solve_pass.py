@@ -36,7 +36,7 @@ from conjtamer import (
 )
 from conjtamer.diffeo import WalkState
 from conjtamer.space import circle, interval
-from conjtamer.words import ball_tree, select_shell_radii, sphere_sizes
+from conjtamer.words import ball_tree, sphere_sizes
 
 from helpers import (
     assert_close,
@@ -117,32 +117,35 @@ def test_birkhoff_solution_matches_six_pass_measurement(make, n, block, monkeypa
 
 
 def test_nilpotent_solution_matches_six_pass_measurement():
+    # the solve sums word_cocycle over B(k) in the preorder of its ball
+    # tree, node i spelling the inverse of element i
     action, p = heisenberg_rotations(256)
     sol = nilpotent_average_solution(action, shell_index=0, k_max=4)
     k = sol.extras["shell_radius"]
-    words = enumerate_ball(p, k).elements
+    tree, _ = ball_tree(p, k)
+
+    def spelled(node):
+        """The inverse of element node = parent · letter: letter^-1 · parent^-1."""
+        letters = []
+        while node:
+            node, (g, s) = tree[node]
+            letters.append((g, -s))
+        return letters
+
+    def preorder(node):
+        yield node
+        for child in range(1, len(tree)):
+            if tree[child][0] == node:
+                yield from preorder(child)
 
     def fn(x):
         acc = np.zeros_like(x)
-        for word in words:
-            c, _ = action.word_cocycle(word.letters, x)
+        for node in preorder(0):
+            c, _ = action.word_cocycle(spelled(node), x)
             acc += c
-        return acc / len(words)
+        return acc / len(tree)
 
     assert_same_measurement(sol, action, six_pass_measurement(action, fn))
-
-
-def test_nilpotent_solve_reads_back_exactly_its_ball(monkeypatch):
-    # the shell selection counts spheres without Words; the solve then reads
-    # back the Words of B(k + 1) alone, not those of B(k_max + 1)
-    action, p = heisenberg_rotations(256)
-    sizes = select_shell_radii(p, 8).sizes
-    read = set()
-    real = p._word
-    monkeypatch.setattr(p, "_word", lambda node: read.add(node) or real(node))
-    sol = nilpotent_average_solution(action, shell_index=0, k_max=8)
-    k = sol.extras["shell_radius"]
-    assert len(read) == sizes[k + 1] < sizes[-1]
 
 
 def heisenberg_rotations(grid):
@@ -232,7 +235,7 @@ def test_walk_words_match_word_walks_with_few_kept(monkeypatch):
     # walks than the yielded word's length
     action, p = heisenberg_rotations(64)
     x = action.space.nodes
-    words = [w.letters for w in enumerate_ball(p, 4).elements]
+    words = [w.letters for w in enumerate_ball(p, 4)]
     words += [words[5], (), words[5]]
     walkers, walk_tree = [], Action.walk_tree
     monkeypatch.setattr(

@@ -9,6 +9,7 @@ from conjtamer import (
     SizeOverflow,
     Word,
     enumerate_ball,
+    nilpotent_average_solution,
     word_realize,
 )
 from conjtamer.errors import ConjTamerError, UnknownGenerator
@@ -22,6 +23,7 @@ from helpers import (
     stack_normal_form,
     word_from_exponents,
 )
+from test_solve_pass import heisenberg_rotations
 
 # frozen oracle: |B(k)| for the discrete Heisenberg group, k = 0..8,
 # cross-checked against an independent matrix BFS (see acceptance tests)
@@ -225,7 +227,7 @@ def test_ball_matches_stack_oracle_on_short_rules(rules, k):
     p = Presentation(("a", "b"), rules, kind="nilpotent")
     ball = enumerate_ball(p, k)
     elements, tree, sizes = stack_ball(p, k)
-    assert [w.letters for w in ball.elements] == elements
+    assert [w.letters for w in ball] == elements
     assert ball_tree(p, k) == (tuple(tree), tuple(sizes))
 
 
@@ -237,7 +239,7 @@ def test_ball_matches_stack_oracle(name, k):
     p = ORACLE_PRESENTATIONS[name]
     ball = enumerate_ball(p, k)
     elements, tree, sizes = stack_ball(p, k)
-    assert [w.letters for w in ball.elements] == elements
+    assert [w.letters for w in ball] == elements
     assert ball_tree(p, k) == (tuple(tree), tuple(sizes))
 
 
@@ -311,13 +313,14 @@ def test_free_ball_size_is_known_before_the_walk(rank, monkeypatch):
 
 def test_ball_cap_is_checked_per_element(monkeypatch):
     # Z² balls of radius 2 and 3 have 13 and 25 elements: under a cap of 13,
-    # radius 3 refuses at its first new element, before any of its words
+    # radius 3 refuses at its first new element, and a refused ball builds
+    # no Word
     p, built = Presentation.zd(2, ("a", "b")), []
     real = p._word
     monkeypatch.setattr(p, "_word", lambda node: built.append(node) or real(node))
-    with pytest.raises(SizeOverflow):
+    with pytest.raises(SizeOverflow, match="ball exceeds cap 13 at radius 3"):
         enumerate_ball(p, 3, cap=13)
-    assert len(built) == 12
+    assert built == []
 
 
 @settings(deadline=None, max_examples=40)
@@ -332,14 +335,14 @@ def test_zd_sphere_sizes_match_the_ball(d, k):
     "name, k", [("heisenberg", 7), ("free2", 5), ("free3", 4), ("z2-rules", 6)]
 )
 def test_sphere_sizes_and_ball_tree_match_the_ball(name, k):
-    # a fresh presentation: the counts must not lean on an ordered walk
-    # having grown the trie first
+    # a fresh presentation: the counts must not lean on another walk having
+    # grown the trie first
     p = ORACLE_PRESENTATIONS[name]
     fresh = Presentation(p.generators, p.rules, p.kind, p.bounded_generation, p.metric_generators)
     sizes = sphere_sizes(fresh, k)
-    tree, ordered = ball_tree(p, k)
-    ball = enumerate_ball(p, k).elements
-    assert sizes == ordered and sum(sizes) == len(ball) == len(tree)
+    tree, spheres = ball_tree(p, k)
+    ball = enumerate_ball(p, k)
+    assert sizes == spheres and sum(sizes) == len(ball) == len(tree)
     for word, (parent, letter) in zip(ball[1:], tree[1:]):  # element = parent · letter
         assert p.normal_form(Word(ball[parent].letters + (letter,))).letters == word.letters
 
@@ -374,7 +377,9 @@ def test_sphere_sizes_refuse_a_free_ball_before_the_walk(rank, monkeypatch):
 
 
 def test_shell_selection_builds_no_word(monkeypatch):
-    p = Presentation.heisenberg()
+    # the shell selection, the ball tree and the nilpotent solve walk trie
+    # node ids and letters alone
+    action, p = heisenberg_rotations(256)
 
     def no_word(node):
         raise AssertionError("a Word was built")
@@ -382,6 +387,24 @@ def test_shell_selection_builds_no_word(monkeypatch):
     monkeypatch.setattr(p, "_word", no_word)
     sel = select_shell_radii(p, 8)
     assert list(sel.sizes) == list(np.cumsum(H3_SPHERE_SIZES))
+    assert ball_tree(p, 9)[1] == H3_SPHERE_SIZES
+    sol = nilpotent_average_solution(action, shell_index=0, k_max=8)
+    assert sol.extras["shell_radius"] == 1
+
+
+@pytest.mark.parametrize("name, k", [("heisenberg", 6), ("free2", 5), ("z2-rules", 6)])
+def test_ball_order_does_not_depend_on_the_trie_history(name, k):
+    # a trie that first reduced other words, longest first, gives its nodes
+    # other ids: the ball's order and tree must not move
+    p = ORACLE_PRESENTATIONS[name]
+    fresh, grown = (
+        Presentation(p.generators, p.rules, p.kind, p.bounded_generation, p.metric_generators)
+        for _ in range(2)
+    )
+    for word in reversed(enumerate_ball(p, k + 2)):
+        grown.normal_form(word.inverse() * word.inverse())
+    assert ball_tree(fresh, k) == ball_tree(grown, k)
+    assert enumerate_ball(fresh, k) == enumerate_ball(grown, k)
 
 
 @settings(deadline=None, max_examples=40)
@@ -391,7 +414,7 @@ def test_zd_ball_matches_exponent_vector_bfs(d, k):
     p = Presentation.zd(d)
     ball = enumerate_ball(p, k)
     elements, tree, sizes = stack_ball(p, k)
-    assert [w.letters for w in ball.elements] == elements
+    assert [w.letters for w in ball] == elements
     assert ball_tree(p, k) == (tuple(tree), tuple(sizes))
 
 
@@ -407,7 +430,7 @@ def test_ball_elements_are_normal_forms():
     p = Presentation.heisenberg()
     ball = enumerate_ball(p, 3)
     seen = set()
-    for w in ball.elements:
+    for w in ball:
         assert p.normal_form(w).letters == w.letters
         assert w.letters not in seen
         seen.add(w.letters)
