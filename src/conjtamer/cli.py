@@ -16,11 +16,15 @@ the spec parses; a key outside specfile's tables, a value that does not cast
 or a repeated name is refused at its line, before any report), 3 certification
 failure (report.json still written), 1 any other pipeline error (e.g. a Newton
 inversion that does not converge).
+
+`python -m conjtamer` and the `conjtamer` script run entry(), which freezes
+the heap around main(); main() itself has no process-wide side effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import List, Optional
@@ -149,5 +153,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """main() as a one-shot process: the start-up heap (the imported modules,
+    which live as long as the process) and then main()'s survivors are moved
+    out of the garbage collector's reach, so that neither the collections
+    during the stages nor the ones at exit walk them again."""
+    gc.freeze()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

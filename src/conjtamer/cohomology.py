@@ -20,8 +20,6 @@ ball once, in plan coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +37,11 @@ from .words import ABELIAN, ball_tree, select_shell_radii
 
 Array = np.ndarray
 
-_FIELD_CAP = 4 * 10**7  # max (n^d) * points entries in a vectorized ball sum
+# caps the walk-points of a ball sum, its n^d elements times its points: a time
+# cap, not a memory one, since the pass walks blocks of _BLOCK to 2·_BLOCK - 1
+# points depth first (a3_z2 at nmax 96, 96^2 x 8192 walk-points past the cap,
+# ran in 3.3 s at a 35 MB peak RSS on a 2-core host)
+_FIELD_CAP = 4 * 10**7
 # a solve's ball pass runs in x.size // _BLOCK blocks (one at least) of _BLOCK to
 # 2·_BLOCK - 1 points, so no temporary reaches glibc's 128 KB mmap threshold;
 # bigger blocks made malloc grow and trim the heap for each temporary (full-size
@@ -151,7 +153,6 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
 # Solutions and defects.
 
 
-@dataclass
 class CohomSolution:
     """An approximate solution u of u - u∘f = log Df for every generator.
 
@@ -160,12 +161,15 @@ class CohomSolution:
     location per generator, plus a once-refined (midpoint) re-measurement.
     """
 
-    u: GridFunction
-    defect_per_generator: Dict[str, float]
-    defect_locations: Dict[str, float]
-    defect_refined: Dict[str, float]
-    construction: str
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("u", "defect_per_generator", "defect_locations", "defect_refined",
+                 "construction", "extras")
+
+    def __init__(self, u: GridFunction, defect_per_generator: Dict[str, float],
+                 defect_locations: Dict[str, float], defect_refined: Dict[str, float],
+                 construction: str, extras: Optional[dict] = None):
+        self.u, self.construction, self.extras = u, construction, extras or {}
+        self.defect_per_generator, self.defect_locations = defect_per_generator, defect_locations
+        self.defect_refined = defect_refined
 
     @property
     def defect(self) -> float:
@@ -240,7 +244,7 @@ def _measured_solution(
         defect_locations=locations,
         defect_refined=_defect_refined(action, fields),
         construction=construction,
-        extras=extras or {},
+        extras=extras,
     )
 
 
@@ -384,7 +388,6 @@ def path_conjugacy(space: Space, u: Sequence[Array], n: int, s: float) -> Diffeo
     return conjugacy_from_log_density(GridFunction(space, _blend(u, n, s)))
 
 
-@dataclass
 class PathSample:
     """One point of the interpolated conjugacy path, t = n + s, with phi =
     path_conjugacy(..., n, s) and u = u_t at integer t (None in between).
@@ -397,20 +400,23 @@ class PathSample:
     phi(y) and of log D(phi g phi⁻¹)(phi y).  conjugated is built on first
     read."""
 
-    t: float
-    n: int
-    s: float
-    u: Optional[Array]
-    phi: Diffeo
-    action: Action = field(repr=False)
-    c1_gap: float
-    c1_gap_track: float
-    gap_per_generator: Dict[str, float] = field(default_factory=dict)
-    c1_step: Optional[Dict[str, Tuple[float, float]]] = None
+    __slots__ = ("t", "n", "s", "u", "phi", "action", "c1_gap", "c1_gap_track",
+                 "gap_per_generator", "c1_step", "_conjugated")
 
-    @cached_property
+    def __init__(self, t: float, n: int, s: float, u: Optional[Array], phi: Diffeo,
+                 action: Action, c1_gap: float, c1_gap_track: float,
+                 gap_per_generator: Dict[str, float],
+                 c1_step: Optional[Dict[str, Tuple[float, float]]]):
+        self.t, self.n, self.s, self.u, self.phi, self.action = t, n, s, u, phi, action
+        self.c1_gap, self.c1_gap_track = c1_gap, c1_gap_track
+        self.gap_per_generator, self.c1_step = gap_per_generator, c1_step
+        self._conjugated: Optional[Action] = None
+
+    @property
     def conjugated(self) -> Action:
-        return self.action.conjugated(self.phi)
+        if self._conjugated is None:
+            self._conjugated = self.action.conjugated(self.phi)
+        return self._conjugated
 
 
 def path_of_conjugates(

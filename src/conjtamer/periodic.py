@@ -18,10 +18,8 @@ Resilient detection spells its words off the one BFS of the rewriting trie
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +54,7 @@ _BRIDGE_STEPS = 5
 # Periodic points.
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(NamedTuple):
     """A periodic orbit: points in forward order from the smallest
     representative, the least period, and the one-cycle multiplier."""
 
@@ -194,16 +191,16 @@ def rotation_number(
 # Flattening.
 
 
-@dataclass(frozen=True)
 class _Bridge:
     """Monotone C^1 cubic fixing both endpoints with prescribed slopes.
     With slopes in (0, 3] against the unit secant the Fritsch-Carlson test
     holds, so the cubic is strictly increasing."""
 
-    a: float
-    b: float
-    slope_a: float
-    slope_b: float
+    __slots__ = ("a", "b", "slope_a", "slope_b", "_seeds")
+
+    def __init__(self, a: float, b: float, slope_a: float, slope_b: float):
+        self.a, self.b, self.slope_a, self.slope_b = a, b, slope_a, slope_b
+        self._seeds: Optional[Tuple[Array, Array]] = None
 
     def jet(self, x: Array) -> Tuple[Array, Array]:
         """(bridge(x), Dbridge(x)) from one s = (x - a)/(b - a): the cubic
@@ -217,13 +214,16 @@ class _Bridge:
             1.0 + ma * (u * (1.0 - s3)) + mb * (s * (s3 - 2.0)),
         )
 
-    @functools.cached_property
+    @property
     def _table(self) -> Tuple[Array, Array]:
-        """(x, bridge(x)) at the seed nodes, strictly increasing values."""
-        x = self.a + (self.b - self.a) * _BRIDGE_NODES
-        v = self.jet(x)[0]
-        keep = np.concatenate([[True], np.diff(v) > 0.0])
-        return x[keep], v[keep]
+        """(x, bridge(x)) at the seed nodes, strictly increasing values;
+        built on first read."""
+        if self._seeds is None:
+            x = self.a + (self.b - self.a) * _BRIDGE_NODES
+            v = self.jet(x)[0]
+            keep = np.concatenate([[True], np.diff(v) > 0.0])
+            self._seeds = x[keep], v[keep]
+        return self._seeds
 
     def invert(self, y: Array) -> Tuple[Array, Array]:
         """(x, log Dbridge(x)) with bridge(x) = y: seeded by the inverse of
@@ -449,8 +449,7 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
     return Diffeo.from_callables(space, jet(1), jet(-1))
 
 
-@dataclass
-class FlatteningReport:
+class FlatteningReport(NamedTuple):
     alpha: float
     radius: float
     flagged: Tuple[float, ...]
@@ -463,7 +462,7 @@ class FlatteningReport:
             "alpha": self.alpha,
             "radius": self.radius,
             "flagged": list(self.flagged),
-            "orbits": [asdict(o) for o in self.orbits],
+            "orbits": [o._asdict() for o in self.orbits],
             "log_multipliers_before": {
                 f"{k:.12g}": v for k, v in self.log_multipliers_before.items()
             },
@@ -541,8 +540,7 @@ def flatten_hyperbolic(
 # Resilient pairs.
 
 
-@dataclass(frozen=True)
-class ResilientWitness:
+class ResilientWitness(NamedTuple):
     """Certificate x < f(x) < f(y) < g(x) < g(y) < y with every margin above
     the requested resolution; words spell f and g in generator letters."""
 

@@ -23,7 +23,6 @@ report.json before raising so the partial run can be inspected.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -107,7 +106,7 @@ def _periodic_inventory(action: Action) -> Dict[str, List[PeriodicOrbit]]:
 
 def _orbit_records(inventory: Dict[str, List[PeriodicOrbit]]) -> Dict[str, list]:
     return {
-        name: [dict(dataclasses.asdict(o), log_multiplier=o.log_multiplier,
+        name: [dict(o._asdict(), log_multiplier=o.log_multiplier,
                     parabolic=o.parabolic) for o in orbits]
         for name, orbits in inventory.items()
     }
@@ -145,7 +144,7 @@ def _export_action(
     measured = max(deviations.values()) if deviations else 0.0
     tol = max(spec.relation_tolerance, 4.0 * measured)
     with open(os.path.join(out_dir, f"{prefix}.spec"), "w") as fh:
-        fh.write(format_action_spec(dataclasses.replace(spec, relation_tolerance=tol),
+        fh.write(format_action_spec(spec._replace(relation_tolerance=tol),
                                     {name: "@" + f for name, f in gen_files.items()}))
     return gen_files
 
@@ -454,7 +453,7 @@ def run_pipeline(
         raise SpecError(f"unknown command {command!r}; expected one of "
                         + ", ".join(COMMANDS))
     params = spec.params.merged(**(overrides or {}))
-    spec = dataclasses.replace(spec, params=params)  # what the exported specs carry
+    spec = spec._replace(params=params)  # what the exported specs carry
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {
         "schema_version": SCHEMA_VERSION,

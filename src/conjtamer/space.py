@@ -6,8 +6,6 @@ of two so that every refinement/coarsening stays on nested grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SpaceMismatch
@@ -18,19 +16,25 @@ CIRCLE = "circle"
 _MIN_GRID = 16
 
 
-@dataclass(frozen=True)
 class Space:
-    kind: str
-    grid_size: int
+    __slots__ = ("kind", "grid_size")
 
-    def __post_init__(self):
-        if self.kind not in (INTERVAL, CIRCLE):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        n = self.grid_size
-        if n < _MIN_GRID or (n & (n - 1)) != 0:
+    def __init__(self, kind: str, grid_size: int):
+        if kind not in (INTERVAL, CIRCLE):
+            raise ValueError(f"unknown space kind {kind!r}")
+        if grid_size < _MIN_GRID or (grid_size & (grid_size - 1)) != 0:
             raise ValueError(
-                f"grid_size must be a power of two >= {_MIN_GRID}, got {n}"
+                f"grid_size must be a power of two >= {_MIN_GRID}, got {grid_size}"
             )
+        self.kind, self.grid_size = kind, grid_size
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Space:
+            return NotImplemented
+        return (self.kind, self.grid_size) == (other.kind, other.grid_size)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.grid_size))
 
     @property
     def is_circle(self) -> bool:

@@ -38,8 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .action import Action, validate_relations
 from .diffeo import Diffeo, build_diffeo, conjugated_rotation, pwl_diffeo
@@ -49,8 +48,7 @@ from .space import CIRCLE, INTERVAL, Space
 from .words import ABELIAN, FREE, NILPOTENT, Presentation, Word
 
 
-@dataclass
-class GeneratorDef:
+class GeneratorDef(NamedTuple):
     form: str  # expression | conj | pwl | file
     text: str
     line: int
@@ -92,8 +90,7 @@ _PIPELINE_KEYS = {
 }
 
 
-@dataclass
-class PipelineParams:
+class PipelineParams(NamedTuple):
     lam: Optional[float] = None
     radius: int = 40
     epsilon: Optional[float] = None
@@ -108,7 +105,7 @@ class PipelineParams:
     shell_index: int = 0
 
     def merged(self, **overrides) -> "PipelineParams":
-        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
+        return self._replace(**{k: v for k, v in overrides.items() if v is not None})
 
     def spec_lines(self) -> List[str]:
         """[pipeline] lines `key = repr(value)` of the non-default values."""
@@ -125,18 +122,40 @@ class PipelineParams:
                 raise SpecError(f"{key} must be {text}, got {v!r}")
 
 
-@dataclass
 class ActionSpec:
-    generator_names: Tuple[str, ...]
-    generator_defs: Dict[str, GeneratorDef]
-    space_kind: str = INTERVAL
-    grid_size: int = 4096
-    group_type: str = ABELIAN
-    rules: List[Tuple[Tuple, Tuple]] = field(default_factory=list)
-    bounded_generation: Optional[int] = None
-    metric_generators: Optional[Tuple[int, ...]] = None
-    relation_tolerance: float = 1e-6
-    params: PipelineParams = field(default_factory=PipelineParams)
+    """A parsed spec; callers may set its fields, and _replace copies it
+    with some of them changed."""
+
+    __slots__ = ("generator_names", "generator_defs", "space_kind", "grid_size",
+                 "group_type", "rules", "bounded_generation", "metric_generators",
+                 "relation_tolerance", "params")
+
+    def __init__(
+        self,
+        generator_names: Tuple[str, ...],
+        generator_defs: Dict[str, GeneratorDef],
+        space_kind: str = INTERVAL,
+        grid_size: int = 4096,
+        group_type: str = ABELIAN,
+        rules: Sequence[Tuple[Tuple, Tuple]] = (),
+        bounded_generation: Optional[int] = None,
+        metric_generators: Optional[Tuple[int, ...]] = None,
+        relation_tolerance: float = 1e-6,
+        params: PipelineParams = PipelineParams(),
+    ):
+        self.generator_names, self.generator_defs = generator_names, generator_defs
+        self.space_kind, self.grid_size, self.group_type = space_kind, grid_size, group_type
+        self.rules, self.bounded_generation = rules, bounded_generation
+        self.metric_generators, self.relation_tolerance = metric_generators, relation_tolerance
+        self.params = params
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ActionSpec:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+
+    def _replace(self, **changes) -> "ActionSpec":
+        return ActionSpec(**{**{a: getattr(self, a) for a in self.__slots__}, **changes})
 
 
 def _split_top_level(text: str, sep: str = ",") -> List[str]:
@@ -310,11 +329,11 @@ def parse_action_spec(text: str) -> ActionSpec:
             for value, ln in occurrences if key == "rules" else occurrences[-1:]:
                 v = _cast(cast, key, value, ln, fields["generator_names"])
                 fields[attr] = fields.get(attr, []) + v if key == "rules" else v
-    params = PipelineParams()
+    params = {}
     for key, occurrences in given["pipeline"].items():
         attr, cast, *_ = _PIPELINE_KEYS[key]
-        setattr(params, attr, _cast(cast, key, *occurrences[-1]))
-    spec = ActionSpec(generator_defs=gen_defs, params=params, **fields)
+        params[attr] = _cast(cast, key, *occurrences[-1])
+    spec = ActionSpec(generator_defs=gen_defs, params=PipelineParams(**params), **fields)
 
     names = spec.generator_names
     if not names:

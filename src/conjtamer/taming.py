@@ -11,8 +11,7 @@ more walks than the radius.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +28,6 @@ Array = np.ndarray
 DEFAULT_TAIL_REFUSAL = 0.02
 
 
-@dataclass
 class DeroinMeasure:
     """Truncated weighted pushforward measure, represented by its CDF.
 
@@ -38,14 +36,15 @@ class DeroinMeasure:
     mass/tail_bound are for the raw (unnormalized) series.
     """
 
-    lam: float
-    radius: int
-    conjugator: Diffeo
-    mass: float
-    tail_bound: float
-    sphere_sizes: Tuple[int, ...]
-    cdf_raw: Callable = field(repr=False)
-    _sums: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("lam", "radius", "conjugator", "mass", "tail_bound", "sphere_sizes",
+                 "cdf_raw", "_sums")
+
+    def __init__(self, lam: float, radius: int, conjugator: Diffeo, mass: float,
+                 tail_bound: float, sphere_sizes: Tuple[int, ...], cdf_raw: Callable,
+                 _sums: Optional[dict] = None):
+        self.lam, self.radius, self.conjugator, self.mass = lam, radius, conjugator, mass
+        self.tail_bound, self.sphere_sizes, self.cdf_raw = tail_bound, sphere_sizes, cdf_raw
+        self._sums = {} if _sums is None else _sums
 
     def raw_sums(self, g: Optional[Diffeo] = None, sign: int = 1) -> Array:
         """The raw CDF at the nodes, or at their images under g^sign: one
@@ -140,8 +139,7 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
     )
 
 
-@dataclass
-class GeneratorTaming:
+class GeneratorTaming(NamedTuple):
     name: str
     lip: float
     lip_inv: float
@@ -151,11 +149,10 @@ class GeneratorTaming:
     lip_uniform_grid: float  # diagnostic: quotients of the tamed track itself
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "name"}
+        return {k: v for k, v in self._asdict().items() if k != "name"}
 
 
-@dataclass
-class TamingReport:
+class TamingReport(NamedTuple):
     lam: float
     radius: int
     mass: float

@@ -24,8 +24,7 @@ walk, without keeping any Word; enumerate_ball alone returns the ball's Words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +41,17 @@ NILPOTENT = "nilpotent"
 FREE = "free"
 
 
-@dataclass(frozen=True)
 class Word:
-    letters: Tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: Tuple[Letter, ...] = ()):
+        self.letters = letters
+
+    def __eq__(self, other) -> bool:
+        return self.letters == other.letters if type(other) is Word else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     @property
     def length(self) -> int:
@@ -344,8 +351,7 @@ def enumerate_ball(
     return tuple(presentation._word(node) for node in _ball(presentation, k, cap)[0])
 
 
-@dataclass(frozen=True)
-class ShellSelection:
+class ShellSelection(NamedTuple):
     """Radii whose shell growth passes |B(k+1)| - |B(k)| <= C|B(k)|/k, plus
     the smallest constant that would admit at least one radius and the ball
     sizes |B(0)| .. |B(k_max+1)| it was measured on.  It holds no ball: a

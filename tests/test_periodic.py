@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -605,7 +604,7 @@ def test_distinct_words_are_the_product_enumeration_without_identity(path):
     # the trie BFS keeps the first spelling of each normal form, in the order
     # of the letter products; only the identity, which a spelled commutator
     # of Z^2 or of the Heisenberg group reaches at length 4, is left out
-    action = build_action(replace(load_action_spec(str(path)), grid_size=64))
+    action = build_action(load_action_spec(str(path))._replace(grid_size=64))
     pres = action.presentation
     for max_len in range(6):
         expected = [

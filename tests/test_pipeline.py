@@ -1,4 +1,8 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import time
 import warnings
@@ -30,6 +34,8 @@ import conjtamer.periodic as periodic_mod
 import conjtamer.pipeline as pipeline_mod
 
 from helpers import log_deriv_sup
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TRIVIAL = textwrap.dedent(
     """\
@@ -578,6 +584,71 @@ def test_cli_certification_failure_exit_three(tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert report["certify"]["certified"] is False
+
+
+def run_python(*args):
+    """A fresh interpreter on this checkout's sources, run with args."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_main_leaves_the_collector_alone_and_the_entry_freezes(tmp_path):
+    # main runs in-process (tests, perfbench/traced.py): it must neither
+    # disable nor freeze the collector; entry, which `python -m conjtamer`
+    # and the console script run, freezes the imported heap before main and
+    # what outlives main (here a list main makes) after it
+    spec = write(tmp_path, "t.spec", TRIVIAL)
+    frozen = gc.get_freeze_count()
+    assert main(["report", "--spec", spec, "--out", str(tmp_path / "in")]) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    code = (
+        "import gc, sys\n"
+        "import conjtamer.cli as cli\n"
+        "run, seen = cli.main, []\n"
+        "def main():\n"
+        "    seen.append([gc.get_freeze_count()])\n"
+        "    return run(['report', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
+        "cli.main = main\n"
+        "rc = cli.entry()\n"
+        "sys.exit(rc or not (gc.isenabled() and 0 < seen[0][0] < gc.get_freeze_count()))\n"
+    )
+    done = run_python("-c", code, spec, str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_matches_the_in_process_run(tmp_path, capsys):
+    spec = str(ROOT / "specs" / "a3.spec")
+    assert main(["report", "--spec", spec, "--out", str(tmp_path / "in")]) == 0
+    done = run_python("-m", "conjtamer", "report", "--spec", spec, "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == capsys.readouterr().out == "report: wrote report.json\n"
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    assert report == (tmp_path / "in" / "report.json").read_bytes()
+
+
+def test_module_entry_keeps_the_certification_exit_code(tmp_path):
+    spec = write(tmp_path, "a3.spec", A3_SMALL)
+    out = tmp_path / "out"
+    done = run_python("-m", "conjtamer", "tame-c1", "--spec", spec, "--out", str(out),
+                      "--epsilon", "0.0001", "--nmax", "8")
+    assert done.returncode == 3, done.stderr
+    assert "certification failure" in done.stderr
+    assert json.loads((out / "report.json").read_text())["certified"] is False
+
+
+def test_importing_the_cli_builds_no_generated_code():
+    # a @dataclass is compiled from generated source at import (some 0.5 ms
+    # a class); the records are NamedTuples and slotted classes instead, so
+    # nothing past numpy imports dataclasses
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import conjtamer.cli\n"
+        "sys.exit(not before and 'dataclasses' in sys.modules)\n"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr or "import conjtamer.cli imported dataclasses"
 
 
 def test_cli_tame_c1_refuses_multipliers_beyond_epsilon(tmp_path):

@@ -5,7 +5,6 @@ midpoints.  These tests hold them to the six-pass measurement they replaced
 math.fsum reference, count their ball elements, pin the ball-size limits,
 and check that no stage builds an inverse map."""
 
-import dataclasses
 import itertools
 import math
 
@@ -466,7 +465,7 @@ def test_no_stage_builds_an_inverse_map(monkeypatch, pytestconfig):
     monkeypatch.setattr(action_mod, "invert", counted)
     monkeypatch.setattr(diffeo_mod, "invert", counted)
     spec = pytestconfig.rootpath / "specs" / "heisenberg_proj.spec"
-    build_action(dataclasses.replace(load_action_spec(str(spec)), grid_size=256))
+    build_action(load_action_spec(str(spec))._replace(grid_size=256))
     action = Action(interval(256), Presentation.zd(1, ("f",)), {"f": mobius_gen(256)})
     tame_lipschitz(action, 0.9, 4)
     nilpotent_average_solution(heisenberg_rotations(256)[0], shell_index=0, k_max=8)

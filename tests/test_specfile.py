@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import textwrap
 from pathlib import Path
@@ -96,7 +95,7 @@ def test_abelian_commutator_rules_are_implicit():
 
 def test_grid_override_resamples():
     spec = parse_action_spec(Z2_CIRCLE)
-    act = build_action(dataclasses.replace(spec, grid_size=256))
+    act = build_action(spec._replace(grid_size=256))
     assert act.space.grid_size == 256
 
 
@@ -355,7 +354,7 @@ def test_format_action_spec_round_trips_every_bundled_spec(path):
     spec = load_action_spec(str(path))
     text = format_action_spec(spec, {n: d.text for n, d in spec.generator_defs.items()})
     back = parse_action_spec(text)
-    assert dataclasses.replace(back, generator_defs=spec.generator_defs) == spec
+    assert back._replace(generator_defs=spec.generator_defs) == spec
     assert [d.text for d in back.generator_defs.values()] == [
         d.text for d in spec.generator_defs.values()
     ]
