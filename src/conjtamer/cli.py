@@ -7,8 +7,8 @@
     conjtamer flatten        --spec a4.spec --delta 0.1
     conjtamer report         --spec a3.spec
 
-Parameter flags come from specfile._PIPELINE_KEYS, show the PipelineParams
-defaults and override the spec's [pipeline] values.
+Parameter flags come from specfile._PIPELINE_KEYS, show its defaults and
+override the spec's [pipeline] values.
 
 Exit codes: 0 success (detect returns 0 whether or not a witness exists),
 2 spec/usage error or out-of-range parameter (report.json still written once
@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from .errors import CertificationFailure, ConjTamerError, SpecError
 from .pipeline import CERTIFYING, run_pipeline
-from .specfile import _PIPELINE_KEYS, PipelineParams, load_action_spec
+from .specfile import _PIPELINE_KEYS, load_action_spec
 
 # command -> (help, the [pipeline] keys it takes as flags)
 _COMMANDS = {
@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "probe obstructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = PipelineParams()
     for command, (help_text, keys) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--spec", required=True, metavar="FILE",
@@ -74,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="look for a resilient pair (the default and "
                             "only detector)")
         for key in keys:
-            attr, cast, _, _, flags, help_key = _PIPELINE_KEYS[key]
-            default = getattr(defaults, attr)
+            attr, default, cast, _, _, flags, help_key = _PIPELINE_KEYS[key]
             if default is not None:
                 help_key += f" (default {default})"
             sp.add_argument(*flags, dest=attr, type=cast, metavar=key.upper(),
@@ -128,7 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         spec = load_action_spec(args.spec)
         if args.grid is not None:
-            spec.grid_size = args.grid
+            spec = spec._replace(grid_size=args.grid)
         report = run_pipeline(
             args.command,
             spec,

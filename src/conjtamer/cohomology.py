@@ -20,6 +20,7 @@ ball once, in plan coordinates.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,7 +154,10 @@ def birkhoff_field(action: Action, n_max: int, x) -> Array:
 # Solutions and defects.
 
 
-class CohomSolution:
+class CohomSolution(namedtuple(
+    "CohomSolution",
+    "u defect_per_generator defect_locations defect_refined construction extras",
+)):
     """An approximate solution u of u - u∘f = log Df for every generator.
 
     u is normalized so that the piecewise-linear density exp(u) integrates to
@@ -161,15 +165,7 @@ class CohomSolution:
     location per generator, plus a once-refined (midpoint) re-measurement.
     """
 
-    __slots__ = ("u", "defect_per_generator", "defect_locations", "defect_refined",
-                 "construction", "extras")
-
-    def __init__(self, u: GridFunction, defect_per_generator: Dict[str, float],
-                 defect_locations: Dict[str, float], defect_refined: Dict[str, float],
-                 construction: str, extras: Optional[dict] = None):
-        self.u, self.construction, self.extras = u, construction, extras or {}
-        self.defect_per_generator, self.defect_locations = defect_per_generator, defect_locations
-        self.defect_refined = defect_refined
+    __slots__ = ()
 
     @property
     def defect(self) -> float:
@@ -244,7 +240,7 @@ def _measured_solution(
         defect_locations=locations,
         defect_refined=_defect_refined(action, fields),
         construction=construction,
-        extras=extras,
+        extras=extras or {},
     )
 
 
@@ -388,7 +384,9 @@ def path_conjugacy(space: Space, u: Sequence[Array], n: int, s: float) -> Diffeo
     return conjugacy_from_log_density(GridFunction(space, _blend(u, n, s)))
 
 
-class PathSample:
+class PathSample(namedtuple(
+    "PathSample", "t n s u phi action c1_gap c1_gap_track gap_per_generator c1_step"
+)):
     """One point of the interpolated conjugacy path, t = n + s, with phi =
     path_conjugacy(..., n, s) and u = u_t at integer t (None in between).
 
@@ -397,26 +395,14 @@ class PathSample:
     c1_gap_track: that of |log D(phi g phi⁻¹)|, exactly, at phi(nodes).
     c1_step records per generator the C⁰ and log-derivative distances to the
     previous sample (None on the first), at the same nodes y: of phi(g y) -
-    phi(y) and of log D(phi g phi⁻¹)(phi y).  conjugated is built on first
+    phi(y) and of log D(phi g phi⁻¹)(phi y).  conjugated is built on each
     read."""
 
-    __slots__ = ("t", "n", "s", "u", "phi", "action", "c1_gap", "c1_gap_track",
-                 "gap_per_generator", "c1_step", "_conjugated")
-
-    def __init__(self, t: float, n: int, s: float, u: Optional[Array], phi: Diffeo,
-                 action: Action, c1_gap: float, c1_gap_track: float,
-                 gap_per_generator: Dict[str, float],
-                 c1_step: Optional[Dict[str, Tuple[float, float]]]):
-        self.t, self.n, self.s, self.u, self.phi, self.action = t, n, s, u, phi, action
-        self.c1_gap, self.c1_gap_track = c1_gap, c1_gap_track
-        self.gap_per_generator, self.c1_step = gap_per_generator, c1_step
-        self._conjugated: Optional[Action] = None
+    __slots__ = ()
 
     @property
     def conjugated(self) -> Action:
-        if self._conjugated is None:
-            self._conjugated = self.action.conjugated(self.phi)
-        return self._conjugated
+        return self.action.conjugated(self.phi)
 
 
 def path_of_conjugates(

@@ -19,7 +19,8 @@ Resilient detection spells its words off the one BFS of the rewriting trie
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +55,11 @@ _BRIDGE_STEPS = 5
 # Periodic points.
 
 
-class PeriodicOrbit(NamedTuple):
+class PeriodicOrbit(namedtuple("PeriodicOrbit", "points period multiplier")):
     """A periodic orbit: points in forward order from the smallest
     representative, the least period, and the one-cycle multiplier."""
 
-    points: Tuple[float, ...]
-    period: int
-    multiplier: float
+    __slots__ = ()
 
     @property
     def log_multiplier(self) -> float:
@@ -449,13 +448,11 @@ def flatten_conjugate(psi: FlatteningMap, g: Diffeo) -> Diffeo:
     return Diffeo.from_callables(space, jet(1), jet(-1))
 
 
-class FlatteningReport(NamedTuple):
-    alpha: float
-    radius: float
-    flagged: Tuple[float, ...]
-    orbits: List[PeriodicOrbit]
-    log_multipliers_before: Dict[float, float]
-    log_multipliers_after: Dict[float, float]
+class FlatteningReport(namedtuple(
+    "FlatteningReport", "alpha radius flagged orbits log_multipliers_before "
+    "log_multipliers_after",
+)):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -540,19 +537,14 @@ def flatten_hyperbolic(
 # Resilient pairs.
 
 
-class ResilientWitness(NamedTuple):
+class ResilientWitness(namedtuple(
+    "ResilientWitness", "word_f word_g display_f display_g x y chain margin resolution"
+)):
     """Certificate x < f(x) < f(y) < g(x) < g(y) < y with every margin above
-    the requested resolution; words spell f and g in generator letters."""
+    the requested resolution; words spell f and g in generator letters, and
+    chain holds the six values in that order."""
 
-    word_f: Word
-    word_g: Word
-    display_f: str
-    display_g: str
-    x: float
-    y: float
-    chain: Tuple[float, float, float, float, float, float]
-    margin: float
-    resolution: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -250,20 +250,7 @@ def _solve(action: Action, spec: ActionSpec, params: PipelineParams) -> CohomSol
 
 
 def _solution_dict(sol: CohomSolution) -> dict:
-    return {
-        "construction": sol.construction,
-        "defect": float(sol.defect),
-        "defect_per_generator": {
-            k: float(v) for k, v in sol.defect_per_generator.items()
-        },
-        "defect_locations": {
-            k: float(v) for k, v in sol.defect_locations.items()
-        },
-        "defect_refined": {
-            k: float(v) for k, v in sol.defect_refined.items()
-        },
-        "extras": dict(sol.extras),
-    }
+    return dict({k: v for k, v in sol._asdict().items() if k != "u"}, defect=sol.defect)
 
 
 def _cmd_tame_c1(

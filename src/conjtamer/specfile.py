@@ -27,10 +27,11 @@ the rules for confluence by critical pairs, which covers words of every
 length.  An abelian group takes no rules: parsing synthesizes the Z^d
 commutations.  _ACTION_KEYS declares each [space] and [group] key once, with
 its cast and export text, and ActionSpec holds their defaults; _PIPELINE_KEYS
-declares each [pipeline] key and its CLI flags once, and PipelineParams holds
-the defaults, which exported specs leave out.  parse_action_spec reads and
-format_action_spec writes every section through these tables; a key outside
-them or a value that does not cast is a SpecError at its line.
+declares each [pipeline] key once, with its default and CLI flags, and
+PipelineParams takes its fields from it; exported specs leave the defaults
+out.  parse_action_spec reads and format_action_spec writes every section
+through these tables; a key outside them or a value that does not cast is a
+SpecError at its line.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .action import Action, validate_relations
 from .diffeo import Diffeo, build_diffeo, conjugated_rotation, pwl_diffeo
@@ -48,114 +50,80 @@ from .space import CIRCLE, INTERVAL, Space
 from .words import ABELIAN, FREE, NILPOTENT, Presentation, Word
 
 
-class GeneratorDef(NamedTuple):
-    form: str  # expression | conj | pwl | file
-    text: str
-    line: int
-    col: int = 1  # 1-based column of the definition text within its spec line
+class GeneratorDef(namedtuple("GeneratorDef", "form text line col", defaults=(1,))):
+    """A [generators] definition: form is expression, conj, pwl or file, and
+    col the 1-based column of text within its spec line."""
+
+    __slots__ = ()
 
 
 def _positive(v) -> bool:
     return 0.0 < v < math.inf
 
 
-# key -> (PipelineParams attribute, cast, range check, range text, CLI flags,
-# help; a help without a PipelineParams default says what unset means)
+# key -> (PipelineParams attribute and default, cast, range check, range text,
+# CLI flags, help; a help with a None default says what unset means)
 _PIPELINE_KEYS = {
-    "lambda": ("lam", float, lambda v: 0.0 < v < 1.0, "in (0, 1)", ("--lambda",),
+    "lambda": ("lam", None, float, lambda v: 0.0 < v < 1.0, "in (0, 1)", ("--lambda",),
                "series weight in (0, 1/growth) (required here or in the spec)"),
-    "radius": ("radius", int, lambda v: v >= 0, ">= 0", ("--radius", "--ball-radius"),
+    "radius": ("radius", 40, int, lambda v: v >= 0, ">= 0", ("--radius", "--ball-radius"),
                "word-length truncation radius"),
-    "epsilon": ("epsilon", float, _positive, "finite and > 0", ("--epsilon",),
+    "epsilon": ("epsilon", None, float, _positive, "finite and > 0", ("--epsilon",),
                 "certification target (required here or in the spec)"),
-    "delta": ("delta", float, _positive, "finite and > 0", ("--delta",), "per-period "
+    "delta": ("delta", None, float, _positive, "finite and > 0", ("--delta",), "per-period "
               "flattening budget (default: epsilon, else 0.1; unused once alpha is set)"),
-    "alpha": ("alpha", float, lambda v: 1.0 <= v < math.inf, "finite and >= 1",
+    "alpha": ("alpha", None, float, lambda v: 1.0 <= v < math.inf, "finite and >= 1",
               ("--alpha",), "flattening exponent (default: derived from delta)"),
-    "nmax": ("nmax", int, lambda v: v >= 1, ">= 1", ("--nmax",),
+    "nmax": ("nmax", 16, int, lambda v: v >= 1, ">= 1", ("--nmax",),
              "ball radius of the abelian solve and endpoint of path"),
-    "steps": ("steps", int, lambda v: v >= 1, ">= 1", ("--steps", "--path-steps"),
+    "steps": ("steps", 8, int, lambda v: v >= 1, ">= 1", ("--steps", "--path-steps"),
               "path samples per unit of t"),
-    "max_word_len": ("max_word_len", int, lambda v: v >= 1, ">= 1", ("-L",),
+    "max_word_len": ("max_word_len", 4, int, lambda v: v >= 1, ">= 1", ("-L",),
                      "maximum word length"),
-    "resolution": ("resolution", float, _positive, "finite and > 0", ("--resolution",),
-                   "minimum chain margin"),
-    "growth_constant": ("growth_constant", float, _positive, "finite and > 0",
+    "resolution": ("resolution", 0.01, float, _positive, "finite and > 0",
+                   ("--resolution",), "minimum chain margin"),
+    "growth_constant": ("growth_constant", None, float, _positive, "finite and > 0",
                         ("--growth-constant",), "ball growth constant of the "
                         "nilpotent solve (default: the least measured constant)"),
-    "k_max": ("k_max", int, lambda v: v >= 1, ">= 1", ("--k-max",),
+    "k_max": ("k_max", 8, int, lambda v: v >= 1, ">= 1", ("--k-max",),
               "shell search cap of the nilpotent solve"),
-    "shell_index": ("shell_index", int, lambda v: v >= 0, ">= 0", ("--shell-index",),
+    "shell_index": ("shell_index", 0, int, lambda v: v >= 0, ">= 0", ("--shell-index",),
                     "which admissible shell the nilpotent solve averages over"),
 }
 
 
-class PipelineParams(NamedTuple):
-    lam: Optional[float] = None
-    radius: int = 40
-    epsilon: Optional[float] = None
-    delta: Optional[float] = None
-    alpha: Optional[float] = None
-    nmax: int = 16
-    steps: int = 8
-    max_word_len: int = 4
-    resolution: float = 0.01
-    growth_constant: Optional[float] = None
-    k_max: int = 8
-    shell_index: int = 0
+class PipelineParams(namedtuple("PipelineParams", [r[0] for r in _PIPELINE_KEYS.values()],
+                                defaults=[r[1] for r in _PIPELINE_KEYS.values()])):
+    """The [pipeline] values, a field and its default per _PIPELINE_KEYS row."""
+
+    __slots__ = ()
 
     def merged(self, **overrides) -> "PipelineParams":
         return self._replace(**{k: v for k, v in overrides.items() if v is not None})
 
     def spec_lines(self) -> List[str]:
         """[pipeline] lines `key = repr(value)` of the non-default values."""
-        default = PipelineParams()
-        return [f"{key} = {getattr(self, a)!r}" for key, (a, *_) in _PIPELINE_KEYS.items()
-                if getattr(self, a) != getattr(default, a)]
+        return [f"{key} = {v!r}" for (key, row), v in zip(_PIPELINE_KEYS.items(), self)
+                if v != row[1]]
 
     def check(self) -> None:
         """Raises SpecError for a set value outside its range; spec values
         and CLI overrides both pass through here once merged."""
-        for key, (attr, _, ok, text, *_) in _PIPELINE_KEYS.items():
+        for key, (attr, _, _, ok, text, *_) in _PIPELINE_KEYS.items():
             v = getattr(self, attr)
             if v is not None and not ok(v):
                 raise SpecError(f"{key} must be {text}, got {v!r}")
 
 
-class ActionSpec:
-    """A parsed spec; callers may set its fields, and _replace copies it
-    with some of them changed."""
+class ActionSpec(namedtuple(
+    "ActionSpec", "generator_names generator_defs space_kind grid_size group_type rules "
+    "bounded_generation metric_generators relation_tolerance params",
+    defaults=(INTERVAL, 4096, ABELIAN, (), None, None, 1e-6, PipelineParams()),
+)):
+    """A parsed spec: the [space] and [group] values, each generator's
+    definition, and the [pipeline] values as params."""
 
-    __slots__ = ("generator_names", "generator_defs", "space_kind", "grid_size",
-                 "group_type", "rules", "bounded_generation", "metric_generators",
-                 "relation_tolerance", "params")
-
-    def __init__(
-        self,
-        generator_names: Tuple[str, ...],
-        generator_defs: Dict[str, GeneratorDef],
-        space_kind: str = INTERVAL,
-        grid_size: int = 4096,
-        group_type: str = ABELIAN,
-        rules: Sequence[Tuple[Tuple, Tuple]] = (),
-        bounded_generation: Optional[int] = None,
-        metric_generators: Optional[Tuple[int, ...]] = None,
-        relation_tolerance: float = 1e-6,
-        params: PipelineParams = PipelineParams(),
-    ):
-        self.generator_names, self.generator_defs = generator_names, generator_defs
-        self.space_kind, self.grid_size, self.group_type = space_kind, grid_size, group_type
-        self.rules, self.bounded_generation = rules, bounded_generation
-        self.metric_generators, self.relation_tolerance = metric_generators, relation_tolerance
-        self.params = params
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ActionSpec:
-            return NotImplemented
-        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
-
-    def _replace(self, **changes) -> "ActionSpec":
-        return ActionSpec(**{**{a: getattr(self, a) for a in self.__slots__}, **changes})
+    __slots__ = ()
 
 
 def _split_top_level(text: str, sep: str = ",") -> List[str]:
@@ -331,7 +299,7 @@ def parse_action_spec(text: str) -> ActionSpec:
                 fields[attr] = fields.get(attr, []) + v if key == "rules" else v
     params = {}
     for key, occurrences in given["pipeline"].items():
-        attr, cast, *_ = _PIPELINE_KEYS[key]
+        attr, _, cast, *_ = _PIPELINE_KEYS[key]
         params[attr] = _cast(cast, key, *occurrences[-1])
     spec = ActionSpec(generator_defs=gen_defs, params=PipelineParams(**params), **fields)
 
@@ -352,7 +320,7 @@ def parse_action_spec(text: str) -> ActionSpec:
         if "rules" in given["group"]:
             raise SpecError("rules: an abelian group takes none, its commutations "
                             "are synthesized", line=given["group"]["rules"][0][1])
-        spec.rules = list(Presentation.zd(len(names), names).rules)
+        return spec._replace(rules=list(Presentation.zd(len(names), names).rules))
     return spec
 
 

@@ -11,7 +11,8 @@ more walks than the radius.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,32 +29,27 @@ Array = np.ndarray
 DEFAULT_TAIL_REFUSAL = 0.02
 
 
-class DeroinMeasure:
+class DeroinMeasure(namedtuple(
+    "DeroinMeasure", "lam radius conjugator mass tail_bound sphere_sizes cdf_raw sums"
+)):
     """Truncated weighted pushforward measure, represented by its CDF.
 
     conjugator: the normalized CDF as a diffeomorphism (log-derivative = log
     density), evaluated through the series;
-    mass/tail_bound are for the raw (unnormalized) series.
+    mass/tail_bound are for the raw (unnormalized) series;
+    sums: raw_sums' walks, by point set.
     """
 
-    __slots__ = ("lam", "radius", "conjugator", "mass", "tail_bound", "sphere_sizes",
-                 "cdf_raw", "_sums")
-
-    def __init__(self, lam: float, radius: int, conjugator: Diffeo, mass: float,
-                 tail_bound: float, sphere_sizes: Tuple[int, ...], cdf_raw: Callable,
-                 _sums: Optional[dict] = None):
-        self.lam, self.radius, self.conjugator, self.mass = lam, radius, conjugator, mass
-        self.tail_bound, self.sphere_sizes, self.cdf_raw = tail_bound, sphere_sizes, cdf_raw
-        self._sums = {} if _sums is None else _sums
+    __slots__ = ()
 
     def raw_sums(self, g: Optional[Diffeo] = None, sign: int = 1) -> Array:
         """The raw CDF at the nodes, or at their images under g^sign: one
         walk of the series per point set, kept for later callers."""
         key = None if g is None else (g, sign)
-        if key not in self._sums:
+        if key not in self.sums:
             x = self.conjugator.space.nodes
-            self._sums[key] = self.cdf_raw(x if g is None else g.apply(x, sign)[0])
-        return self._sums[key]
+            self.sums[key] = self.cdf_raw(x if g is None else g.apply(x, sign)[0])
+        return self.sums[key]
 
     def mass_bound_certificate(self) -> Tuple[float, float, float]:
         """(mass, bound, measured growth constant C): mass <= 2C/(1-lam')
@@ -135,33 +131,28 @@ def deroin_cdf(action: Action, lam: float, radius: int) -> DeroinMeasure:
         tail_bound=_tail_bound(lam, sizes),
         sphere_sizes=sizes,
         cdf_raw=lambda x: walk(x)[0],
-        _sums={None: at_nodes[0]},
+        sums={None: at_nodes[0]},
     )
 
 
-class GeneratorTaming(NamedTuple):
-    name: str
-    lip: float
-    lip_inv: float
-    lip_coarse: float
-    lip_inv_coarse: float
-    two_scale_ok: bool
-    lip_uniform_grid: float  # diagnostic: quotients of the tamed track itself
+class GeneratorTaming(namedtuple(
+    "GeneratorTaming",
+    "name lip lip_inv lip_coarse lip_inv_coarse two_scale_ok lip_uniform_grid",
+)):
+    """One generator's tamed Lipschitz constants; lip_uniform_grid is a
+    diagnostic, the quotients of the tamed track itself."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self._asdict().items() if k != "name"}
 
 
-class TamingReport(NamedTuple):
-    lam: float
-    radius: int
-    mass: float
-    tail_bound: float
-    slack: float
-    bound: float
-    refuse_threshold: float
-    per_generator: Dict[str, GeneratorTaming]
-    certified: bool
+class TamingReport(namedtuple(
+    "TamingReport", "lam radius mass tail_bound slack bound refuse_threshold "
+    "per_generator certified",
+)):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -24,7 +24,8 @@ walk, without keeping any Word; enumerate_ball alone returns the ball's Words.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -351,17 +352,14 @@ def enumerate_ball(
     return tuple(presentation._word(node) for node in _ball(presentation, k, cap)[0])
 
 
-class ShellSelection(NamedTuple):
+class ShellSelection(namedtuple("ShellSelection", "radii minimal_c measured sizes")):
     """Radii whose shell growth passes |B(k+1)| - |B(k)| <= C|B(k)|/k, plus
     the smallest constant that would admit at least one radius and the ball
     sizes |B(0)| .. |B(k_max+1)| it was measured on.  It holds no ball: a
     caller walks ball_tree(presentation, k + 1), whose BFS layers are a
     prefix of those of B(k_max + 1)."""
 
-    radii: Tuple[int, ...]
-    minimal_c: float
-    measured: Tuple[float, ...]
-    sizes: Tuple[int, ...]
+    __slots__ = ()
 
 
 def select_shell_radii(

@@ -102,6 +102,21 @@ def test_interior_fixed_points_of_circle_map():
     assert mults[0.5] == pytest.approx(1 - 0.06 * np.pi, abs=1e-6)
 
 
+def test_orbits_of_least_period_four():
+    # the map of test_pipeline's PERIOD_FOUR spec commutes with R_1/4 and
+    # moves x = k/8 by exactly 1/4: each root of f^4 - id - 1 is walked into
+    # its orbit, in forward order from its smallest point, and the roots met
+    # again on that orbit add none
+    f = build_diffeo("x + 0.25 + 0.005*sin(8*pi*x)", circle(512))
+    assert find_periodic_points(f, 3) == []
+    orbits = find_periodic_points(f, 4)
+    assert [o.period for o in orbits] == [4, 4]
+    assert orbits[0].points == pytest.approx((0.0, 0.25, 0.5, 0.75), abs=1e-12)
+    assert orbits[1].points == pytest.approx((0.125, 0.375, 0.625, 0.875), abs=1e-12)
+    assert orbits[0].log_multiplier == pytest.approx(0.473, abs=1e-3)
+    assert orbits[1].log_multiplier == pytest.approx(-0.537, abs=1e-3)
+
+
 def test_bisection_raises_when_a_bracket_stays_open():
     # a displacement jumping across zero just above x = 0: after 60 halvings
     # the bracket is still far wider than its ulps, and |dm| stays 0.1
@@ -287,6 +302,39 @@ def test_flatten_circle_map_with_a_flagged_point_on_the_fold():
     x = np.linspace(-1.5, 2.5, 4001)
     assert float(np.max(np.abs(g.eval_lift(x + 1) - g.eval_lift(x) - 1))) <= 4.5e-16
     assert float(np.max(np.abs(g.invert_lift(g.eval_lift(x)) - x))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "space, text, delta, starts, sides",
+    [
+        # no segment starts at 0 after the fold: the bridge across 1 is
+        # copied there, shifted by -1
+        (circle(512), "x + 0.05*sin(2*pi*(x - 0.3))", 0.1,
+         [0.0, 0.25, 0.3, 0.35, 0.75, 0.8, 0.85], [0, -1, 1, 0, -1, 1, 0]),
+        # 0 and 1 are parabolic, so 0.5 alone is flagged: a bridge from 0 and
+        # a bridge to 1 end the table
+        (interval(512), "x + 4*x^2*(1-x)^2*(x - 0.5)", 0.05,
+         [0.0, 0.45, 0.5, 0.55], [0, -1, 1, 0]),
+    ],
+    ids=["circle-copy-at-0", "interval-end-bridges"],
+)
+def test_flattening_segment_table_ends(space, text, delta, starts, sides):
+    act = Action(space, Presentation.zd(1, ("f",)), {"f": build_diffeo(text, space)})
+    _, psi, report = flatten_hyperbolic(act, delta=delta)
+    assert psi._starts == pytest.approx(starts, abs=1e-12)
+    assert psi._sides.tolist() == sides
+    for o in report.orbits:
+        assert abs(report.log_multipliers_after[o.points[0]]) <= o.period * delta * (1 + 1e-6)
+    # log Dpsi is continuous where two segments meet off the flagged points,
+    # and 0 at an unflagged end of the interval
+    edges = psi._starts[(psi._sides != 1) & ((psi._starts > 0.0) | space.is_circle)]
+    left, right = (psi.prim.apply(edges + t, 1)[1] for t in (-1e-9, 1e-9))
+    assert float(np.max(np.abs(left - right))) <= 1e-6
+    if not space.is_circle:
+        assert psi.prim.apply(np.array([0.0, 1.0]), 1)[1].tolist() == [0.0, 0.0]
+    x = np.linspace(0.0, 1.0, 2001 if space.is_circle else 4001)
+    back = psi.prim.apply(psi.prim.apply(x, 1)[0], -1)[0]
+    assert float(np.max(np.abs(back - x))) <= 4 * np.spacing(1.0)
 
 
 @pytest.mark.parametrize(

@@ -932,7 +932,7 @@ def test_cli_help_lists_the_command_keys_with_their_defaults(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     tokens = set(text.replace("[", " ").replace("]", " ").replace(",", " ").split())
     defaults = PipelineParams()
-    for key, (attr, _, _, _, flags, _) in _PIPELINE_KEYS.items():
+    for key, (attr, _, _, _, _, flags, _) in _PIPELINE_KEYS.items():
         assert all(flag in tokens for flag in flags) == (key in HELP_KEYS[command]), key
         if key in HELP_KEYS[command] and getattr(defaults, attr) is not None:
             assert f"(default {getattr(defaults, attr)})" in text, key
